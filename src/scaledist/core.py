@@ -170,10 +170,19 @@ def _format(x):
 
 
 def _atomic_write(path, text):
+    # write a sibling temp file, then rename it over path; on failure the
+    # temp file is removed and the error re-raised
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _parse_cell(cell, lineno, colno):

@@ -2,8 +2,23 @@
 
 For order q >= 1 the distance between rows x and y is
 (sum_l |x_l - y_l|**q) ** (1/q); q = inf takes the largest coordinate
-difference.  Computations factor out the largest absolute difference first,
-so very large coordinates cannot overflow for any finite q.
+difference.
+
+One kernel serves every entry point.  It takes a block of absolute
+differences and reduces it for each requested order, so |x - y| is formed
+once however many orders are asked for.  Orders 1 to 4 use direct power sums
+(the square is shared by 2, 3 and 4); other finite orders use the generic
+power.  Only the pairs whose largest difference m could overflow the power
+sum (p * m**q above the float range) or lose it to underflow (m**q within a
+factor 2**52 of the smallest normal float) are rescaled: for those,
+m * (sum (|x - y| / m)**q) ** (1/q).  So coordinate differences from about
+1e150 down to subnormal sizes keep full relative precision for any finite q.
+
+Each order's value depends only on its pair of rows and q: never on which
+other orders were requested alongside, nor on how rows are grouped into
+blocks.  ``pairwise_orders`` and ``cross_orders`` validate once and return
+one result per order; ``pairwise``, ``cross`` and ``minkowski`` are their
+single-order forms.
 """
 
 from __future__ import annotations
@@ -12,9 +27,25 @@ import math
 
 import numpy as np
 
-from .core import CondensedDistanceMatrix, check_data_matrix
+from .core import CondensedDistanceMatrix, check_data_matrix, condensed_size
 
-__all__ = ["check_order", "parse_order", "minkowski", "pairwise", "cross"]
+__all__ = [
+    "check_order",
+    "parse_order",
+    "minkowski",
+    "pairwise",
+    "cross",
+    "pairwise_orders",
+    "cross_orders",
+]
+
+_HUGE = np.finfo(np.float64).max
+# A power sum whose largest term is at least this loses nothing to subnormal
+# terms: each carries an absolute error of at most 2**-1075, and p of them
+# stay below p * 2**-105 of the sum.
+_SMALL = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# cross_orders forms about this many absolute differences per block
+_BLOCK_DIFFS = 1 << 16
 
 
 def check_order(q):
@@ -47,31 +78,94 @@ def format_order(q):
     return repr(q)
 
 
-def _powered(scaled, q):
-    # small integer exponents dominate use; avoid the generic pow for them
+def _root(s, q):
     if q == 1.0:
-        return scaled
+        return s
     if q == 2.0:
-        return scaled * scaled
-    if q == 3.0:
-        return scaled * scaled * scaled
-    if q == 4.0:
-        s2 = scaled * scaled
-        return s2 * s2
-    return scaled ** q
+        return np.sqrt(s)
+    return s ** (1.0 / q)
 
 
-def _reduce(diffs, q):
-    """Aggregate |x - y| rows (last axis = variables) to distances."""
-    m = diffs.max(axis=-1)
-    if math.isinf(q):
-        return m
-    safe = m > 0.0
-    denom = np.where(safe, m, 1.0)
-    scaled = diffs / denom[..., None]
-    s = _powered(scaled, q).sum(axis=-1)
-    out = denom * s ** (1.0 / q)
-    return np.where(safe, out, 0.0)
+def _power_sum(d, q, d2=None):
+    # sum over the last axis of d**q; d2 = d*d may be passed in precomputed
+    if q == 1.0:
+        return d.sum(axis=-1)
+    if q in (2.0, 3.0, 4.0):
+        if d2 is None:
+            d2 = d * d
+        if q == 2.0:
+            return d2.sum(axis=-1)
+        return (d2 * (d if q == 3.0 else d2)).sum(axis=-1)
+    return (d ** q).sum(axis=-1)
+
+
+def _reduce_orders(d, orders):
+    """Distances of every order from a (pairs, variables) block of |x - y|.
+
+    Returns one array of length ``pairs`` per order.  Callers silence
+    overflow and underflow warnings: the affected pairs are recomputed.
+    """
+    m = d.max(axis=-1)
+    p = d.shape[-1]
+    d2 = d * d if any(q in (2.0, 3.0, 4.0) for q in orders) else None
+    out = []
+    for q in orders:
+        if math.isinf(q):
+            out.append(m)
+            continue
+        dist = _root(_power_sum(d, q, d2), q)
+        rescale = (m > (_HUGE / p) ** (1.0 / q)) | ((m > 0.0) & (m < _SMALL ** (1.0 / q)))
+        if rescale.any():
+            mr = m[rescale]
+            dist[rescale] = mr * _root(_power_sum(d[rescale] / mr[:, None], q), q)
+        out.append(dist)
+    return out
+
+
+def pairwise_orders(X, orders):
+    """Pairwise distances between rows of X for several orders at once.
+
+    Returns a tuple of :class:`CondensedDistanceMatrix`, one per entry of
+    ``orders``, each equal bit for bit to ``pairwise(X, q)``.  The entries of
+    row j against rows 0..j-1 fill the contiguous condensed slice
+    [j(j-1)/2, j(j+1)/2), so no square matrix is formed.
+    """
+    orders = tuple(check_order(q) for q in orders)
+    X = check_data_matrix(X, min_rows=2)
+    n = X.shape[0]
+    entries = [np.empty(condensed_size(n)) for _ in orders]
+    with np.errstate(over="ignore", under="ignore"):
+        for j in range(1, n):
+            start = condensed_size(j)
+            dists = _reduce_orders(np.abs(X[:j] - X[j]), orders)
+            for e, dist in zip(entries, dists):
+                e[start:start + j] = dist
+    return tuple(CondensedDistanceMatrix(n, e) for e in entries)
+
+
+def cross_orders(X_left, X_right, orders):
+    """Cross distances between two matrices for several orders at once.
+
+    Returns a tuple of (n_left, n_right) arrays, one per entry of ``orders``,
+    each equal bit for bit to ``cross(X_left, X_right, q)``.  Rows of X_left
+    are taken in blocks of about 2**16 coordinate differences.
+    """
+    orders = tuple(check_order(q) for q in orders)
+    A = check_data_matrix(X_left)
+    B = check_data_matrix(X_right)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(
+            "variable count mismatch: %d vs %d" % (A.shape[1], B.shape[1])
+        )
+    n_right, p = B.shape
+    out = [np.empty((A.shape[0], n_right)) for _ in orders]
+    step = max(1, _BLOCK_DIFFS // (n_right * p))
+    with np.errstate(over="ignore", under="ignore"):
+        for a in range(0, A.shape[0], step):
+            d = np.abs(A[a:a + step, None, :] - B[None, :, :]).reshape(-1, p)
+            for o, dist in zip(out, _reduce_orders(d, orders)):
+                o[a:a + step] = dist.reshape(-1, n_right)
+    return tuple(out)
 
 
 def minkowski(x, y, q):
@@ -97,7 +191,8 @@ def minkowski(x, y, q):
         raise ValueError("vectors must be non-empty")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("vectors must be finite")
-    return float(_reduce(np.abs(x - y)[None, :], q)[0])
+    with np.errstate(over="ignore", under="ignore"):
+        return float(_reduce_orders(np.abs(x - y)[None, :], (q,))[0][0])
 
 
 def pairwise(X, q):
@@ -106,15 +201,7 @@ def pairwise(X, q):
     Returns a :class:`CondensedDistanceMatrix`.  The result is a deterministic
     function of X and q alone (same bytes on every run and thread count).
     """
-    q = check_order(q)
-    X = check_data_matrix(X, min_rows=2)
-    n = X.shape[0]
-    D = np.zeros((n, n))
-    for i in range(n - 1):
-        d = _reduce(np.abs(X[i + 1:] - X[i]), q)
-        D[i, i + 1:] = d
-        D[i + 1:, i] = d
-    return CondensedDistanceMatrix.from_square(D)
+    return pairwise_orders(X, (q,))[0]
 
 
 def cross(X_left, X_right, q):
@@ -123,14 +210,4 @@ def cross(X_left, X_right, q):
     Returns an (n_left, n_right) array; entry (a, b) is the distance between
     row a of X_left and row b of X_right.  Column counts must match.
     """
-    q = check_order(q)
-    A = check_data_matrix(X_left)
-    B = check_data_matrix(X_right)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(
-            "variable count mismatch: %d vs %d" % (A.shape[1], B.shape[1])
-        )
-    out = np.empty((A.shape[0], B.shape[0]))
-    for a in range(A.shape[0]):
-        out[a] = _reduce(np.abs(B - A[a]), q)
-    return out
+    return cross_orders(X_left, X_right, (q,))[0]

@@ -21,6 +21,13 @@ Reproducibility: replicate r uses word r of
 default outputs are byte-identical for any job count.  Wall-clock timings are
 kept in memory but written to the CSV only when timing is enabled, precisely
 because they are the one field that cannot be reproducible.
+
+Distances are built once per standardisation, for all orders together: the
+training pairwise distances when a clustering method is requested, the
+test-to-training cross distances when knn3 is.  A record's ``seconds``
+therefore covers the learner call and its scoring only; distance
+construction, shared by all orders and methods of a standardisation, is in
+no cell.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _atomic_write
-from .distance import check_order, cross, format_order, pairwise, parse_order
+from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
 from .evaluate import adjusted_rand_index, misclassification_rate
 from .learn import cut_tree, knn_classify, linkage, pam
 from .simgen import SetupSpec, generate, setup_catalog
@@ -68,7 +75,12 @@ JOBS_ENV_VAR = "SCALEDIST_JOBS"
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One scored run: a (setup, replicate, standardisation, q, method) cell."""
+    """One scored run: a (setup, replicate, standardisation, q, method) cell.
+
+    ``seconds`` is the wall time of the learner call and its scoring only;
+    the distances it reads were built beforehand, shared by every order and
+    method of the standardisation, and are counted in no cell.
+    """
 
     setup: str
     replicate: int
@@ -205,7 +217,8 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
     """Score one replicate; the unit of (parallel) work.
 
     Pure function of its arguments; returns the records in grid order
-    (standardisation, then q, then method).
+    (standardisation, then q, then method).  Each standardisation's distances
+    are built for all orders at once, before its q loop.
     """
     data = generate(spec, seed)
     k_classes = int(data.y_train.max())
@@ -218,22 +231,23 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
         x_train = std.transform(data.x_train)
         x_test = std.transform(data.x_test, cap=True)
         cluster_tag = std_method + (":oracle" if pooled else "")
-        for q in orders:
-            train_d = None
-            if any(m in CLUSTER_METHODS for m in methods):
-                train_d = pairwise(x_train, q)
+        if any(m in CLUSTER_METHODS for m in methods):
+            train_ds = pairwise_orders(x_train, orders)
+        if "knn3" in methods:
+            test_ds = cross_orders(x_test, x_train, orders)
+        for i, q in enumerate(orders):
             for method in methods:
                 started = time.perf_counter()
                 if method == "pam":
-                    labels = pam(train_d, k_classes).labels
+                    labels = pam(train_ds[i], k_classes).labels
                     value = adjusted_rand_index(labels, data.y_train)
                     metric, tag = "ari", cluster_tag
                 elif method in ("complete", "average"):
-                    labels = cut_tree(linkage(train_d, method), k_classes)
+                    labels = cut_tree(linkage(train_ds[i], method), k_classes)
                     value = adjusted_rand_index(labels, data.y_train)
                     metric, tag = "ari", cluster_tag
                 else:  # knn3
-                    predicted = knn_classify(cross(x_test, x_train, q), data.y_train, 3)
+                    predicted = knn_classify(test_ds[i], data.y_train, 3)
                     value = misclassification_rate(predicted, data.y_test)
                     metric, tag = "misclassification", std_method
                 records.append(

@@ -233,6 +233,12 @@ def solve_tail_exponent(M):
     return hi
 
 
+# per-variable keys of a saved boxplot parameter file
+_BOXPLOT_KEYS = (
+    "median", "lqr", "uqr", "t_lower", "t_upper", "degenerate", "scaled_min", "scaled_max",
+)
+
+
 @dataclass(frozen=True)
 class BoxplotParams:
     """Fitted per-variable parameters of the boxplot transform.
@@ -291,30 +297,53 @@ class BoxplotParams:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Parameters from :meth:`to_json_dict` output, validated.
+
+        Raises ValueError naming the variable and key of the first missing
+        key or bad value: non-finite numbers (tail exponents may be null),
+        or a non-positive ``lqr``/``uqr`` on a non-degenerate variable.
+        """
         try:
             variables = data["variables"]
         except (TypeError, KeyError):
             raise ValueError("expected a JSON object with key 'variables'") from None
-        if not variables:
+        if not isinstance(variables, list) or not variables:
             raise ValueError("no variables in parameter file")
+        for j, v in enumerate(variables, start=1):
+            if not isinstance(v, dict):
+                raise ValueError("variable %d: expected a JSON object" % j)
+            for key in _BOXPLOT_KEYS:
+                if key not in v:
+                    raise ValueError("variable %d: missing key %r" % (j, key))
 
-        def arr(key, default=None):
-            out = []
-            for v in variables:
-                val = v[key] if default is None else v.get(key, default)
-                out.append(np.nan if val is None else val)
-            return np.array(out, dtype=np.float64)
+        def arr(key):
+            try:
+                values = np.array(
+                    [np.nan if v[key] is None else v[key] for v in variables],
+                    dtype=np.float64,
+                )
+            except (TypeError, ValueError):
+                raise ValueError("%r: expected numbers" % (key,)) from None
+            valid = np.isfinite(values)
+            if key in ("t_lower", "t_upper"):
+                valid |= np.isnan(values)  # null: no tail fitted
+            bad = np.flatnonzero(~valid)
+            if bad.size:
+                raise ValueError("variable %d: non-finite %r" % (bad[0] + 1, key))
+            return values
 
-        return cls(
-            median=arr("median"),
-            lqr=arr("lqr"),
-            uqr=arr("uqr"),
-            t_lower=arr("t_lower"),
-            t_upper=arr("t_upper"),
-            degenerate=np.array([bool(v["degenerate"]) for v in variables]),
-            scaled_min=arr("scaled_min"),
-            scaled_max=arr("scaled_max"),
-        )
+        fields = {key: arr(key) for key in _BOXPLOT_KEYS if key != "degenerate"}
+        degenerate = np.array([v["degenerate"] for v in variables])
+        if degenerate.dtype != bool:
+            raise ValueError("'degenerate': expected true or false")
+        for key in ("lqr", "uqr"):
+            bad = np.flatnonzero((fields[key] <= 0.0) & ~degenerate)
+            if bad.size:
+                raise ValueError(
+                    "variable %d: %r must be > 0 on a non-degenerate variable"
+                    % (bad[0] + 1, key)
+                )
+        return cls(degenerate=degenerate, **fields)
 
 
 def _scale_about_median(X, median, lqr, uqr):
@@ -463,7 +492,19 @@ class Standardiser:
             return cls(method, boxplot=BoxplotParams.from_json_dict(data))
         if "scales" not in data:
             raise ValueError("parameter file for %r lacks 'scales'" % (method,))
-        return cls(method, scales=np.array(data["scales"], dtype=np.float64))
+        try:
+            scales = np.array(data["scales"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("'scales': expected a list of numbers") from None
+        if scales.ndim != 1 or scales.shape[0] == 0:
+            raise ValueError("'scales': expected a non-empty list of numbers")
+        bad = np.flatnonzero(~np.isfinite(scales) | (scales < 0.0))
+        if bad.size:
+            raise ValueError(
+                "'scales': entry %d is %r; scales must be finite and >= 0"
+                % (bad[0] + 1, float(scales[bad[0]]))
+            )
+        return cls(method, scales=scales)
 
     def save(self, path):
         _atomic_write(path, json.dumps(self.to_json_dict(), indent=1) + "\n")

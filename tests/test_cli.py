@@ -87,6 +87,63 @@ def test_standardise_pooled_needs_labels(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+def _saved_params(tmp_path, method):
+    data = tmp_path / "d.csv"
+    write_matrix_csv(data, np.random.default_rng(9).standard_t(2, size=(20, 3)) * 5)
+    params = tmp_path / "p.json"
+    assert run("standardise", "--method", method, "--save-params", params,
+               data, tmp_path / "fitted.csv") == 0
+    return data, params, json.loads(params.read_text())
+
+
+def _rejects_params(tmp_path, capsys, data, params, expected):
+    capsys.readouterr()
+    assert run("standardise", "--params", params, data, tmp_path / "out.csv") == 1
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    assert len(lines) == 1 and lines[0].startswith("scaledist: error: ")
+    assert expected in lines[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "variable, key, value, expected",
+    [
+        (1, "lqr", None, "variable 2: missing key 'lqr'"),  # None: key removed
+        (0, "median", math.nan, "variable 1: non-finite 'median'"),
+        (2, "t_upper", math.inf, "variable 3: non-finite 't_upper'"),
+        (0, "uqr", 0.0, "variable 1: 'uqr' must be > 0"),
+    ],
+)
+def test_standardise_rejects_bad_boxplot_params(tmp_path, capsys, variable, key, value,
+                                                expected):
+    data, params, saved = _saved_params(tmp_path, "boxplot")
+    entry = saved["variables"][variable]
+    assert not entry["degenerate"]
+    if value is None:
+        del entry[key]
+    else:
+        entry[key] = value
+    params.write_text(json.dumps(saved))
+    _rejects_params(tmp_path, capsys, data, params, expected)
+
+
+@pytest.mark.parametrize(
+    "scales, expected",
+    [
+        ([1.0, math.nan, 2.0], "entry 2 is nan"),
+        ([1.0, 2.0, -0.5], "entry 3 is -0.5"),
+        ([], "non-empty list"),
+        ([[1.0, 2.0, 3.0]], "non-empty list"),
+        (["a", 1.0, 2.0], "expected a list of numbers"),
+        ([1.0, 2.0], "matrix has 3 variables, fit had 2"),
+    ],
+)
+def test_standardise_rejects_bad_scales(tmp_path, capsys, scales, expected):
+    data, params, saved = _saved_params(tmp_path, "mad")
+    params.write_text(json.dumps(dict(saved, scales=scales)))
+    _rejects_params(tmp_path, capsys, data, params, expected)
+
+
 def test_distmat_cluster_classify_pipeline(tmp_path):
     rng = np.random.default_rng(9)
     X = np.vstack([rng.standard_normal((6, 3)), rng.standard_normal((6, 3)) + 4.0])

@@ -6,6 +6,7 @@ from numpy.testing import assert_array_equal
 
 from scaledist.core import (
     CondensedDistanceMatrix,
+    _atomic_write,
     check_data_matrix,
     check_labels,
     condensed_index,
@@ -180,3 +181,13 @@ def test_condensed_file_bad_header(tmp_path):
     path.write_text("not json\n1.0\n")
     with pytest.raises(ValueError):
         read_condensed(path)
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(IsADirectoryError):
+        _atomic_write(target, "1.0\n")
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(tmp_path / "out.txt", "\ud800")  # fails inside the write
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]

@@ -4,16 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import naive_cross, naive_minkowski, naive_pairwise_square
 from scaledist.core import CondensedDistanceMatrix
 from scaledist.distance import (
+    _BLOCK_DIFFS,
     check_order,
     cross,
+    cross_orders,
     format_order,
     minkowski,
     pairwise,
+    pairwise_orders,
     parse_order,
 )
 
@@ -165,3 +171,95 @@ def test_pairwise_returns_condensed_type():
     D = pairwise(X, 2)
     assert isinstance(D, CondensedDistanceMatrix)
     assert D.n == 5
+
+
+def test_multi_order_results_equal_single_order_calls():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((9, 6)) * np.array([1e-3, 1, 10, 1e3, 1, 5])
+    T = rng.standard_normal((4, 6))
+    orders = ORDERS + (2.5, 1.0)
+    for together in (orders, orders[::-1]):
+        for q, D, C in zip(together, pairwise_orders(X, together),
+                           cross_orders(T, X, together)):
+            assert_array_equal(D.entries, pairwise(X, q).entries)
+            assert_array_equal(C, cross(T, X, q))
+    assert pairwise_orders(X, ()) == () and cross_orders(T, X, ()) == ()
+
+
+def test_multi_order_drivers_validate_inputs():
+    X = np.ones((3, 2))
+    with pytest.raises(ValueError, match="order"):
+        pairwise_orders(X, (1.0, 0.5))
+    with pytest.raises(ValueError, match="order"):
+        cross_orders(X, X, (math.nan,))
+    with pytest.raises(ValueError, match="mismatch"):
+        cross_orders(X, np.ones((3, 3)), (1.0,))
+    with pytest.raises(ValueError, match="row"):
+        pairwise_orders(X[:1], (1.0,))
+
+
+def test_cross_with_itself_equals_pairwise_square():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((12, 7)) * 3
+    X[4] = X[2]  # a zero distance off the diagonal
+    for q in ORDERS + (2.5,):
+        assert_array_equal(cross(X, X, q), pairwise(X, q).to_square())
+
+
+def test_cross_spanning_several_blocks_with_a_ragged_last_block():
+    rng = np.random.default_rng(10)
+    A = rng.standard_normal((21, 200))
+    B = rng.standard_normal((40, 200))
+    rows_per_block = _BLOCK_DIFFS // B.size
+    assert 1 < rows_per_block < A.shape[0] and A.shape[0] % rows_per_block
+    for q, C in zip(ORDERS, cross_orders(A, B, ORDERS)):
+        by_row = np.vstack([cross(A[a:a + 1], B, q) for a in range(A.shape[0])])
+        assert_array_equal(C, by_row)
+        assert_allclose(C, naive_cross(A, B, q), rtol=1e-12, atol=0)
+
+
+# Coordinates on a coarse grid: scaling by s rounds every coordinate, and a
+# difference that nearly cancels would magnify that rounding.  With |x| <= 100
+# and differences >= 0.25 the magnification stays below 400.
+_GRID_MATRICES = arrays(
+    np.int64,
+    st.tuples(st.integers(2, 7), st.integers(1, 6)),
+    elements=st.integers(-400, 400),
+).map(lambda a: a / 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=_GRID_MATRICES, s=st.sampled_from([1e150, 1e-300]),
+       q=st.sampled_from(ORDERS + (2.5,)), data=st.data())
+def test_homogeneity_and_oracle_with_rows_of_extreme_magnitude(X, s, q, data):
+    n = X.shape[0]
+    D = pairwise(X, q).to_square()
+    assert_allclose(pairwise(s * X, q).to_square(), s * D, rtol=1e-12, atol=0)
+
+    # scale some rows only, so a block mixes rescaled and direct pairs
+    big = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    M = np.where(big[:, None], s * X, X)
+    DM = pairwise(M, q).to_square()
+    assert_array_equal(cross(M, M, q), DM)
+    both = big[:, None] & big[None, :]
+    neither = ~big[:, None] & ~big[None, :]
+    assert_allclose(DM[both], s * D[both], rtol=1e-12, atol=0)
+    assert_array_equal(DM[neither], D[neither])
+
+    # the naive sum is trustworthy where its largest term neither overflows
+    # nor underflows, and the sum stays finite
+    largest = cross(M, M, math.inf)
+    with np.errstate(over="ignore", under="ignore"):
+        top = largest if math.isinf(q) else largest ** q
+    usable = np.isfinite(top) & ((largest == 0) | (top >= np.finfo(float).tiny))
+    for i, j in zip(*np.nonzero(usable)):
+        naive = naive_pairwise_square(M[[i, j]], q)[0, 1]
+        if math.isfinite(naive):
+            assert DM[i, j] == pytest.approx(naive, rel=1e-12, abs=0)
+
+
+def test_tiny_differences_keep_their_size():
+    # m**q underflows to zero here; the rescaled sum must not
+    for q in ORDERS + (2.5,):
+        assert minkowski([1e-300, 0.0], [0.0, 0.0], q) == 1e-300
+        assert pairwise(np.array([[3e-200], [0.0]]), q).entries[0] == 3e-200

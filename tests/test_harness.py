@@ -1,5 +1,6 @@
 """Experiment orchestration: config, records, determinism and leakage."""
 
+import dataclasses
 import json
 import math
 import os
@@ -240,3 +241,19 @@ def test_replicate_equals_manual_composition():
     assert by_method["pam"].value == adjusted_rand_index(clustering.labels, ds.y_train)
     predictions = knn_classify(cross(test, train, 1.0), ds.y_train, 3)
     assert by_method["knn3"].value == misclassification_rate(predictions, ds.y_test)
+
+
+def test_replicate_records_do_not_depend_on_other_orders():
+    # distances are built for all orders at once; each order's records must
+    # come out as if it had been requested alone
+    spec = setup_catalog()["ntn_05"].with_size(p=40, n_per_class=8)
+    args = (spec, "ntn_05", 0, 123, ("none", "boxplot"))
+
+    def scores(orders):
+        records = run_replicate(*args, orders, EXPERIMENT_METHODS)
+        return [dataclasses.replace(r, seconds=0.0) for r in records if r.q == 1.0]
+
+    alone = scores((1.0,))
+    assert len(alone) == 2 * len(EXPERIMENT_METHODS)
+    assert scores((1.0, 2.0, math.inf)) == alone
+    assert scores((math.inf, 1.0)) == alone
