@@ -166,6 +166,21 @@ def _cmd_classify(args):
     _write_label_lines(predictions, args.out)
 
 
+# experiment flags that override config keys: (flag attribute, key, comma list)
+_EXPERIMENT_FLAGS = (
+    ("setup", "setup", False),
+    ("replicates", "replicates", False),
+    ("seed", "seed", False),
+    ("p", "p", False),
+    ("n_per_class", "n_per_class", False),
+    ("standardise", "standardisations", True),
+    ("q", "orders", True),
+    ("methods", "methods", True),
+    ("oracle_pooling", "oracle_pooling", False),
+    ("timing", "timing", False),
+)
+
+
 def _cmd_experiment(args):
     data = {}
     if args.config:
@@ -176,26 +191,10 @@ def _cmd_experiment(args):
                 raise ValueError("%s: invalid JSON (%s)" % (args.config, exc)) from None
         if not isinstance(data, dict):
             raise ValueError("%s: config must be a JSON object" % args.config)
-    if args.setup is not None:
-        data["setup"] = args.setup
-    if args.replicates is not None:
-        data["replicates"] = args.replicates
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.p is not None:
-        data["p"] = args.p
-    if args.n_per_class is not None:
-        data["n_per_class"] = args.n_per_class
-    if args.standardise is not None:
-        data["standardisations"] = [s.strip() for s in args.standardise.split(",") if s.strip()]
-    if args.q is not None:
-        data["orders"] = [s.strip() for s in args.q.split(",") if s.strip()]
-    if args.methods is not None:
-        data["methods"] = [s.strip() for s in args.methods.split(",") if s.strip()]
-    if args.oracle_pooling is not None:
-        data["oracle_pooling"] = args.oracle_pooling
-    if args.timing is not None:
-        data["timing"] = args.timing
+    for attr, key, comma_list in _EXPERIMENT_FLAGS:
+        value = getattr(args, attr)
+        if value is not None:
+            data[key] = [s.strip() for s in value.split(",") if s.strip()] if comma_list else value
     if "setup" not in data:
         raise ValueError("no setup given (use --setup or --config)")
     config = harness.ExperimentConfig.from_json_dict(data).validate()

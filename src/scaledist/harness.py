@@ -93,6 +93,21 @@ class ResultRecord:
     seconds: float
 
 
+# JSON type of every config value but 'setup'
+_CONFIG_TYPES = {
+    "replicates": int,
+    "seed": int,
+    "p": int,
+    "n_per_class": int,
+    "standardisations": list,
+    "orders": list,
+    "methods": list,
+    "oracle_pooling": bool,
+    "timing": bool,
+}
+_TYPE_NAMES = {int: "an integer", list: "a list", bool: "true or false"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one experiment grid.
@@ -177,6 +192,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Config from a JSON object such as :meth:`to_json_dict` writes.
+
+        Raises ValueError on unknown keys and on values of the wrong JSON
+        type: lists for the grid axes, true/false for the flags, integers
+        (not booleans or fractions) for the counts; ``p`` and ``n_per_class``
+        may also be null.
+        """
         if not isinstance(data, dict) or "setup" not in data:
             raise ValueError("expected a JSON object with at least 'setup'")
         setup = data["setup"]
@@ -186,23 +208,18 @@ class ExperimentConfig:
         extra = set(data) - known
         if extra:
             raise ValueError("unknown config key(s): %s" % ", ".join(sorted(extra)))
-        kwargs = {
-            "setup": setup,
-            "replicates": int(data.get("replicates", 100)),
-            "seed": int(data.get("seed", 0)),
-        }
-        if "standardisations" in data:
-            kwargs["standardisations"] = tuple(data["standardisations"])
+        for key, value in data.items():
+            kind = _CONFIG_TYPES.get(key)
+            if kind is None or (value is None and key in ("p", "n_per_class")):
+                continue
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ValueError("config %r must be %s, got %s"
+                                 % (key, _TYPE_NAMES[kind], json.dumps(value, default=repr)))
+        kwargs = {"replicates": 100, "seed": 0}
+        kwargs.update((key, value) for key, value in data.items() if value is not None)
+        kwargs["setup"] = setup
         if "orders" in data:
             kwargs["orders"] = tuple(parse_order(q) for q in data["orders"])
-        if "methods" in data:
-            kwargs["methods"] = tuple(data["methods"])
-        for key in ("p", "n_per_class"):
-            if data.get(key) is not None:
-                kwargs[key] = int(data[key])
-        for key in ("oracle_pooling", "timing"):
-            if key in data:
-                kwargs[key] = bool(data[key])
         return cls(**kwargs)
 
 

@@ -80,10 +80,50 @@ def quantile(values, prob):
     return float(np.quantile(v, prob, method="linear"))
 
 
-def _mad(v):
-    # median absolute deviation from the median, no consistency factor
-    med = quantile(v, 0.5)
-    return quantile(np.abs(v - med), 0.5)
+def _median(A):
+    return np.quantile(A, 0.5, axis=0, method="linear")
+
+
+def _abs_dev(A):
+    # absolute deviation of every column from its own median
+    return np.abs(A - _median(A))
+
+
+def _column_scales(X, method, labels):
+    """Scale statistic of every column of a checked matrix (>= 2 rows)."""
+    if method == "none":
+        return np.ones(X.shape[1])
+    # variances reduce along the rows of a contiguous transpose, so each column
+    # is summed in the same order as a 1-D array of its values
+    if method == "unit_variance":
+        return np.std(np.ascontiguousarray(X.T), axis=1, ddof=1)
+    if method == "mad":
+        return _median(_abs_dev(X))
+    if method == "range":
+        return np.ptp(X, axis=0)
+    if method not in POOLED_METHODS:
+        raise ValueError("unknown scale method %r" % (method,))
+    if labels is None:
+        raise ValueError("method %r requires class labels" % (method,))
+    y, k = check_labels(labels, n_expected=X.shape[0])
+    groups = [X[y == c] for c in range(1, k + 1)]
+    if method == "pooled_variance":
+        for c, g in enumerate(groups, start=1):
+            if g.shape[0] < 2:
+                raise ValueError("class %d has fewer than 2 members" % c)
+        dof = np.array([g.shape[0] - 1 for g in groups], dtype=np.float64)
+        variances = np.column_stack(
+            [np.var(np.ascontiguousarray(g.T), axis=1, ddof=1) for g in groups]
+        )
+        return np.sqrt(np.sum(dof * variances, axis=1) / np.sum(dof))
+    if method == "pooled_mad_weights":
+        return sum(g.shape[0] * _median(_abs_dev(g)) for g in groups) / X.shape[0]
+    if method == "pooled_range_weights":
+        return sum(g.shape[0] * np.ptp(g, axis=0) for g in groups) / X.shape[0]
+    if method == "pooled_mad_shift":
+        return _median(np.concatenate([_abs_dev(g) for g in groups]))
+    # pooled_range_shift
+    return np.max([np.ptp(g, axis=0) for g in groups], axis=0)
 
 
 def scale_statistic(column, method, labels=None):
@@ -119,37 +159,7 @@ def scale_statistic(column, method, labels=None):
         raise ValueError("need at least 2 observations, got %d" % col.shape[0])
     if not np.all(np.isfinite(col)):
         raise ValueError("column must be finite")
-    if method == "none":
-        return 1.0
-    if method == "unit_variance":
-        return float(np.std(col, ddof=1))
-    if method == "mad":
-        return _mad(col)
-    if method == "range":
-        return float(col.max() - col.min())
-    if method not in POOLED_METHODS:
-        raise ValueError("unknown scale method %r" % (method,))
-    if labels is None:
-        raise ValueError("method %r requires class labels" % (method,))
-    y, k = check_labels(labels, n_expected=col.shape[0])
-    groups = [col[y == c] for c in range(1, k + 1)]
-    if method == "pooled_variance":
-        for c, g in enumerate(groups, start=1):
-            if g.shape[0] < 2:
-                raise ValueError("class %d has fewer than 2 members" % c)
-        dof = np.array([g.shape[0] - 1 for g in groups], dtype=np.float64)
-        variances = np.array([np.var(g, ddof=1) for g in groups])
-        return float(np.sqrt(np.sum(dof * variances) / np.sum(dof)))
-    n = col.shape[0]
-    if method == "pooled_mad_weights":
-        return float(sum(g.shape[0] * _mad(g) for g in groups) / n)
-    if method == "pooled_range_weights":
-        return float(sum(g.shape[0] * (g.max() - g.min()) for g in groups) / n)
-    if method == "pooled_mad_shift":
-        centred = np.concatenate([np.abs(g - quantile(g, 0.5)) for g in groups])
-        return quantile(centred, 0.5)
-    # pooled_range_shift
-    return float(max(g.max() - g.min() for g in groups))
+    return float(_column_scales(col[:, None], method, labels)[0])
 
 
 def standardise_matrix(X, method, labels=None):
@@ -186,6 +196,40 @@ def _tail_gain(base, t):
     return np.where(zero, np.log(base), out)
 
 
+def _solve_tail_exponents(M):
+    """Tail exponent for every extent in the array M (finite, > 1).
+
+    Each extent doubles its bracket, then bisects until the midpoint repeats
+    an end or hits the target, and gets the bracket's ``hi``.  Masks stop each
+    one where it would stop alone, so the results do not depend on what else
+    is solved alongside.
+    """
+    g0 = np.log(M)  # the t -> 0 limit
+    above = g0 > _TAIL_TARGET
+    # g(1) = 1 - 1/M < 1 < target; hi = 0 is also the root where g0 == target
+    lo = np.where(above, 0.0, -1.0)
+    hi = np.where(above, 1.0, 0.0)
+    grow = g0 < _TAIL_TARGET
+    for _ in range(200):
+        grow &= ~(_tail_gain(M, lo) > _TAIL_TARGET)
+        if not grow.any():
+            break
+        lo = np.where(grow, 2.0 * lo, lo)
+    else:
+        raise ValueError("could not bracket the tail exponent for M=%r" % (float(M[grow][0]),))
+    todo = g0 != _TAIL_TARGET
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        todo &= (mid != lo) & (mid != hi)
+        if not todo.any():
+            break
+        gm = _tail_gain(M, mid)
+        lo = np.where(todo & (gm > _TAIL_TARGET), mid, lo)
+        hi = np.where(todo & (gm <= _TAIL_TARGET), mid, hi)  # an exact hit stops at hi = mid
+        todo &= gm != _TAIL_TARGET
+    return hi
+
+
 def solve_tail_exponent(M):
     """Exponent t of the tail map for a variable whose extreme sits at M.
 
@@ -200,37 +244,7 @@ def solve_tail_exponent(M):
     M = float(M)
     if not np.isfinite(M) or M <= 1.0:
         raise ValueError("tail extent M must be finite and > 1, got %r" % (M,))
-
-    def g(t):
-        return float(_tail_gain(M, t))
-
-    target = _TAIL_TARGET
-    g0 = g(0.0)
-    if g0 == target:
-        return 0.0
-    if g0 > target:
-        lo, hi = 0.0, 1.0  # g(1) = 1 - 1/M < 1 < target
-    else:
-        hi = 0.0
-        lo = -1.0
-        for _ in range(200):
-            if g(lo) > target:
-                break
-            lo *= 2.0
-        else:
-            raise ValueError("could not bracket the tail exponent for M=%r" % (M,))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gm = g(mid)
-        if gm == target:
-            return mid
-        if gm > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return float(_solve_tail_exponents(np.array([M]))[0])
 
 
 # per-variable keys of a saved boxplot parameter file
@@ -357,10 +371,11 @@ def _scale_about_median(X, median, lqr, uqr):
 
 
 def fit_boxplot(X):
-    """Fit the boxplot transform on training data, one variable at a time.
+    """Fit the boxplot transform on training data, all variables at once.
 
     Returns a :class:`BoxplotParams`.  A tail exponent is fitted only where a
-    scaled training value falls strictly outside [-2, 2].
+    scaled training value falls strictly outside [-2, 2]; every such tail is
+    solved in one array bisection.
     """
     X = check_data_matrix(X, min_rows=2)
     q1, med, q3 = np.quantile(X, [0.25, 0.5, 0.75], axis=0, method="linear")
@@ -375,19 +390,19 @@ def fit_boxplot(X):
     scaled[:, degenerate] = 0.0
     smin = scaled.min(axis=0)
     smax = scaled.max(axis=0)
-    p = X.shape[1]
-    t_lower = np.full(p, np.nan)
-    t_upper = np.full(p, np.nan)
-    for j in np.flatnonzero(smin < -2.0):
-        t_lower[j] = solve_tail_exponent(0.5 - smin[j])
-    for j in np.flatnonzero(smax > 2.0):
-        t_upper[j] = solve_tail_exponent(smax[j] + 0.5)
+    # Row 0 holds the lower tails, row 1 the upper ones.  The whole grid is
+    # solved, with extent 2.5 where no tail is fitted: numpy keeps freed
+    # buffers under 1 KiB for reuse per size, so masks sized by the data's tail
+    # count would leave a new set of blocks in the heap at every fit.
+    fitted = np.stack([smin < -2.0, smax > 2.0])
+    extents = np.where(fitted, np.stack([0.5 - smin, smax + 0.5]), 2.5)
+    t = np.where(fitted, _solve_tail_exponents(extents), np.nan)
     return BoxplotParams(
         median=med,
         lqr=lqr,
         uqr=uqr,
-        t_lower=t_lower,
-        t_upper=t_upper,
+        t_lower=t[0],
+        t_upper=t[1],
         degenerate=degenerate,
         scaled_min=smin,
         scaled_max=smax,
@@ -525,13 +540,7 @@ def fit_standardiser(X, method, labels=None):
     X = check_data_matrix(X, min_rows=2)
     if method == "boxplot":
         return Standardiser(method, boxplot=fit_boxplot(X))
-    if method == "none":
-        return Standardiser(method, scales=np.ones(X.shape[1]))
-    if method in POOLED_METHODS and labels is None:
-        raise ValueError("method %r requires class labels" % (method,))
-    scales = np.array(
-        [scale_statistic(X[:, j], method, labels=labels) for j in range(X.shape[1])]
-    )
+    scales = _column_scales(X, method, labels)
     zero = np.flatnonzero(scales == 0.0)
     if zero.size:
         warnings.warn(

@@ -73,6 +73,39 @@ def solve_tail_by_bisection(M, target=1.5, iterations=300):
     return hi
 
 
+def solve_tail_stepwise(M, target):
+    """The tail solver one extent at a time: double the bracket, then bisect
+    until the midpoint repeats an end or hits the target; return ``hi``.
+
+    numpy's scalar log/expm1 as in the package, so step-for-step agreement
+    means bit-for-bit agreement.
+    """
+
+    def g(t):
+        if t == 0.0:
+            return float(np.log(M))
+        return float(-np.expm1(-t * np.log(M)) / t)
+
+    g0 = g(0.0)
+    if g0 == target:
+        return 0.0
+    lo, hi = (0.0, 1.0) if g0 > target else (-1.0, 0.0)
+    while g(lo) <= target:
+        lo *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        gm = g(mid)
+        if gm == target:
+            return mid
+        if gm > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def naive_linkage(D, method):
     """O(n^3) agglomeration recomputing every inter-cluster distance from the
     original dissimilarities at every step.

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import solve_tail_by_bisection
+from oracles import solve_tail_by_bisection, solve_tail_stepwise
 from scaledist.standardise import (
     BoxplotParams,
     Standardiser,
+    _solve_tail_exponents,
     apply_boxplot,
     fit_boxplot,
     fit_standardiser,
@@ -75,6 +76,21 @@ def test_solver_negative_branch():
         assert abs(tail_residual(float(M), t)) <= 1e-10
         if M < M_CRITICAL:
             assert t < 0.0
+
+
+def test_array_solver_takes_the_one_at_a_time_steps_bit_for_bit():
+    # fit_boxplot solves every tail in one array bisection; each element must
+    # stop exactly where the scalar loop would, on both branches
+    rng = np.random.default_rng(404)
+    M = np.concatenate([
+        np.exp(rng.uniform(1e-9, math.log(1e6), size=150)),
+        rng.uniform(2.5, 4.98, size=100),
+        1.0 + 10.0 ** rng.uniform(-15, 0, size=30),
+        [M_CRITICAL, 2.5, 1e300, np.nextafter(1.0, 2.0)],
+    ])
+    target = 1.5 - 2.0 ** -44
+    expected = [solve_tail_stepwise(m, target) for m in M.tolist()]
+    assert_array_equal(_solve_tail_exponents(M), expected)
 
 
 def test_fit_identity_variable():

@@ -218,6 +218,33 @@ def test_experiment_accepts_config_file_with_flag_overrides(tmp_path):
     assert len(records) == 3  # the flag wins over the file
 
 
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("orders", "12", "'orders' must be a list"),  # was read as orders 1 and 2
+        ("standardisations", "mad", "'standardisations' must be a list"),
+        ("oracle_pooling", "false", "'oracle_pooling' must be true or false"),
+        ("timing", 1, "'timing' must be true or false"),
+        ("replicates", 1.7, "'replicates' must be an integer"),  # was truncated to 1
+        ("seed", True, "'seed' must be an integer"),
+    ],
+)
+def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value,
+                                                            expected):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "setup": "simple_normal", "replicates": 1, "seed": 5, "p": 16, "n_per_class": 4,
+        "methods": ["knn3"], key: value,
+    }))
+    out = tmp_path / "r.csv"
+    capsys.readouterr()
+    assert run("experiment", "--config", config, "--out", out) == 1
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    assert len(lines) == 1 and lines[0].startswith("scaledist: error: ")
+    assert expected in lines[0]
+    assert not out.exists()
+
+
 def test_experiment_failure_leaves_no_partial_file(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert run("experiment", "--setup", "bogus", "--replicates", 1, "--seed", 1,

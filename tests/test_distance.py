@@ -154,7 +154,7 @@ def test_overflow_safety():
 
 def test_zero_vectors_and_tiny_values():
     assert minkowski([0.0, 0.0], [0.0, 0.0], 3) == 0.0
-    assert minkowski([1e-300], [0.0], 4) == pytest.approx(1e-300, rel=1e-12)
+    assert minkowski([1e-300], [0.0], 4) == pytest.approx(1e-300, rel=1e-12, abs=0)
 
 
 def test_column_sign_flip_invariance():

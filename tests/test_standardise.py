@@ -1,6 +1,7 @@
 """Scale statistics, linear standardisation and the fitted-parameter store."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import quantile_by_hand
 from scaledist.standardise import (
     LINEAR_METHODS,
+    METHODS,
     POOLED_METHODS,
     Standardiser,
+    fit_boxplot,
     fit_standardiser,
     quantile,
     scale_statistic,
@@ -164,3 +167,36 @@ def test_fitted_scales_are_training_only():
     before = fitted.to_json_dict()
     fitted.transform(rng.standard_normal((200, 3)) * 1e6)
     assert fitted.to_json_dict() == before
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
+    # every kind of column the fit treats differently, side by side: the
+    # column-wise code must give each the parameters it gets on its own
+    base = np.arange(10.0)
+    X = np.column_stack([
+        base,                                # no tail
+        np.r_[-13.5, base[1:]],              # lower tail only, exponent near 0
+        np.r_[base[:-1], 50.0],              # upper tail only
+        np.r_[-9.0, base[1:]],               # scaled minimum -3: negative exponent
+        np.r_[-9.0, base[1:-1], 60.0],       # both tails, exponents of both signs
+        np.full(10, 5.0),                    # degenerate
+        np.r_[-4.0, -3.0, -2.0, -1.0, np.zeros(6)],  # zero MAD, lower half only
+    ])
+    y = np.tile([1, 2, 3], 4)[:10]
+    boxplot = fit_boxplot(X)
+    assert_array_equal(np.isnan(boxplot.t_lower), [1, 0, 1, 0, 0, 1, 1])
+    assert_array_equal(np.isnan(boxplot.t_upper), [1, 1, 0, 1, 0, 1, 1])
+    assert boxplot.t_lower[3] < 0.0 < boxplot.t_lower[1]
+    assert_array_equal(boxplot.degenerate, [0, 0, 0, 0, 0, 1, 0])
+    assert scale_statistic(X[:, 6], "mad") == 0.0
+
+    def fitted(A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # zero-scale columns
+            params = fit_standardiser(A, method, labels=y).to_json_dict()
+        return params["variables" if method == "boxplot" else "scales"]
+
+    alone = [entry for j in range(X.shape[1]) for entry in fitted(X[:, [j]])]
+    # json text compares floats bit for bit, including the sign of zero
+    assert json.dumps(fitted(X)) == json.dumps(alone)
