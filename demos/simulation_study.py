@@ -4,7 +4,8 @@
 # two aggregation orders, clustering plus classification.  Results land in
 # demos/output/ as a CSV of raw records and a JSON of grouped summaries.
 # Running the script twice produces byte-identical files; so does changing
-# the worker count, which only affects wall time.
+# the worker count (SCALEDIST_JOBS, default the CPU count), which only
+# affects wall time.
 #
 # Run with:  python3 demos/simulation_study.py
 
@@ -30,7 +31,7 @@ config = ExperimentConfig(
 
 records_path = out_dir / "records.csv"
 summary_path = out_dir / "summary.json"
-run_experiment_to_files(config, records_path, summary_json=summary_path, jobs=4)
+run_experiment_to_files(config, records_path, summary_json=summary_path)
 
 summary = json.loads(summary_path.read_text())
 print("wrote %s and %s" % (records_path, summary_path))

@@ -73,7 +73,8 @@ RESULTS_HEADER = "setup,replicate,seed,standardisation,q,method,metric,value,sec
 JOBS_ENV_VAR = "SCALEDIST_JOBS"
 
 
-@dataclass(frozen=True)
+# slotted: a run holds every record in memory before writing any
+@dataclass(frozen=True, slots=True)
 class ResultRecord:
     """One scored run: a (setup, replicate, standardisation, q, method) cell.
 

@@ -61,6 +61,10 @@ class Dendrogram:
             raise ValueError("need at least 2 leaves")
         if merges.shape != (n - 1, 2) or heights.shape != (n - 1,):
             raise ValueError("inconsistent merge history shapes")
+        left, right = merges.T
+        if (np.unique(merges).size < merges.size or np.any(left < 0) or np.any(left >= right)
+                or np.any(right >= np.arange(n, 2 * n - 1))):
+            raise ValueError("merge s must join two unmerged nodes below n + s, smaller id first")
         object.__setattr__(self, "merges", merges)
         object.__setattr__(self, "heights", heights)
 
@@ -168,40 +172,44 @@ def linkage(D, method):
     Equal candidate distances are broken by the smallest (left, right) node-id
     pair.
 
+    The search runs on one fixed (2n-1) x (2n-1) float64 matrix whose row and
+    column i hold node i; each merge writes the Lance-Williams row of the new
+    node in place and retires its two children.  Time is O(n^3), memory
+    (2n-1)^2 float64 values (0.7 MB at n=150).  An ``average`` update that
+    overflows float64 (distances near the largest float) raises ValueError.
+
     Returns
     -------
     Dendrogram
     """
     if method not in LINKAGE_METHODS:
         raise ValueError("unknown linkage method %r" % (method,))
-    W = _square(D)
     n = D.n
-    ids = list(range(n))  # ascending by construction: new ids exceed old ones
-    sizes = [1] * n
+    size = 2 * n - 1
+    # the diagonal, merged-away nodes and nodes not made yet hold inf
+    W = np.full((size, size), np.inf)
+    W[:n, :n] = _square(D)
+    np.fill_diagonal(W, np.inf)
+    sizes = np.ones(size, dtype=np.int64)
     merges = np.empty((n - 1, 2), dtype=np.int64)
     heights = np.empty(n - 1)
     for step in range(n - 1):
-        m = len(ids)
-        iu = np.triu_indices(m, 1)
-        flat = int(np.argmin(W[iu]))  # first minimum = smallest (id, id) pair
-        a, b = int(iu[0][flat]), int(iu[1][flat])
-        merges[step] = (ids[a], ids[b])
+        # W is symmetric and slot order is id order, so the first minimum in
+        # row-major order falls in the row of the smallest id among the tied
+        # pairs, at its smallest partner: the smallest (id, id) pair, a < b.
+        a, b = divmod(int(np.argmin(W)), size)
+        if W[a, b] == np.inf:  # finite inputs: only an average can overflow
+            raise ValueError("average linkage overflowed: distances too large")
+        merges[step] = a, b
         heights[step] = W[a, b]
         if method == "complete":
             row = np.maximum(W[a], W[b])
         else:
             row = (sizes[a] * W[a] + sizes[b] * W[b]) / (sizes[a] + sizes[b])
-        row = np.delete(row, [a, b])
-        W = np.delete(np.delete(W, [a, b], axis=0), [a, b], axis=1)
-        W = np.pad(W, ((0, 1), (0, 1)))
-        W[-1, :-1] = row
-        W[:-1, -1] = row
-        new_size = sizes[a] + sizes[b]
-        for pos in sorted((a, b), reverse=True):
-            del ids[pos]
-            del sizes[pos]
-        ids.append(n + step)
-        sizes.append(new_size)
+        node = n + step
+        W[node] = W[:, node] = row
+        W[[a, b]] = W[:, [a, b]] = np.inf
+        sizes[node] = sizes[a] + sizes[b]
     return Dendrogram(n_leaves=n, merges=merges, heights=heights)
 
 
@@ -217,16 +225,11 @@ def cut_tree(dendrogram, k):
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n=%d, got %d" % (n, k))
-    members = {i: [i] for i in range(n)}
-    for step in range(n - k):
-        left, right = dendrogram.merges[step]
-        created = n + step
-        members[created] = members.pop(int(left)) + members.pop(int(right))
-    groups = sorted(members.values(), key=min)
-    labels = np.empty(n, dtype=np.int64)
-    for number, group in enumerate(groups, start=1):
-        labels[group] = number
-    return labels
+    top = np.arange(2 * n - 1)  # top[i]: the topmost node above node i after the cut
+    for node in range(2 * n - k - 1, n - 1, -1):  # last applied merge first
+        top[dendrogram.merges[node - n]] = top[node]
+    _, first, inverse = np.unique(top[:n], return_index=True, return_inverse=True)
+    return (np.argsort(np.argsort(first)) + 1)[inverse].astype(np.int64)
 
 
 def knn_classify(cross_distances, train_labels, k):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def test_record_fields():
         assert 0.0 <= rec.value <= 1.0
         assert rec.seconds > 0.0
     assert records[0].seed != records[1].seed
+
+
+def test_record_is_slotted_and_pickles():
+    record = run_experiment(small_config(), jobs=1)[0]
+    assert not hasattr(record, "__dict__")
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and type(back) is ResultRecord
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        back.value = 0.0
 
 
 def test_clustering_scored_on_training_data_by_ari():

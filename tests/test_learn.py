@@ -133,10 +133,16 @@ def test_linkage_rejects_unknown_method():
 @pytest.mark.parametrize("method", ["complete", "average"])
 def test_linkage_matches_naive_reference(method):
     rng = np.random.default_rng(13)
-    for _ in range(40):
-        n = int(rng.integers(2, 31))
-        X = rng.uniform(0, 1, size=(n, 4))
-        D = pairwise(X, 2)
+    cases = [pairwise(rng.uniform(0, 1, size=(int(rng.integers(2, 31)), 4)), 2)
+             for _ in range(40)]
+    if method == "complete":
+        # 3-level integer grids tie on most merges, which exercises the
+        # smallest-(id, id) rule.  Average stays on tie-free data: the
+        # Lance-Williams update and the oracle's block means round
+        # differently, so tied averages can compare unequal in one of them.
+        cases += [pairwise(rng.integers(0, 3, size=(int(rng.integers(3, 13)), 4)), 1)
+                  for _ in range(100)]
+    for D in cases:
         dend = linkage(D, method)
         merges, heights = naive_linkage(D.to_square(), method)
         assert_array_equal(dend.merges, merges)
@@ -144,6 +150,15 @@ def test_linkage_matches_naive_reference(method):
             assert_array_equal(dend.heights, heights)
         else:
             assert_allclose(dend.heights, heights, rtol=1e-12, atol=0)
+
+
+def test_linkage_average_overflow_is_an_error():
+    # the mean of 1e308 and 1.5e308 is finite, but the size-weighted sum of
+    # the update overflows; complete linkage only takes maxima
+    D = CondensedDistanceMatrix(4, [1e308, 1.5e308, 1e308, 1.2e308, 1e308, 1.7e308])
+    assert_array_equal(linkage(D, "complete").heights, [1e308, 1.2e308, 1.7e308])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflowed"):
+        linkage(D, "average")
 
 
 def test_linkage_heights_nondecreasing():
@@ -179,11 +194,22 @@ def test_cut_tree_numbers_clusters_by_smallest_member():
 def test_cut_tree_partition_sizes():
     rng = np.random.default_rng(15)
     X = rng.standard_normal((18, 2))
-    dend = linkage(pairwise(X, 2), "average")
-    for k in range(1, 19):
-        labels = cut_tree(dend, k)
-        assert labels.min() == 1 and labels.max() == k
-        assert np.unique(labels).size == k
+    tied = pairwise(rng.integers(0, 3, size=(18, 3)), 1)  # ties on most merges
+    dends = [linkage(pairwise(X, 2), "average"),
+             linkage(tied, "complete"), linkage(tied, "average")]
+    for dend in dends:
+        coarser = None
+        for k in range(1, 19):
+            labels = cut_tree(dend, k)
+            assert labels.min() == 1 and labels.max() == k
+            assert np.unique(labels).size == k
+            # numbered by first appearance: label j's first member precedes j+1's
+            _, first = np.unique(labels, return_index=True)
+            assert first[0] == 0 and np.all(np.diff(first) > 0)
+            if coarser is not None:  # every cluster at k lies in one at k - 1
+                for c in range(1, k + 1):
+                    assert np.unique(coarser[labels == c]).size == 1
+            coarser = labels
 
 
 def test_knn_basic_votes():
@@ -237,3 +263,9 @@ def test_knn_validates_sizes():
 def test_dendrogram_validation():
     with pytest.raises(ValueError):
         Dendrogram(3, np.zeros((1, 2), dtype=np.int64), np.array([1.0]))
+    # merging a node twice, a node not made yet, a negative id, larger id first
+    for merges in ([[0, 1], [0, 1]], [[0, 3], [1, 2]], [[-1, 0], [1, 3]], [[1, 0], [2, 3]]):
+        with pytest.raises(ValueError, match="unmerged nodes"):
+            Dendrogram(3, np.array(merges), np.array([1.0, 2.0]))
+    valid = Dendrogram(3, np.array([[1, 2], [0, 3]]), np.ones(2))
+    assert_array_equal(cut_tree(valid, 2), [1, 2, 2])
