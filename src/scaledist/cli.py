@@ -2,7 +2,8 @@
 
 Subcommands mirror the library: simulate, standardise, distmat, cluster,
 classify, experiment.  All failures print one diagnostic line to stderr and
-exit nonzero; output files are only written once fully computed.
+exit nonzero, and each warning prints as one ``scaledist: warning:`` line;
+output files are only written once fully computed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -212,13 +214,20 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print("scaledist: warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    try:
-        _COMMANDS[args.command](args)
-    except (ValueError, TypeError, OSError) as exc:
-        print("scaledist: error: %s" % exc, file=sys.stderr)
-        return 1
+    # worker processes forked by the experiment subcommand inherit the hook
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            _COMMANDS[args.command](args)
+        except (ValueError, TypeError, OSError) as exc:
+            print("scaledist: error: %s" % exc, file=sys.stderr)
+            return 1
     return 0
 
 

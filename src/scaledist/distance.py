@@ -14,6 +14,15 @@ factor 2**52 of the smallest normal float) are rescaled: for those,
 m * (sum (|x - y| / m)**q) ** (1/q).  So coordinate differences from about
 1e150 down to subnormal sizes keep full relative precision for any finite q.
 
+One blocked loop feeds the kernel for every entry point.  It lists the
+pairs as segments, one row against a run of rows (for pairwise distances row
+j against rows 0..j-1, for cross distances one left row against every right
+row), and writes their differences into a (rows, p) buffer of about
+``_BLOCK_DIFFS`` values that is allocated once per call, together with the
+buffers for d*d and one product.  A segment may be split across two blocks.
+In segment order the pairs are the condensed vector and the row-major cross
+matrix, so each block's distances fill one contiguous slice of the result.
+
 Each order's value depends only on its pair of rows and q: never on which
 other orders were requested alongside, nor on how rows are grouped into
 blocks.  ``pairwise_orders`` and ``cross_orders`` validate once and return
@@ -44,8 +53,9 @@ _HUGE = np.finfo(np.float64).max
 # terms: each carries an absolute error of at most 2**-1075, and p of them
 # stay below p * 2**-105 of the sum.
 _SMALL = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-# cross_orders forms about this many absolute differences per block
-_BLOCK_DIFFS = 1 << 16
+# _blocked_orders forms at most this many absolute differences per block (or
+# one row of p when p is larger); three float64 buffers of this size are reused
+_BLOCK_DIFFS = 1 << 15
 
 
 def check_order(q):
@@ -86,8 +96,9 @@ def _root(s, q):
     return s ** (1.0 / q)
 
 
-def _power_sum(d, q, d2=None):
-    # sum over the last axis of d**q; d2 = d*d may be passed in precomputed
+def _power_sum(d, q, d2=None, out=None):
+    # sum over the last axis of d**q; d2 = d*d may be passed in precomputed,
+    # and out, shaped like d, takes the product or power before the sum
     if q == 1.0:
         return d.sum(axis=-1)
     if q in (2.0, 3.0, 4.0):
@@ -95,30 +106,64 @@ def _power_sum(d, q, d2=None):
             d2 = d * d
         if q == 2.0:
             return d2.sum(axis=-1)
-        return (d2 * (d if q == 3.0 else d2)).sum(axis=-1)
-    return (d ** q).sum(axis=-1)
+        return np.multiply(d2, d if q == 3.0 else d2, out=out).sum(axis=-1)
+    return np.power(d, q, out=out).sum(axis=-1)
 
 
-def _reduce_orders(d, orders):
+def _reduce_orders(d, orders, d2, prod):
     """Distances of every order from a (pairs, variables) block of |x - y|.
 
-    Returns one array of length ``pairs`` per order.  Callers silence
-    overflow and underflow warnings: the affected pairs are recomputed.
+    ``d2`` and ``prod`` are work buffers shaped like ``d``.  Returns one
+    array of length ``pairs`` per order.  Callers silence overflow and
+    underflow warnings: the affected pairs are recomputed.
     """
     m = d.max(axis=-1)
+    m_low, m_high = m.min(), m.max()
     p = d.shape[-1]
-    d2 = d * d if any(q in (2.0, 3.0, 4.0) for q in orders) else None
+    if any(q in (2.0, 3.0, 4.0) for q in orders):
+        np.multiply(d, d, out=d2)
     out = []
     for q in orders:
         if math.isinf(q):
             out.append(m)
             continue
-        dist = _root(_power_sum(d, q, d2), q)
-        rescale = (m > (_HUGE / p) ** (1.0 / q)) | ((m > 0.0) & (m < _SMALL ** (1.0 / q)))
-        if rescale.any():
-            mr = m[rescale]
-            dist[rescale] = mr * _root(_power_sum(d[rescale] / mr[:, None], q), q)
+        dist = _root(_power_sum(d, q, d2, prod), q)
+        big, small = (_HUGE / p) ** (1.0 / q), _SMALL ** (1.0 / q)
+        if m_high > big or m_low < small:  # else no pair needs the rescale test
+            rescale = (m > big) | ((m > 0.0) & (m < small))
+            if rescale.any():
+                mr = m[rescale]
+                dist[rescale] = mr * _root(_power_sum(d[rescale] / mr[:, None], q), q)
         out.append(dist)
+    return out
+
+
+def _blocked_orders(segments, n_pairs, p, orders):
+    """Distances of every order for ``n_pairs`` pairs listed as segments.
+
+    ``segments`` yields (x, Y): row x against every row of Y, in result
+    order.  Returns one flat array of length ``n_pairs`` per order.
+    """
+    rows = min(n_pairs, max(1, _BLOCK_DIFFS // p))
+    d, d2, prod = (np.empty((rows, p)) for _ in range(3))
+    out = [np.empty(n_pairs) for _ in orders]
+    done = filled = 0
+    with np.errstate(over="ignore", under="ignore"):
+        for x, Y in segments:
+            start = 0
+            while start < Y.shape[0]:
+                take = min(Y.shape[0] - start, rows - filled)
+                block = d[filled:filled + take]
+                np.subtract(Y[start:start + take], x, out=block)
+                np.abs(block, out=block)
+                start += take
+                filled += take
+                if filled == rows or done + filled == n_pairs:
+                    dists = _reduce_orders(d[:filled], orders, d2[:filled], prod[:filled])
+                    for o, dist in zip(out, dists):
+                        o[done:done + filled] = dist
+                    done += filled
+                    filled = 0
     return out
 
 
@@ -132,14 +177,9 @@ def pairwise_orders(X, orders):
     """
     orders = tuple(check_order(q) for q in orders)
     X = check_data_matrix(X, min_rows=2)
-    n = X.shape[0]
-    entries = [np.empty(condensed_size(n)) for _ in orders]
-    with np.errstate(over="ignore", under="ignore"):
-        for j in range(1, n):
-            start = condensed_size(j)
-            dists = _reduce_orders(np.abs(X[:j] - X[j]), orders)
-            for e, dist in zip(entries, dists):
-                e[start:start + j] = dist
+    n, p = X.shape
+    segments = ((X[j], X[:j]) for j in range(1, n))
+    entries = _blocked_orders(segments, condensed_size(n), p, orders)
     return tuple(CondensedDistanceMatrix(n, e) for e in entries)
 
 
@@ -147,8 +187,8 @@ def cross_orders(X_left, X_right, orders):
     """Cross distances between two matrices for several orders at once.
 
     Returns a tuple of (n_left, n_right) arrays, one per entry of ``orders``,
-    each equal bit for bit to ``cross(X_left, X_right, q)``.  Rows of X_left
-    are taken in blocks of about 2**16 coordinate differences.
+    each equal bit for bit to ``cross(X_left, X_right, q)``.  The differences
+    are formed in blocks of at most 2**15 values (one row when p is larger).
     """
     orders = tuple(check_order(q) for q in orders)
     A = check_data_matrix(X_left)
@@ -158,14 +198,8 @@ def cross_orders(X_left, X_right, orders):
             "variable count mismatch: %d vs %d" % (A.shape[1], B.shape[1])
         )
     n_right, p = B.shape
-    out = [np.empty((A.shape[0], n_right)) for _ in orders]
-    step = max(1, _BLOCK_DIFFS // (n_right * p))
-    with np.errstate(over="ignore", under="ignore"):
-        for a in range(0, A.shape[0], step):
-            d = np.abs(A[a:a + step, None, :] - B[None, :, :]).reshape(-1, p)
-            for o, dist in zip(out, _reduce_orders(d, orders)):
-                o[a:a + step] = dist.reshape(-1, n_right)
-    return tuple(out)
+    flat = _blocked_orders(((a, B) for a in A), A.shape[0] * n_right, p, orders)
+    return tuple(f.reshape(-1, n_right) for f in flat)
 
 
 def minkowski(x, y, q):
@@ -191,8 +225,7 @@ def minkowski(x, y, q):
         raise ValueError("vectors must be non-empty")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("vectors must be finite")
-    with np.errstate(over="ignore", under="ignore"):
-        return float(_reduce_orders(np.abs(x - y)[None, :], (q,))[0][0])
+    return float(_blocked_orders([(x, y[None, :])], 1, x.shape[0], (q,))[0][0])
 
 
 def pairwise(X, q):

@@ -24,15 +24,18 @@ because they are the one field that cannot be reproducible.
 
 Distances are built once per standardisation, for all orders together: the
 training pairwise distances when a clustering method is requested, the
-test-to-training cross distances when knn3 is.  A record's ``seconds``
-therefore covers the learner call and its scoring only; distance
-construction, shared by all orders and methods of a standardisation, is in
-no cell.
+test-to-training cross distances when knn3 is.  The training distances of
+each order are expanded once to the square matrix that pam and both
+linkages share.  A record's ``seconds`` therefore covers the learner call
+and its scoring only; distance construction, shared by all orders and
+methods of a standardisation, and the square expansion, shared by the
+clustering methods of an order, are in no cell.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -45,7 +48,7 @@ import numpy as np
 from .core import _atomic_write
 from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
 from .evaluate import adjusted_rand_index, misclassification_rate
-from .learn import cut_tree, knn_classify, linkage, pam
+from .learn import _linkage, _pam, cut_tree, knn_classify
 from .simgen import SetupSpec, generate, setup_catalog
 from .standardise import METHODS, POOLED_METHODS, fit_standardiser
 
@@ -80,7 +83,8 @@ class ResultRecord:
 
     ``seconds`` is the wall time of the learner call and its scoring only;
     the distances it reads were built beforehand, shared by every order and
-    method of the standardisation, and are counted in no cell.
+    method of the standardisation, and so was the square matrix the
+    clustering methods of an order share; neither is counted in any cell.
     """
 
     setup: str
@@ -230,17 +234,50 @@ def replicate_seeds(seed, replicates):
     return [int(s) for s in state]
 
 
+def _grid_cells(standardisations, orders, methods):
+    """(standardisation tag, q, method, metric) of each record, in grid order."""
+    cells = []
+    for std_method in standardisations:
+        cluster_tag = std_method + (":oracle" if std_method in POOLED_METHODS else "")
+        for q in orders:
+            for method in methods:
+                if method == "knn3":
+                    cells.append((std_method, q, method, "misclassification"))
+                else:
+                    cells.append((cluster_tag, q, method, "ari"))
+    return cells
+
+
+def _label_scores(setup_label, replicate, seed, cells, scores):
+    return [ResultRecord(setup_label, replicate, seed, *cell, value, seconds)
+            for cell, (value, seconds) in zip(cells, scores)]
+
+
 def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
                   methods, oracle_pooling=False):
-    """Score one replicate; the unit of (parallel) work.
+    """Score one replicate.
 
     Pure function of its arguments; returns the records in grid order
     (standardisation, then q, then method).  Each standardisation's distances
-    are built for all orders at once, before its q loop.
+    are built for all orders at once, before its q loop, and each order's
+    training distances are expanded to one square matrix that pam and both
+    linkages read.
+    """
+    return _label_scores(setup_label, replicate, seed,
+                         _grid_cells(standardisations, orders, methods),
+                         _score_replicate(spec, seed, standardisations, orders, methods))
+
+
+def _score_replicate(spec, seed, standardisations, orders, methods):
+    """(value, seconds) of each cell of one replicate, in grid order.
+
+    The unit of parallel work: a worker returns these bare pairs, and
+    :func:`run_experiment` labels them as records.
     """
     data = generate(spec, seed)
     k_classes = int(data.y_train.max())
-    records = []
+    clustering = any(m in CLUSTER_METHODS for m in methods)
+    scores = []
     for std_method in standardisations:
         pooled = std_method in POOLED_METHODS
         std = fit_standardiser(
@@ -248,44 +285,26 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
         )
         x_train = std.transform(data.x_train)
         x_test = std.transform(data.x_test, cap=True)
-        cluster_tag = std_method + (":oracle" if pooled else "")
-        if any(m in CLUSTER_METHODS for m in methods):
+        if clustering:
             train_ds = pairwise_orders(x_train, orders)
         if "knn3" in methods:
             test_ds = cross_orders(x_test, x_train, orders)
-        for i, q in enumerate(orders):
+        for i in range(len(orders)):
+            if clustering:  # one square, read by pam and both linkages
+                square = train_ds[i].to_square()
             for method in methods:
                 started = time.perf_counter()
                 if method == "pam":
-                    labels = pam(train_ds[i], k_classes).labels
+                    labels = _pam(square, k_classes).labels
                     value = adjusted_rand_index(labels, data.y_train)
-                    metric, tag = "ari", cluster_tag
                 elif method in ("complete", "average"):
-                    labels = cut_tree(linkage(train_ds[i], method), k_classes)
+                    labels = cut_tree(_linkage(square, method), k_classes)
                     value = adjusted_rand_index(labels, data.y_train)
-                    metric, tag = "ari", cluster_tag
                 else:  # knn3
                     predicted = knn_classify(test_ds[i], data.y_train, 3)
                     value = misclassification_rate(predicted, data.y_test)
-                    metric, tag = "misclassification", std_method
-                records.append(
-                    ResultRecord(
-                        setup=setup_label,
-                        replicate=replicate,
-                        seed=seed,
-                        standardisation=tag,
-                        q=q,
-                        method=method,
-                        metric=metric,
-                        value=float(value),
-                        seconds=time.perf_counter() - started,
-                    )
-                )
-    return records
-
-
-def _replicate_task(args):
-    return run_replicate(*args)
+                scores.append((float(value), time.perf_counter() - started))
+    return scores
 
 
 def _resolve_jobs(jobs):
@@ -318,17 +337,18 @@ def run_experiment(config, jobs=None):
     spec = config.resolve_spec()
     setup_label = config.setup if isinstance(config.setup, str) else spec.name
     seeds = replicate_seeds(config.seed, config.replicates)
-    tasks = [
-        (spec, setup_label, r, seeds[r], config.standardisations, config.orders,
-         config.methods, config.oracle_pooling)
-        for r in range(config.replicates)
-    ]
+    score = functools.partial(_score_replicate, spec, standardisations=config.standardisations,
+                              orders=config.orders, methods=config.methods)
     if jobs == 1 or config.replicates == 1:
-        batches = [_replicate_task(t) for t in tasks]
+        batches = [score(seed) for seed in seeds]
     else:
+        # workers return bare scores and the records are labelled here, so
+        # they share one object per grid value instead of unpickled copies
         with ProcessPoolExecutor(max_workers=min(jobs, config.replicates)) as pool:
-            batches = list(pool.map(_replicate_task, tasks))
-    return [record for batch in batches for record in batch]
+            batches = list(pool.map(score, seeds))
+    cells = _grid_cells(config.standardisations, config.orders, config.methods)
+    return [record for r, scores in enumerate(batches)
+            for record in _label_scores(setup_label, r, seeds[r], cells, scores)]
 
 
 def write_records_csv(path, records, timing=False):

@@ -62,8 +62,9 @@ class Dendrogram:
         if merges.shape != (n - 1, 2) or heights.shape != (n - 1,):
             raise ValueError("inconsistent merge history shapes")
         left, right = merges.T
-        if (np.unique(merges).size < merges.size or np.any(left < 0) or np.any(left >= right)
-                or np.any(right >= np.arange(n, 2 * n - 1))):
+        # ids checked to lie in [0, 2n - 2] before they are counted
+        if (((left < 0) | (left >= right) | (right >= np.arange(n, 2 * n - 1))).any()
+                or np.bincount(merges.ravel()).max() > 1):
             raise ValueError("merge s must join two unmerged nodes below n + s, smaller id first")
         object.__setattr__(self, "merges", merges)
         object.__setattr__(self, "heights", heights)
@@ -109,8 +110,12 @@ def pam(D, k):
     Clustering
         With ``medoids`` (ascending) and ``objective`` (total cost) set.
     """
-    W = _square(D)
-    n = D.n
+    return _pam(_square(D), k)
+
+
+def _pam(W, k):
+    """:func:`pam` on the square distance matrix W, which it only reads."""
+    n = W.shape[0]
     if not 2 <= k < n:
         raise ValueError("k must satisfy 2 <= k < n=%d, got %d" % (n, k))
 
@@ -182,34 +187,43 @@ def linkage(D, method):
     -------
     Dendrogram
     """
+    return _linkage(_square(D), method)
+
+
+def _linkage(square, method):
+    """:func:`linkage` on the square distance matrix, which it only reads."""
     if method not in LINKAGE_METHODS:
         raise ValueError("unknown linkage method %r" % (method,))
-    n = D.n
+    n = square.shape[0]
     size = 2 * n - 1
     # the diagonal, merged-away nodes and nodes not made yet hold inf
     W = np.full((size, size), np.inf)
-    W[:n, :n] = _square(D)
+    W[:n, :n] = square
     np.fill_diagonal(W, np.inf)
-    sizes = np.ones(size, dtype=np.int64)
-    merges = np.empty((n - 1, 2), dtype=np.int64)
-    heights = np.empty(n - 1)
-    for step in range(n - 1):
-        # W is symmetric and slot order is id order, so the first minimum in
-        # row-major order falls in the row of the smallest id among the tied
-        # pairs, at its smallest partner: the smallest (id, id) pair, a < b.
-        a, b = divmod(int(np.argmin(W)), size)
-        if W[a, b] == np.inf:  # finite inputs: only an average can overflow
-            raise ValueError("average linkage overflowed: distances too large")
-        merges[step] = a, b
-        heights[step] = W[a, b]
-        if method == "complete":
-            row = np.maximum(W[a], W[b])
-        else:
-            row = (sizes[a] * W[a] + sizes[b] * W[b]) / (sizes[a] + sizes[b])
-        node = n + step
-        W[node] = W[:, node] = row
-        W[[a, b]] = W[:, [a, b]] = np.inf
-        sizes[node] = sizes[a] + sizes[b]
+    sizes = [1] * size
+    merges, heights = [], []
+    # an overflowing average update leaves inf, which the check below reports
+    with np.errstate(over="ignore"):
+        for node in range(n, size):
+            # W is symmetric and slot order is id order, so the first minimum in
+            # row-major order falls in the row of the smallest id among the tied
+            # pairs, at its smallest partner: the smallest (id, id) pair, a < b.
+            a, b = divmod(int(W.argmin()), size)
+            height = W[a, b]
+            if height == np.inf:  # finite inputs: only an average can overflow
+                raise ValueError("average linkage overflowed: distances too large")
+            merges.append((a, b))
+            heights.append(height)
+            sa, sb = sizes[a], sizes[b]
+            if method == "complete":
+                row = np.maximum(W[a], W[b], out=W[node])
+            else:
+                row = np.divide(sa * W[a] + sb * W[b], sa + sb, out=W[node])
+            W[:, node] = row
+            W[a] = W[b] = np.inf
+            W[:, a] = np.inf
+            W[:, b] = np.inf
+            sizes[node] = sa + sb
     return Dendrogram(n_leaves=n, merges=merges, heights=heights)
 
 
@@ -225,11 +239,13 @@ def cut_tree(dendrogram, k):
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n=%d, got %d" % (n, k))
-    top = np.arange(2 * n - 1)  # top[i]: the topmost node above node i after the cut
+    top = list(range(2 * n - 1))  # top[i]: the topmost node above node i after the cut
+    merges = dendrogram.merges.tolist()
     for node in range(2 * n - k - 1, n - 1, -1):  # last applied merge first
-        top[dendrogram.merges[node - n]] = top[node]
-    _, first, inverse = np.unique(top[:n], return_index=True, return_inverse=True)
-    return (np.argsort(np.argsort(first)) + 1)[inverse].astype(np.int64)
+        a, b = merges[node - n]
+        top[a] = top[b] = top[node]
+    numbers = {}  # cluster number of each top node, by first appearance
+    return np.array([numbers.setdefault(t, len(numbers) + 1) for t in top[:n]], dtype=np.int64)
 
 
 def knn_classify(cross_distances, train_labels, k):
@@ -258,22 +274,21 @@ def knn_classify(cross_distances, train_labels, k):
     y, n_classes = check_labels(train_labels, n_expected=Dx.shape[1])
     if not 1 <= k <= Dx.shape[1]:
         raise ValueError("k must satisfy 1 <= k <= n_train=%d, got %d" % (Dx.shape[1], k))
-    out = np.empty(Dx.shape[0], dtype=np.int64)
-    for a in range(Dx.shape[0]):
-        row = Dx[a]
-        neighbours = np.argsort(row, kind="stable")[:k]
-        votes = np.bincount(y[neighbours], minlength=n_classes + 1)
-        top = votes.max()
-        tied = np.flatnonzero(votes == top)
-        if tied.shape[0] == 1:
-            out[a] = tied[0]
-            continue
-        best = None
+    n_test = Dx.shape[0]
+    neighbours = np.argsort(Dx, axis=1, kind="stable")[:, :k]
+    voters = y[neighbours]
+    # votes[a, c]: neighbours of test row a in class c, from one bincount
+    offset = np.arange(n_test)[:, None] * (n_classes + 1)
+    votes = np.bincount((offset + voters).ravel(), minlength=n_test * (n_classes + 1))
+    votes = votes.reshape(n_test, n_classes + 1)
+    out = votes.argmax(axis=1)
+    top = votes.max(axis=1)
+    for a in np.flatnonzero((votes == top[:, None]).sum(axis=1) > 1):
         best_sum = np.inf
-        for c in tied:  # ascending labels: the strict < keeps the smaller one on ties
-            s = row[neighbours[y[neighbours] == c]].sum()
+        for c in np.flatnonzero(votes[a] == top[a]):
+            # ascending labels: the strict < keeps the smaller one on ties
+            s = Dx[a, neighbours[a][voters[a] == c]].sum()
             if s < best_sum:
                 best_sum = s
-                best = c
-        out[a] = best
-    return out
+                out[a] = c
+    return out.astype(np.int64, copy=False)

@@ -208,3 +208,23 @@ def nearest_neighbour_labels(D, labels):
                 best_j = j
         out.append(labels[best_j])
     return np.array(out)
+
+
+def naive_knn(D, labels, k):
+    """k-nn over a (test, train) distance matrix, one test row at a time.
+
+    The k nearest are the first k by (distance, training index).  The class
+    with the most votes wins; a vote tie goes to the tied class with the
+    smaller summed distance over its voting neighbours, then to the smaller
+    label.
+    """
+    out = []
+    for row in D:
+        nearest = sorted(range(len(row)), key=lambda j: (row[j], j))[:k]
+        votes, sums = {}, {}
+        for j in nearest:
+            c = int(labels[j])
+            votes[c] = votes.get(c, 0) + 1
+            sums[c] = sums.get(c, 0.0) + float(row[j])
+        out.append(min(votes, key=lambda c: (-votes[c], sums[c], c)))
+    return np.array(out)

@@ -172,6 +172,23 @@ def test_cluster_prints_to_stdout(tmp_path, capsys):
     assert lines == ["1", "1", "2", "2"]
 
 
+def test_average_linkage_overflow_is_one_error_line(tmp_path, capsys):
+    dm = tmp_path / "big.dm"
+    dm.write_text('{"n": 4}\n' + "\n".join(
+        ["1e308", "1.5e308", "1e308", "1.2e308", "1e308", "1.7e308"]) + "\n")
+    assert run("cluster", "--method", "average", "--k", 2, dm) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scaledist: error: average linkage overflowed: distances too large"]
+
+
+def test_warnings_print_as_one_line_each(tmp_path, capsys):
+    data = tmp_path / "c.csv"
+    write_matrix_csv(data, np.array([[1.0, 2.0, 5.0], [3.0, 4.0, 5.0], [5.0, 1.0, 5.0]]))
+    assert run("standardise", "--method", "mad", data, tmp_path / "out.csv") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "scaledist: warning: zero mad scale in column(s) 3; output set to zero there"]
+
+
 def test_classify_end_to_end(tmp_path):
     rng = np.random.default_rng(10)
     train = np.vstack([rng.standard_normal((8, 2)), rng.standard_normal((8, 2)) + 5.0])

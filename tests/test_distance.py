@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import naive_cross, naive_minkowski, naive_pairwise_square
+from scaledist import distance
 from scaledist.core import CondensedDistanceMatrix
 from scaledist.distance import (
     _BLOCK_DIFFS,
@@ -210,12 +211,44 @@ def test_cross_spanning_several_blocks_with_a_ragged_last_block():
     rng = np.random.default_rng(10)
     A = rng.standard_normal((21, 200))
     B = rng.standard_normal((40, 200))
-    rows_per_block = _BLOCK_DIFFS // B.size
-    assert 1 < rows_per_block < A.shape[0] and A.shape[0] % rows_per_block
+    # at least three blocks, a partly filled last one, and a segment (one row
+    # of A against all of B) split across two blocks
+    rows = max(1, _BLOCK_DIFFS // A.shape[1])
+    pairs = A.shape[0] * B.shape[0]
+    assert pairs > 2 * rows and pairs % rows and rows % B.shape[0]
     for q, C in zip(ORDERS, cross_orders(A, B, ORDERS)):
         by_row = np.vstack([cross(A[a:a + 1], B, q) for a in range(A.shape[0])])
         assert_array_equal(C, by_row)
         assert_allclose(C, naive_cross(A, B, q), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("block_diffs", [3, 35])
+def test_pairwise_blocks_equal_one_row_at_a_time(monkeypatch, block_diffs):
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((13, 7))
+    X[::4] *= 1e150  # rescaled pairs in many blocks, next to direct ones
+    X[2] *= 1e-300
+    orders = ORDERS + (2.5,)
+    # row j against rows 0..j-1, each in a block of its own
+    by_row = [np.concatenate([cross(X[j:j + 1], X[:j], q)[0] for j in range(1, 13)])
+              for q in orders]
+    monkeypatch.setattr(distance, "_BLOCK_DIFFS", block_diffs)
+    # blocks of 1 row (p above the block size) or 5 rows: 78 pairs give a
+    # ragged last block, and rows 6..12 are split across blocks
+    rows = max(1, block_diffs // X.shape[1])
+    assert rows in (1, 5)
+    for D, expected in zip(pairwise_orders(X, orders), by_row):
+        assert_array_equal(D.entries, expected)
+
+
+def test_results_do_not_depend_on_memory_layout():
+    rng = np.random.default_rng(18)
+    X = rng.standard_normal((12, 300))
+    Y = rng.standard_normal((9, 300))
+    XF, YF = np.asfortranarray(X), np.asfortranarray(Y)
+    for q, C, D in zip(ORDERS, cross_orders(XF, YF, ORDERS), pairwise_orders(XF, ORDERS)):
+        assert_array_equal(C, cross(X, Y, q))
+        assert_array_equal(D.entries, pairwise(X, q).entries)
 
 
 # Coordinates on a coarse grid: scaling by s rounds every coordinate, and a

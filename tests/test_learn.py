@@ -6,13 +6,23 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
     improving_swap_exists,
+    naive_knn,
     naive_linkage,
     nearest_neighbour_labels,
     pam_brute_force,
 )
 from scaledist.core import CondensedDistanceMatrix
 from scaledist.distance import pairwise
-from scaledist.learn import Dendrogram, cut_tree, knn_classify, linkage, pam
+from scaledist.learn import (
+    LINKAGE_METHODS,
+    Dendrogram,
+    _linkage,
+    _pam,
+    cut_tree,
+    knn_classify,
+    linkage,
+    pam,
+)
 
 
 def line_distances(points):
@@ -161,6 +171,22 @@ def test_linkage_average_overflow_is_an_error():
         linkage(D, "average")
 
 
+def test_learners_only_read_a_shared_square():
+    rng = np.random.default_rng(20)
+    D = pairwise(rng.integers(0, 3, size=(15, 3)), 1)
+    square = D.to_square()
+    square.flags.writeable = False  # a write would raise
+    for method in LINKAGE_METHODS:
+        shared, own = _linkage(square, method), linkage(D, method)
+        assert_array_equal(shared.merges, own.merges)
+        assert_array_equal(shared.heights, own.heights)
+    shared, own = _pam(square, 3), pam(D, 3)
+    assert_array_equal(shared.labels, own.labels)
+    assert_array_equal(shared.medoids, own.medoids)
+    assert shared.objective == own.objective
+    assert_array_equal(square, D.to_square())
+
+
 def test_linkage_heights_nondecreasing():
     # both linkages satisfy the reducibility property, so heights are sorted
     rng = np.random.default_rng(14)
@@ -249,6 +275,31 @@ def test_knn_matches_nearest_neighbour_oracle():
     np.fill_diagonal(square, 1e300)
     mine = knn_classify(square, y, 1)
     assert_array_equal(mine, nearest_neighbour_labels(square, y))
+
+
+def test_knn_matches_per_row_oracle_on_tie_heavy_grids():
+    # distances on a grid of halves: many equal distances at the k-th
+    # neighbour and many vote ties, all sums exact
+    rng = np.random.default_rng(19)
+    clear = by_sum = by_label = 0
+    for _ in range(300):
+        n_classes = int(rng.integers(2, 5))
+        n_train = int(rng.integers(n_classes + 5, 30))
+        y = rng.permutation(np.concatenate(
+            [np.arange(1, n_classes + 1), rng.integers(1, n_classes + 1, n_train - n_classes)]))
+        Dx = rng.integers(0, int(rng.integers(2, 5)), size=(int(rng.integers(1, 41)), n_train)) / 2
+        k = int(rng.integers(1, 8))
+        mine = knn_classify(Dx, y, k)
+        assert_array_equal(mine, naive_knn(Dx, y, k))
+        assert mine.dtype == np.int64
+        for row, label in zip(Dx, mine):
+            votes = np.bincount(y[np.argsort(row, kind="stable")[:k]], minlength=n_classes + 1)
+            tied = np.flatnonzero(votes == votes.max())
+            clear += tied.size == 1
+            by_sum += tied.size > 1 and label != tied[0]
+            by_label += tied.size > 1 and label == tied[0]
+    # clear rows, and vote ties settled by the sum and by the label
+    assert min(clear, by_sum, by_label) > 100
 
 
 def test_knn_validates_sizes():
