@@ -96,10 +96,13 @@ def _build_parser():
     return parser
 
 
-def _load_labels_arg(path, what):
-    if path is None:
-        raise ValueError("%s requires --labels" % what)
-    return core.read_labels(path)
+def _pooled_labels(args):
+    # class labels for a pooled --standardise method, else None
+    if args.method not in POOLED_METHODS:
+        return None
+    if args.labels is None:
+        raise ValueError("method %r requires --labels" % args.method)
+    return core.read_labels(args.labels)
 
 
 def _write_label_lines(labels, out):
@@ -111,10 +114,7 @@ def _write_label_lines(labels, out):
 
 
 def _cmd_simulate(args):
-    catalog = simgen.setup_catalog()
-    if args.setup not in catalog:
-        raise ValueError("unknown setup %r (known: %s)" % (args.setup, ", ".join(catalog)))
-    spec = catalog[args.setup].with_size(p=args.p, n_per_class=args.n_per_class)
+    spec = simgen._catalog_setup(args.setup).with_size(p=args.p, n_per_class=args.n_per_class)
     dataset = simgen.generate(spec, args.seed)
     simgen.write_dataset(dataset, args.out_prefix)
 
@@ -126,10 +126,7 @@ def _cmd_standardise(args):
     if args.params is not None:
         std = Standardiser.load(args.params)
     else:
-        labels = None
-        if args.method in POOLED_METHODS:
-            labels = _load_labels_arg(args.labels, "method %r" % args.method)
-        std = fit_standardiser(X, args.method, labels=labels)
+        std = fit_standardiser(X, args.method, labels=_pooled_labels(args))
         if args.save_params:
             std.save(args.save_params)
     core.write_matrix_csv(args.output, std.transform(X, cap=args.cap))
@@ -137,10 +134,7 @@ def _cmd_standardise(args):
 
 def _cmd_distmat(args):
     X, _ = core.read_matrix_csv(args.input)
-    labels = None
-    if args.method in POOLED_METHODS:
-        labels = _load_labels_arg(args.labels, "method %r" % args.method)
-    std = fit_standardiser(X, args.method, labels=labels)
+    std = fit_standardiser(X, args.method, labels=_pooled_labels(args))
     core.write_condensed(args.output, pairwise(std.transform(X), parse_order(args.q)))
 
 
@@ -199,7 +193,8 @@ def _cmd_experiment(args):
             data[key] = [s.strip() for s in value.split(",") if s.strip()] if comma_list else value
     if "setup" not in data:
         raise ValueError("no setup given (use --setup or --config)")
-    config = harness.ExperimentConfig.from_json_dict(data).validate()
+    # run_experiment validates the config before anything is computed
+    config = harness.ExperimentConfig.from_json_dict(data)
     harness.run_experiment_to_files(config, args.out, summary_json=args.summary,
                                     jobs=args.jobs)
 

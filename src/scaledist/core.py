@@ -98,11 +98,11 @@ class CondensedDistanceMatrix:
         return float(self.entries[condensed_index(i, j, self.n)])
 
     def to_square(self):
-        """Expand to a full symmetric (n, n) array with zero diagonal."""
+        """Expand to a new full symmetric (n, n) array with zero diagonal."""
         D = np.zeros((self.n, self.n))
-        rows, cols = np.tril_indices(self.n, -1)
-        D[rows, cols] = self.entries
-        D[cols, rows] = self.entries
+        lower = _strict_lower(self.n)
+        D[lower] = self.entries
+        D.T[lower] = self.entries
         return D
 
     @classmethod
@@ -112,7 +112,13 @@ class CondensedDistanceMatrix:
         if D.ndim != 2 or D.shape[0] != D.shape[1]:
             raise ValueError("expected a square matrix, got shape %r" % (D.shape,))
         n = D.shape[0]
-        return cls(n, D[np.tril_indices(n, -1)])
+        return cls(n, D[_strict_lower(n)])
+
+
+def _strict_lower(n):
+    # condensed order is the row-major order of the strict lower triangle:
+    # (1,0), (2,0), (2,1), (3,0), ... is pair (i, j) at j*(j-1)/2 + i
+    return np.tri(n, k=-1, dtype=bool)
 
 
 def check_data_matrix(X, min_rows=1):
@@ -159,9 +165,38 @@ def check_labels(y, n_expected=None):
         raise ValueError("labels must be numbered from 1, got %d" % y.min())
     present = np.unique(y)
     if present.shape[0] != k:
-        missing = sorted(set(range(1, k + 1)) - set(present.tolist()))
-        raise ValueError("class %d has no members" % missing[0])
+        # present is sorted and >= 1: the first i with present[i] != i + 1 is class i + 1
+        gap = np.flatnonzero(present != np.arange(1, present.shape[0] + 1))[0]
+        raise ValueError("class %d has no members" % (gap + 1))
     return y, k
+
+
+# kinds a value parsed by json may take: its test, and its name in errors
+# (exact types, so true and false are neither integers nor numbers)
+_JSON_KINDS = {
+    "integer": (lambda v: type(v) is int, "an integer"),
+    "number": (lambda v: type(v) in (int, float), "a number"),
+    "pair": (lambda v: type(v) is list and len(v) == 2 and all(type(x) in (int, float) for x in v),
+             "a list of two numbers"),
+    "string": (lambda v: type(v) is str, "a string"),
+    "list": (lambda v: type(v) is list, "a list"),
+    "object": (lambda v: type(v) is dict, "an object"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "null": (lambda v: v is None, "null"),
+}
+
+
+def _check_json_kinds(data, kinds, what):
+    """Raise one ValueError on a key not in ``kinds`` (key -> allowed kinds)
+    or on the first value of none of its key's kinds; missing keys pass."""
+    extra = set(data) - set(kinds)
+    if extra:
+        raise ValueError("unknown %s key(s): %s" % (what, ", ".join(sorted(extra))))
+    for key, value in data.items():
+        if not any(_JSON_KINDS[kind][0](value) for kind in kinds[key]):
+            raise ValueError("%s %r must be %s, got %s" % (
+                what, key, " or ".join(_JSON_KINDS[kind][1] for kind in kinds[key]),
+                json.dumps(value, default=repr)))
 
 
 def _format(x):

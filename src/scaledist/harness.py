@@ -24,17 +24,15 @@ because they are the one field that cannot be reproducible.
 
 Distances are built once per standardisation, for all orders together: the
 training pairwise distances when a clustering method is requested, the
-test-to-training cross distances when knn3 is.  The training distances of
-each order are expanded once to the square matrix that pam and both
-linkages share.  A record's ``seconds`` therefore covers the learner call
-and its scoring only; distance construction, shared by all orders and
-methods of a standardisation, and the square expansion, shared by the
-clustering methods of an order, are in no cell.
+test-to-training cross distances when knn3 is.  A record's ``seconds``
+covers the learner call and its scoring only; for pam and the linkages that
+includes the learner's own expansion of the condensed distances to a square
+(no square is shared between learners).  Distance construction, shared by
+all orders and methods of a standardisation, is in no cell.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -45,11 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _atomic_write
+from .core import _atomic_write, _check_json_kinds
 from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
 from .evaluate import adjusted_rand_index, misclassification_rate
-from .learn import _linkage, _pam, cut_tree, knn_classify
-from .simgen import SetupSpec, generate, setup_catalog
+from .learn import cut_tree, knn_classify, linkage, pam
+from .simgen import SetupSpec, _catalog_setup, generate
 from .standardise import METHODS, POOLED_METHODS, fit_standardiser
 
 __all__ = [
@@ -81,10 +79,10 @@ JOBS_ENV_VAR = "SCALEDIST_JOBS"
 class ResultRecord:
     """One scored run: a (setup, replicate, standardisation, q, method) cell.
 
-    ``seconds`` is the wall time of the learner call and its scoring only;
-    the distances it reads were built beforehand, shared by every order and
-    method of the standardisation, and so was the square matrix the
-    clustering methods of an order share; neither is counted in any cell.
+    ``seconds`` is the wall time of the learner call and its scoring only,
+    with the learner's own expansion of the condensed distances to a square;
+    the distances, built beforehand for every order and method of the
+    standardisation, are counted in no cell.
     """
 
     setup: str
@@ -98,19 +96,13 @@ class ResultRecord:
     seconds: float
 
 
-# JSON type of every config value but 'setup'
-_CONFIG_TYPES = {
-    "replicates": int,
-    "seed": int,
-    "p": int,
-    "n_per_class": int,
-    "standardisations": list,
-    "orders": list,
-    "methods": list,
-    "oracle_pooling": bool,
-    "timing": bool,
+# JSON kinds of each config value
+_CONFIG_KINDS = {
+    "setup": ("string", "object"), "replicates": ("integer",), "seed": ("integer",),
+    "p": ("integer", "null"), "n_per_class": ("integer", "null"),
+    "standardisations": ("list",), "orders": ("list",), "methods": ("list",),
+    "oracle_pooling": ("bool",), "timing": ("bool",),
 }
-_TYPE_NAMES = {int: "an integer", list: "a list", bool: "true or false"}
 
 
 @dataclass(frozen=True)
@@ -169,15 +161,7 @@ class ExperimentConfig:
 
     def resolve_spec(self):
         """The SetupSpec this experiment draws from, with size overrides applied."""
-        if isinstance(self.setup, SetupSpec):
-            spec = self.setup
-        else:
-            catalog = setup_catalog()
-            if self.setup not in catalog:
-                raise ValueError(
-                    "unknown setup %r (known: %s)" % (self.setup, ", ".join(catalog))
-                )
-            spec = catalog[self.setup]
+        spec = self.setup if isinstance(self.setup, SetupSpec) else _catalog_setup(self.setup)
         return spec.with_size(p=self.p, n_per_class=self.n_per_class)
 
     def to_json_dict(self):
@@ -200,29 +184,18 @@ class ExperimentConfig:
         """Config from a JSON object such as :meth:`to_json_dict` writes.
 
         Raises ValueError on unknown keys and on values of the wrong JSON
-        type: lists for the grid axes, true/false for the flags, integers
-        (not booleans or fractions) for the counts; ``p`` and ``n_per_class``
-        may also be null.
+        type: a catalog name or a :meth:`SetupSpec.from_json_dict` object for
+        ``setup``, lists for the grid axes, true/false for the flags, integers
+        (not booleans or fractions) for the counts, or null for ``p`` and
+        ``n_per_class``.
         """
         if not isinstance(data, dict) or "setup" not in data:
             raise ValueError("expected a JSON object with at least 'setup'")
-        setup = data["setup"]
-        if isinstance(setup, dict):
-            setup = SetupSpec.from_json_dict(setup)
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(data) - known
-        if extra:
-            raise ValueError("unknown config key(s): %s" % ", ".join(sorted(extra)))
-        for key, value in data.items():
-            kind = _CONFIG_TYPES.get(key)
-            if kind is None or (value is None and key in ("p", "n_per_class")):
-                continue
-            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-                raise ValueError("config %r must be %s, got %s"
-                                 % (key, _TYPE_NAMES[kind], json.dumps(value, default=repr)))
+        _check_json_kinds(data, _CONFIG_KINDS, "config")
         kwargs = {"replicates": 100, "seed": 0}
         kwargs.update((key, value) for key, value in data.items() if value is not None)
-        kwargs["setup"] = setup
+        if isinstance(data["setup"], dict):
+            kwargs["setup"] = SetupSpec.from_json_dict(data["setup"])
         if "orders" in data:
             kwargs["orders"] = tuple(parse_order(q) for q in data["orders"])
         return cls(**kwargs)
@@ -258,10 +231,11 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
     """Score one replicate.
 
     Pure function of its arguments; returns the records in grid order
-    (standardisation, then q, then method).  Each standardisation's distances
-    are built for all orders at once, before its q loop, and each order's
-    training distances are expanded to one square matrix that pam and both
-    linkages read.
+    (standardisation, then q, then method).  Distances are built per
+    standardisation for all orders at once; each clustering learner expands
+    its own square, timed in its cell's ``seconds``, and none is shared.
+    ``oracle_pooling`` is accepted but unused; :meth:`ExperimentConfig.validate`
+    makes the check it stands for.
     """
     return _label_scores(setup_label, replicate, seed,
                          _grid_cells(standardisations, orders, methods),
@@ -275,35 +249,36 @@ def _score_replicate(spec, seed, standardisations, orders, methods):
     :func:`run_experiment` labels them as records.
     """
     data = generate(spec, seed)
+    return [score for std_method in standardisations
+            for score in _score_standardisation(data, std_method, orders, methods)]
+
+
+def _score_standardisation(data, std_method, orders, methods):
+    """(value, seconds) of one standardisation's cells, in grid order; its
+    matrices and distances are freed on return, before the next fit."""
     k_classes = int(data.y_train.max())
-    clustering = any(m in CLUSTER_METHODS for m in methods)
+    pooled = std_method in POOLED_METHODS
+    std = fit_standardiser(data.x_train, std_method, labels=data.y_train if pooled else None)
+    x_train = std.transform(data.x_train)
+    x_test = std.transform(data.x_test, cap=True)
+    if any(m in CLUSTER_METHODS for m in methods):
+        train_ds = pairwise_orders(x_train, orders)
+    if "knn3" in methods:
+        test_ds = cross_orders(x_test, x_train, orders)
     scores = []
-    for std_method in standardisations:
-        pooled = std_method in POOLED_METHODS
-        std = fit_standardiser(
-            data.x_train, std_method, labels=data.y_train if pooled else None
-        )
-        x_train = std.transform(data.x_train)
-        x_test = std.transform(data.x_test, cap=True)
-        if clustering:
-            train_ds = pairwise_orders(x_train, orders)
-        if "knn3" in methods:
-            test_ds = cross_orders(x_test, x_train, orders)
-        for i in range(len(orders)):
-            if clustering:  # one square, read by pam and both linkages
-                square = train_ds[i].to_square()
-            for method in methods:
-                started = time.perf_counter()
-                if method == "pam":
-                    labels = _pam(square, k_classes).labels
-                    value = adjusted_rand_index(labels, data.y_train)
-                elif method in ("complete", "average"):
-                    labels = cut_tree(_linkage(square, method), k_classes)
-                    value = adjusted_rand_index(labels, data.y_train)
-                else:  # knn3
-                    predicted = knn_classify(test_ds[i], data.y_train, 3)
-                    value = misclassification_rate(predicted, data.y_test)
-                scores.append((float(value), time.perf_counter() - started))
+    for i in range(len(orders)):
+        for method in methods:
+            started = time.perf_counter()
+            if method == "pam":
+                labels = pam(train_ds[i], k_classes).labels
+                value = adjusted_rand_index(labels, data.y_train)
+            elif method in ("complete", "average"):
+                labels = cut_tree(linkage(train_ds[i], method), k_classes)
+                value = adjusted_rand_index(labels, data.y_train)
+            else:  # knn3
+                predicted = knn_classify(test_ds[i], data.y_train, 3)
+                value = misclassification_rate(predicted, data.y_test)
+            scores.append((float(value), time.perf_counter() - started))
     return scores
 
 

@@ -110,11 +110,7 @@ def pam(D, k):
     Clustering
         With ``medoids`` (ascending) and ``objective`` (total cost) set.
     """
-    return _pam(_square(D), k)
-
-
-def _pam(W, k):
-    """:func:`pam` on the square distance matrix W, which it only reads."""
+    W = _square(D)
     n = W.shape[0]
     if not 2 <= k < n:
         raise ValueError("k must satisfy 2 <= k < n=%d, got %d" % (n, k))
@@ -187,11 +183,7 @@ def linkage(D, method):
     -------
     Dendrogram
     """
-    return _linkage(_square(D), method)
-
-
-def _linkage(square, method):
-    """:func:`linkage` on the square distance matrix, which it only reads."""
+    square = _square(D)
     if method not in LINKAGE_METHODS:
         raise ValueError("unknown linkage method %r" % (method,))
     n = square.shape[0]

@@ -30,11 +30,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _atomic_write, write_labels, write_matrix_csv
+from .core import _atomic_write, _check_json_kinds, write_labels, write_matrix_csv
 
 __all__ = ["SetupSpec", "GeneratedDataset", "setup_catalog", "generate", "write_dataset"]
 
 _MAX_SEED = 2 ** 64 - 1
+
+
+# JSON kinds of each SetupSpec field in a setup description
+_SETUP_KINDS = {
+    "name": ("string",), "t2_fraction": ("number",), "noise_fraction": ("number",),
+    "mean_diff": ("number", "pair"), "sd_range": ("pair",),
+    "p": ("integer",), "n_per_class": ("integer",),
+}
 
 
 @dataclass(frozen=True)
@@ -102,19 +110,29 @@ class SetupSpec:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            md = data["mean_diff"]
+        """Setup from :meth:`to_json_dict` output; ValueError on a missing,
+        unknown or ill-typed key (see ``_SETUP_KINDS``)."""
+        _check_json_kinds(data, _SETUP_KINDS, "setup")
+        try:  # __post_init__ turns the pairs into tuples of floats
             return cls(
-                name=str(data["name"]),
+                name=data["name"],
                 t2_fraction=float(data["t2_fraction"]),
                 noise_fraction=float(data["noise_fraction"]),
-                mean_diff=tuple(md) if isinstance(md, (list, tuple)) else float(md),
-                sd_range=tuple(data["sd_range"]),
-                p=int(data.get("p", 2000)),
-                n_per_class=int(data.get("n_per_class", 50)),
+                mean_diff=data["mean_diff"],
+                sd_range=data["sd_range"],
+                p=data.get("p", 2000),
+                n_per_class=data.get("n_per_class", 50),
             )
-        except (TypeError, KeyError) as exc:
-            raise ValueError("invalid setup description: %s" % (exc,)) from None
+        except KeyError as exc:
+            raise ValueError("invalid setup description: missing key %s" % (exc,)) from None
+
+
+def _catalog_setup(name):
+    """The catalog setup called ``name``; ValueError names the known ones."""
+    catalog = setup_catalog()
+    if name not in catalog:
+        raise ValueError("unknown setup %r (known: %s)" % (name, ", ".join(catalog)))
+    return catalog[name]
 
 
 def setup_catalog():

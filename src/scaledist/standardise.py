@@ -537,9 +537,9 @@ def fit_standardiser(X, method, labels=None):
     with zero scale are reported in one warning and will map to zero); for
     ``boxplot`` it fits the full transform.  ``none`` scales by 1.
     """
-    X = check_data_matrix(X, min_rows=2)
-    if method == "boxplot":
+    if method == "boxplot":  # fit_boxplot checks X itself
         return Standardiser(method, boxplot=fit_boxplot(X))
+    X = check_data_matrix(X, min_rows=2)
     scales = _column_scales(X, method, labels)
     zero = np.flatnonzero(scales == 0.0)
     if zero.size:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,51 @@ def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys, ke
     assert len(lines) == 1 and lines[0].startswith("scaledist: error: ")
     assert expected in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("p", 20.9, "setup 'p' must be an integer"),  # was truncated to 20
+        ("t2_fraction", True, "setup 't2_fraction' must be a number"),  # was read as 1.0
+        ("n_per_class", True, "setup 'n_per_class' must be an integer"),
+        ("sd_range", [1, 2, 3], "setup 'sd_range' must be a list of two numbers"),
+        ("mean_diff", "2", "setup 'mean_diff' must be a number or a list of two numbers"),
+        ("extra", 1, "unknown setup key(s): extra"),  # was ignored
+    ],
+)
+def test_experiment_rejects_setup_values_of_the_wrong_type(tmp_path, capsys, key, value,
+                                                           expected):
+    setup = {"name": "mine", "t2_fraction": 0.5, "noise_fraction": 0.5,
+             "mean_diff": [0, 2], "sd_range": [0.5, 10], "p": 12, "n_per_class": 4, key: value}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"setup": setup, "replicates": 1, "seed": 5,
+                                  "methods": ["knn3"]}))
+    out = tmp_path / "r.csv"
+    capsys.readouterr()
+    assert run("experiment", "--config", config, "--out", out) == 1
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+    assert len(lines) == 1 and lines[0].startswith("scaledist: error: ")
+    assert expected in lines[0]
+    assert not out.exists()
+
+
+def test_classify_with_a_huge_missing_class_is_one_error_line(tmp_path, capsys):
+    # memory is bounded, so that a version whose cost grows with the largest
+    # label fails on the bound rather than exhausting the machine's memory
+    write_matrix_csv(tmp_path / "x.csv", np.zeros((2, 1)))
+    (tmp_path / "y.labels").write_text("1\n2000000\n")
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        status = run("classify", "--train", tmp_path / "x.csv", "--train-labels",
+                     tmp_path / "y.labels", "--test", tmp_path / "x.csv", "--q", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert capsys.readouterr().err.splitlines() == ["scaledist: error: class 2 has no members"]
+    assert peak < 16 << 20
 
 
 def test_experiment_failure_leaves_no_partial_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Container types, condensed indexing and file round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -62,20 +64,26 @@ def test_condensed_index_rejects_bad_pairs():
 
 def test_condensed_matrix_get_and_square_round_trip():
     rng = np.random.default_rng(7)
-    n = 9
-    square = rng.uniform(0.1, 5.0, size=(n, n))
-    square = 0.5 * (square + square.T)
-    np.fill_diagonal(square, 0.0)
-    D = CondensedDistanceMatrix.from_square(square)
-    assert D.n == n
-    assert D.entries.shape == (condensed_size(n),)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                assert D.get(i, j) == 0.0
-            else:
-                assert D.get(i, j) == square[i, j]
-    assert_array_equal(D.to_square(), square)
+    for n in (2, 3, 9, 40):
+        square = rng.uniform(0.1, 5.0, size=(n, n))
+        square = 0.5 * (square + square.T)
+        square[0, n - 1] = square[n - 1, 0] = -0.0  # the sign of zero must survive
+        np.fill_diagonal(square, 0.0)
+        D = CondensedDistanceMatrix.from_square(square)
+        assert D.n == n
+        # compared as bit patterns, in condensed order: (0,1), (0,2), (1,2), ...
+        condensed = np.array([square[i, j] for j in range(n) for i in range(j)])
+        assert_array_equal(D.entries.view(np.int64), condensed.view(np.int64))
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    assert D.get(i, j) == 0.0
+                else:
+                    assert D.get(i, j) == square[i, j]
+        back = D.to_square()
+        assert_array_equal(back.view(np.int64), square.view(np.int64))
+        # every call returns a new array that the caller may write
+        assert back.flags.writeable and not np.shares_memory(back, D.to_square())
 
 
 def test_condensed_matrix_validates_entry_count():
@@ -105,6 +113,26 @@ def test_check_labels():
         check_labels([1.5, 2.0])
     with pytest.raises(ValueError):
         check_labels([1, 2], n_expected=3)
+
+
+def test_check_labels_names_the_missing_class_without_counting_to_the_largest():
+    # the first gap in the sorted labels; memory must not grow with the largest
+    # label.  Checked before the 10**12 case, so that a version whose memory
+    # does grow fails here instead of exhausting the machine's memory.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^class 2 has no members$"):
+            check_labels([1, 2_000_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="^class 2 has no members$"):
+        check_labels([1, 10**12])
+    with pytest.raises(ValueError, match="^class 1 has no members$"):
+        check_labels([3, 2, 2])
+    with pytest.raises(ValueError, match="^class 4 has no members$"):
+        check_labels([6, 1, 5, 2, 3, 3])
 
 
 def test_matrix_csv_round_trip_is_exact(tmp_path):

@@ -14,10 +14,7 @@ from oracles import (
 from scaledist.core import CondensedDistanceMatrix
 from scaledist.distance import pairwise
 from scaledist.learn import (
-    LINKAGE_METHODS,
     Dendrogram,
-    _linkage,
-    _pam,
     cut_tree,
     knn_classify,
     linkage,
@@ -169,22 +166,6 @@ def test_linkage_average_overflow_is_an_error():
     assert_array_equal(linkage(D, "complete").heights, [1e308, 1.2e308, 1.7e308])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflowed"):
         linkage(D, "average")
-
-
-def test_learners_only_read_a_shared_square():
-    rng = np.random.default_rng(20)
-    D = pairwise(rng.integers(0, 3, size=(15, 3)), 1)
-    square = D.to_square()
-    square.flags.writeable = False  # a write would raise
-    for method in LINKAGE_METHODS:
-        shared, own = _linkage(square, method), linkage(D, method)
-        assert_array_equal(shared.merges, own.merges)
-        assert_array_equal(shared.heights, own.heights)
-    shared, own = _pam(square, 3), pam(D, 3)
-    assert_array_equal(shared.labels, own.labels)
-    assert_array_equal(shared.medoids, own.medoids)
-    assert shared.objective == own.objective
-    assert_array_equal(square, D.to_square())
 
 
 def test_linkage_heights_nondecreasing():
