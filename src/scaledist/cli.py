@@ -122,6 +122,8 @@ def _cmd_simulate(args):
 def _cmd_standardise(args):
     if (args.method is None) == (args.params is None):
         raise ValueError("give exactly one of --method or --params")
+    if args.params is not None and args.save_params is not None:
+        raise ValueError("--save-params needs --method, not --params")
     X, _ = core.read_matrix_csv(args.input)
     if args.params is not None:
         std = Standardiser.load(args.params)

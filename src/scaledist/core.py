@@ -171,12 +171,18 @@ def check_labels(y, n_expected=None):
     return y, k
 
 
-# kinds a value parsed by json may take: its test, and its name in errors
-# (exact types, so true and false are neither integers nor numbers)
+def _is_number(v):
+    # float subclasses such as numpy's float64 count: json writes them as floats
+    return type(v) is int or isinstance(v, float)
+
+
+# kinds a value parsed by json, or a to_json_dict() image, may take: its test,
+# and its name in errors (exact int, so neither true and false nor numpy's
+# integers, which json cannot write, are integers or numbers)
 _JSON_KINDS = {
     "integer": (lambda v: type(v) is int, "an integer"),
-    "number": (lambda v: type(v) in (int, float), "a number"),
-    "pair": (lambda v: type(v) is list and len(v) == 2 and all(type(x) in (int, float) for x in v),
+    "number": (_is_number, "a number"),
+    "pair": (lambda v: type(v) is list and len(v) == 2 and all(map(_is_number, v)),
              "a list of two numbers"),
     "string": (lambda v: type(v) is str, "a string"),
     "list": (lambda v: type(v) is list, "a list"),
@@ -220,6 +226,15 @@ def _atomic_write(path, text):
         raise
 
 
+def _read_lines(path):
+    """The lines of a text file, without its trailing empty lines."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    while lines and lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _parse_cell(cell, lineno, colno):
     try:
         v = float(cell)
@@ -251,10 +266,7 @@ def read_matrix_csv(path, has_header=False):
         On empty files, ragged rows, unparseable or non-finite cells; the
         message names the offending line and column (1-based).
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    while lines and lines[-1] == "":
-        lines.pop()
+    lines = _read_lines(path)
     header = None
     start = 0
     if has_header:
@@ -335,10 +347,7 @@ def write_condensed(path, D):
 
 def read_condensed(path):
     """Read the condensed distance format written by :func:`write_condensed`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    while lines and lines[-1] == "":
-        lines.pop()
+    lines = _read_lines(path)
     if not lines:
         raise ValueError("%s: empty file" % path)
     try:

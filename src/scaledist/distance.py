@@ -207,25 +207,19 @@ def minkowski(x, y, q):
 
     Parameters
     ----------
-    x, y : array_like, 1-D, equal length, finite
+    x, y : array_like, 1-D, equal length, non-empty, finite
     q : float >= 1 or inf
 
     Returns
     -------
     float
+
+    Each vector is one row of a :func:`cross_orders` call, which checks
+    them as it checks matrices.
     """
-    q = check_order(q)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
+    if np.ndim(x) != 1 or np.ndim(y) != 1:
         raise ValueError("expected 1-D vectors")
-    if x.shape != y.shape:
-        raise ValueError("length mismatch: %d vs %d" % (x.shape[0], y.shape[0]))
-    if x.shape[0] == 0:
-        raise ValueError("vectors must be non-empty")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("vectors must be finite")
-    return float(_blocked_orders([(x, y[None, :])], 1, x.shape[0], (q,))[0][0])
+    return float(cross_orders([x], [y], (q,))[0][0, 0])
 
 
 def pairwise(X, q):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _atomic_write, _check_json_kinds
+from .core import _atomic_write, _check_json_kinds, _read_lines
 from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
 from .evaluate import adjusted_rand_index, misclassification_rate
 from .learn import cut_tree, knn_classify, linkage, pam
@@ -111,7 +111,14 @@ class ExperimentConfig:
 
     ``setup`` is a catalog name or a custom :class:`SetupSpec`; ``p`` and
     ``n_per_class`` override the setup's size when given.  ``orders`` holds
-    the Minkowski orders (math.inf allowed).
+    the Minkowski orders (math.inf allowed).  The grid axes are lists or
+    tuples (kept as tuples, orders as floats).
+
+    Construction only makes the axes tuples.  :meth:`validate` checks a config
+    built in Python as :meth:`from_json_dict` checks one read from JSON: its
+    :meth:`to_json_dict` image must pass the same type table, so a count
+    must be a Python int (not a float, a bool or a numpy integer, which the
+    summary JSON could not hold) and a flag must be True or False.
     """
 
     setup: str | SetupSpec
@@ -126,14 +133,20 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "standardisations", tuple(self.standardisations))
-        object.__setattr__(self, "orders", tuple(float(q) for q in self.orders))
-        object.__setattr__(self, "methods", tuple(self.methods))
+        # grid axes become tuples, orders of floats; an axis that is not a list
+        # or tuple is left for validate() to name
+        if isinstance(self.orders, (list, tuple)):
+            object.__setattr__(self, "orders", tuple(float(q) for q in self.orders))
+        for name in ("standardisations", "methods"):
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def validate(self):
+        """Return the config, or raise one ValueError naming the first bad value."""
+        _check_json_kinds(self.to_json_dict(), _CONFIG_KINDS, "config")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not self.standardisations:
             raise ValueError("no standardisation methods requested")
@@ -165,14 +178,18 @@ class ExperimentConfig:
         return spec.with_size(p=self.p, n_per_class=self.n_per_class)
 
     def to_json_dict(self):
-        setup = self.setup if isinstance(self.setup, str) else self.setup.to_json_dict()
+        # safe on an unchecked config: validate() checks this image
+        def listed(axis, item=lambda v: v):
+            return [item(v) for v in axis] if isinstance(axis, tuple) else axis
+
+        setup = self.setup.to_json_dict() if isinstance(self.setup, SetupSpec) else self.setup
         return {
             "setup": setup,
             "replicates": self.replicates,
             "seed": self.seed,
-            "standardisations": list(self.standardisations),
-            "orders": [format_order(q) for q in self.orders],
-            "methods": list(self.methods),
+            "standardisations": listed(self.standardisations),
+            "orders": listed(self.orders, format_order),
+            "methods": listed(self.methods),
             "p": self.p,
             "n_per_class": self.n_per_class,
             "oracle_pooling": self.oracle_pooling,
@@ -202,7 +219,13 @@ class ExperimentConfig:
 
 
 def replicate_seeds(seed, replicates):
-    """Data seed for each replicate: the uint64 state words of the master seed."""
+    """Data seed for each replicate: the uint64 state words of the master seed.
+
+    ``seed`` is a non-negative integer (a numpy integer too); ValueError on
+    anything else, integral floats included.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError("seed must be an integer, got %r" % (seed,))
     state = np.random.SeedSequence(int(seed)).generate_state(replicates, np.uint64)
     return [int(s) for s in state]
 
@@ -354,10 +377,7 @@ def write_records_csv(path, records, timing=False):
 
 def read_records_csv(path):
     """Read a results CSV written by :func:`write_records_csv`."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    while lines and lines[-1] == "":
-        lines.pop()
+    lines = _read_lines(path)
     if not lines or lines[0] != RESULTS_HEADER:
         raise ValueError("%s: missing results header %r" % (path, RESULTS_HEADER))
     records = []
@@ -394,17 +414,13 @@ def summarise(records):
     Returns a list of dicts with keys standardisation, q, method, metric,
     mean, se, count.
     """
-    order = []
     groups = {}
     for r in records:
         key = (r.standardisation, format_order(r.q), r.method, r.metric)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r.value)
+        groups.setdefault(key, []).append(r.value)
     rows = []
-    for key in order:
-        values = np.array(groups[key])
+    for key, values in groups.items():
+        values = np.array(values)
         count = values.shape[0]
         se = float(np.std(values, ddof=1) / np.sqrt(count)) if count > 1 else 0.0
         rows.append(

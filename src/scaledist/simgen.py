@@ -52,6 +52,13 @@ class SetupSpec:
     ``mean_diff`` is either a fixed value or a (low, high) range sampled
     uniformly per informative variable.  ``sd_range`` is the uniform range for
     every standard deviation draw.
+
+    Construction checks the fields as :meth:`from_json_dict` checks a setup
+    read from JSON: the :meth:`to_json_dict` image must pass the same type
+    table (``_SETUP_KINDS``), so the fractions and ranges are numbers (bools
+    are not; numpy floats are), the pairs hold exactly two, and ``p`` and
+    ``n_per_class`` are Python ints.  The numbers are then kept as floats and
+    the pairs as tuples.
     """
 
     name: str
@@ -63,6 +70,7 @@ class SetupSpec:
     n_per_class: int = 50
 
     def __post_init__(self):
+        _check_json_kinds(self.to_json_dict(), _SETUP_KINDS, "setup")
         if not self.name or any(c in self.name for c in ",\n\r"):
             raise ValueError("setup name must be non-empty without commas or newlines")
         if isinstance(self.mean_diff, (list, tuple)):
@@ -82,28 +90,29 @@ class SetupSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError("%s must be in [0, 1], got %r" % (name, v))
+            object.__setattr__(self, name, float(v))
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.n_per_class < 2:
             raise ValueError("n_per_class must be >= 2")
 
     def with_size(self, p=None, n_per_class=None):
-        """Copy with a different dimensionality and/or class size."""
-        changes = {}
-        if p is not None:
-            changes["p"] = int(p)
-        if n_per_class is not None:
-            changes["n_per_class"] = int(n_per_class)
+        """Copy with a different dimensionality and/or class size, checked as
+        at construction."""
+        changes = {key: v for key, v in (("p", p), ("n_per_class", n_per_class)) if v is not None}
         return dataclasses.replace(self, **changes) if changes else self
 
     def to_json_dict(self):
-        md = self.mean_diff
+        # safe on unchecked fields: __post_init__ checks this image
+        def listed(pair):
+            return list(pair) if isinstance(pair, tuple) else pair
+
         return {
             "name": self.name,
             "t2_fraction": self.t2_fraction,
             "noise_fraction": self.noise_fraction,
-            "mean_diff": list(md) if isinstance(md, tuple) else md,
-            "sd_range": list(self.sd_range),
+            "mean_diff": listed(self.mean_diff),
+            "sd_range": listed(self.sd_range),
             "p": self.p,
             "n_per_class": self.n_per_class,
         }
@@ -113,18 +122,10 @@ class SetupSpec:
         """Setup from :meth:`to_json_dict` output; ValueError on a missing,
         unknown or ill-typed key (see ``_SETUP_KINDS``)."""
         _check_json_kinds(data, _SETUP_KINDS, "setup")
-        try:  # __post_init__ turns the pairs into tuples of floats
-            return cls(
-                name=data["name"],
-                t2_fraction=float(data["t2_fraction"]),
-                noise_fraction=float(data["noise_fraction"]),
-                mean_diff=data["mean_diff"],
-                sd_range=data["sd_range"],
-                p=data.get("p", 2000),
-                n_per_class=data.get("n_per_class", 50),
-            )
-        except KeyError as exc:
-            raise ValueError("invalid setup description: missing key %s" % (exc,)) from None
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING and f.name not in data:
+                raise ValueError("invalid setup description: missing key %r" % f.name)
+        return cls(**data)
 
 
 def _catalog_setup(name):
@@ -174,17 +175,19 @@ class GeneratedDataset:
 
 
 def _check_seed(seed):
-    seed = int(seed)
-    if not 0 <= seed <= _MAX_SEED:
+    # numpy integers pass; bools and floats, integral or not, do not
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer and 0 <= seed <= _MAX_SEED):
         raise ValueError("seed must be a 64-bit non-negative integer, got %r" % (seed,))
-    return seed
+    return int(seed)
 
 
 def generate(spec, seed):
     """Generate one dataset for a :class:`SetupSpec` (see module docstring).
 
     Class labels are 1 and 2; rows 0..n_per_class-1 are class 1.  Returns a
-    :class:`GeneratedDataset`.  Deterministic in (spec, seed).
+    :class:`GeneratedDataset`.  Deterministic in (spec, seed).  ``seed`` is
+    an integer in [0, 2**64 - 1], a numpy integer too; ValueError otherwise.
     """
     if not isinstance(spec, SetupSpec):
         raise TypeError("spec must be a SetupSpec")

@@ -62,21 +62,18 @@ def quantile(values, prob):
     Parameters
     ----------
     values : array_like, 1-D, non-empty, finite
+        Checked as the one column of a data matrix.
     prob : float in [0, 1]
 
     Returns
     -------
     float
     """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
+    if np.ndim(values) != 1:
         raise ValueError("values must be 1-D")
-    if v.shape[0] == 0:
-        raise ValueError("cannot take a quantile of an empty sample")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values must be finite")
     if not 0.0 <= prob <= 1.0:
         raise ValueError("prob must be in [0, 1], got %r" % (prob,))
+    v = check_data_matrix(np.reshape(values, (-1, 1)))[:, 0]
     return float(np.quantile(v, prob, method="linear"))
 
 
@@ -150,16 +147,13 @@ def scale_statistic(column, method, labels=None):
     pooled_range_shift
         Largest per-class range.
 
-    Pooled methods require ``labels``.
+    Pooled methods require ``labels``.  ``column`` is 1-D and is checked as
+    the one column of a data matrix: at least 2 finite values.
     """
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1:
+    if np.ndim(column) != 1:
         raise ValueError("column must be 1-D")
-    if col.shape[0] < 2:
-        raise ValueError("need at least 2 observations, got %d" % col.shape[0])
-    if not np.all(np.isfinite(col)):
-        raise ValueError("column must be finite")
-    return float(_column_scales(col[:, None], method, labels)[0])
+    X = check_data_matrix(np.reshape(column, (-1, 1)), min_rows=2)
+    return float(_column_scales(X, method, labels)[0])
 
 
 def standardise_matrix(X, method, labels=None):
@@ -467,12 +461,6 @@ class Standardiser:
                 raise ValueError("boxplot method needs fitted parameters")
         elif self.scales is None:
             raise ValueError("method %r needs fitted scales" % (method,))
-
-    @property
-    def n_vars(self):
-        if self.method == "boxplot":
-            return self.boxplot.n_vars
-        return self.scales.shape[0]
 
     def transform(self, X, cap=False):
         """Standardise X with the fitted parameters.

@@ -1,5 +1,6 @@
 """Command-line interface contracts for all six subcommands."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -12,7 +13,8 @@ from scaledist.cli import main
 from scaledist.core import read_condensed, read_labels, read_matrix_csv, write_matrix_csv
 from scaledist.evaluate import adjusted_rand_index, misclassification_rate
 from scaledist.harness import read_records_csv, replicate_seeds, run_experiment
-from scaledist.harness import ExperimentConfig
+from scaledist.harness import ExperimentConfig, run_experiment_to_files
+from scaledist.simgen import SetupSpec
 
 
 def run(*argv):
@@ -78,6 +80,17 @@ def test_standardise_requires_exactly_one_source(tmp_path, capsys):
     assert code != 0
     code = run("standardise", data, tmp_path / "out.csv")
     assert code != 0
+
+
+def test_standardise_does_not_save_loaded_params(tmp_path, capsys):
+    # --save-params with --params was accepted and never written
+    data, params, _ = _saved_params(tmp_path, "mad")
+    saved, out = tmp_path / "again.json", tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run("standardise", "--params", params, "--save-params", saved, data, out) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scaledist: error: --save-params")
+    assert not saved.exists() and not out.exists()
 
 
 def test_standardise_pooled_needs_labels(tmp_path, capsys):
@@ -236,6 +249,30 @@ def test_experiment_accepts_config_file_with_flag_overrides(tmp_path):
     assert len(records) == 3  # the flag wins over the file
 
 
+def _rejected_on_both_routes(tmp_path, capsys, config, expected):
+    """``config`` fails with one error naming ``expected`` and writes no file,
+    read by the CLI from a JSON file and built in Python alike.  Each route
+    takes the cases it can express: JSON holds no numpy values, and a Python
+    keyword cannot be an unknown setup key."""
+    out, summary = tmp_path / "r.csv", tmp_path / "s.json"
+    setup = config["setup"]
+    if not any(isinstance(v, np.generic) for v in config.values()):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("experiment", "--config", path, "--out", out, "--summary", summary) == 1
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
+        assert len(lines) == 1 and lines[0].startswith("scaledist: error: ")
+        assert expected in lines[0]
+    if not isinstance(setup, dict) or set(setup) <= {f.name for f in dataclasses.fields(SetupSpec)}:
+        with pytest.raises(ValueError) as err:
+            spec = SetupSpec(**setup) if isinstance(setup, dict) else setup
+            run_experiment_to_files(ExperimentConfig(**dict(config, setup=spec)), out,
+                                    summary_json=summary, jobs=1)
+        assert expected in str(err.value)
+    assert not out.exists() and not summary.exists()
+
+
 @pytest.mark.parametrize(
     "key, value, expected",
     [
@@ -245,22 +282,18 @@ def test_experiment_accepts_config_file_with_flag_overrides(tmp_path):
         ("timing", 1, "'timing' must be true or false"),
         ("replicates", 1.7, "'replicates' must be an integer"),  # was truncated to 1
         ("seed", True, "'seed' must be an integer"),
+        ("seed", 1.7, "'seed' must be an integer"),  # ran as seed 1 from Python
+        ("oracle_pooling", "no", "'oracle_pooling' must be true or false"),  # passed the gate
+        # the summary JSON cannot hold it: was written after the CSV, and failed
+        ("seed", np.int64(5), "'seed' must be an integer"),
+        ("p", 20.9, "'p' must be an integer or null"),  # ran as p = 20 from Python
     ],
 )
 def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value,
                                                             expected):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({
-        "setup": "simple_normal", "replicates": 1, "seed": 5, "p": 16, "n_per_class": 4,
-        "methods": ["knn3"], key: value,
-    }))
-    out = tmp_path / "r.csv"
-    capsys.readouterr()
-    assert run("experiment", "--config", config, "--out", out) == 1
-    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
-    assert len(lines) == 1 and lines[0].startswith("scaledist: error: ")
-    assert expected in lines[0]
-    assert not out.exists()
+    config = {"setup": "simple_normal", "replicates": 1, "seed": 5, "p": 16, "n_per_class": 4,
+              "methods": ["knn3"], key: value}
+    _rejected_on_both_routes(tmp_path, capsys, config, expected)
 
 
 @pytest.mark.parametrize(
@@ -272,22 +305,16 @@ def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys, ke
         ("sd_range", [1, 2, 3], "setup 'sd_range' must be a list of two numbers"),
         ("mean_diff", "2", "setup 'mean_diff' must be a number or a list of two numbers"),
         ("extra", 1, "unknown setup key(s): extra"),  # was ignored
+        # was "too many values to unpack" from Python
+        ("sd_range", (1, 2, 3), "setup 'sd_range' must be a list of two numbers"),
     ],
 )
 def test_experiment_rejects_setup_values_of_the_wrong_type(tmp_path, capsys, key, value,
                                                            expected):
     setup = {"name": "mine", "t2_fraction": 0.5, "noise_fraction": 0.5,
              "mean_diff": [0, 2], "sd_range": [0.5, 10], "p": 12, "n_per_class": 4, key: value}
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"setup": setup, "replicates": 1, "seed": 5,
-                                  "methods": ["knn3"]}))
-    out = tmp_path / "r.csv"
-    capsys.readouterr()
-    assert run("experiment", "--config", config, "--out", out) == 1
-    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.strip()]
-    assert len(lines) == 1 and lines[0].startswith("scaledist: error: ")
-    assert expected in lines[0]
-    assert not out.exists()
+    config = {"setup": setup, "replicates": 1, "seed": 5, "methods": ["knn3"]}
+    _rejected_on_both_routes(tmp_path, capsys, config, expected)
 
 
 def test_classify_with_a_huge_missing_class_is_one_error_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Container types, condensed indexing and file round-trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from scaledist.core import (
     write_labels,
     write_matrix_csv,
 )
+from scaledist.harness import RESULTS_HEADER, read_records_csv
 
 
 def test_condensed_size():
@@ -209,6 +211,40 @@ def test_condensed_file_bad_header(tmp_path):
     path.write_text("not json\n1.0\n")
     with pytest.raises(ValueError):
         read_condensed(path)
+
+
+_RECORD = "simple_normal,%d,5,none,1,pam,ari,0.5,"
+
+
+@pytest.mark.parametrize(
+    "read, lines, malformed",
+    [
+        (lambda path: read_matrix_csv(path)[0].tolist(),
+         ["1.0,2.0", "3.0,4.0", "5.0,6.0"],
+         [(2, "3.0,4.0,7.0", "line 2: 3 cells, expected 2")]),
+        (lambda path: read_condensed(path).entries.tolist(),
+         ['{"n": 3}', "1.0", "2.0", "3.0"],
+         [(1, '{"m": 3}', "first line must be a JSON header with key 'n'"),
+          (1, '{"n": 1}', "header n must be an integer >= 2"),
+          (2, "1.0,2.0", "line 2, column 1: could not parse '1.0,2.0'")]),
+        (lambda path: [repr(r) for r in read_records_csv(path)],
+         [RESULTS_HEADER, _RECORD % 0, _RECORD % 1],
+         [(1, "setup,replicate", "missing results header"),
+          (2, _RECORD % 0 + ",0.1", "line 2: 10 fields, expected 9")]),
+    ],
+    ids=["matrix", "condensed", "records"],
+)
+def test_readers_drop_trailing_empty_lines_and_name_bad_ones(tmp_path, read, lines, malformed):
+    path = tmp_path / "file"
+    path.write_text("\n".join(lines) + "\n")
+    expected = read(path)
+    path.write_text("\n".join(lines) + "\n\n\n")
+    assert read(path) == expected
+    interior = len(lines) - 1  # an empty line there is an error naming it
+    for lineno, text, message in [(interior, "", "line %d" % interior)] + malformed:
+        path.write_text("\n".join(lines[:lineno - 1] + [text] + lines[lineno:]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(path)
 
 
 def test_atomic_write_failure_leaves_no_temp_file(tmp_path):

@@ -129,6 +129,10 @@ def test_replicate_seeds_are_stable_and_distinct():
     assert len(set(int(s) for s in a)) == 50
     # a longer run keeps the earlier seeds, replicates stay re-runnable
     assert_array_equal(replicate_seeds(123, 80)[:50], a)
+    assert replicate_seeds(np.uint64(123), 50) == a
+    for seed in (123.7, 123.0):  # 123.7 gave seed 123's replicates
+        with pytest.raises(ValueError, match="seed"):
+            replicate_seeds(seed, 50)
 
 
 def test_summarise_examples():

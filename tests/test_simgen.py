@@ -53,6 +53,8 @@ def test_with_size_override():
     small = setup_catalog()["simple_normal"].with_size(p=200, n_per_class=10)
     assert small.p == 200 and small.n_per_class == 10
     assert small.mean_diff == 0.1  # everything else untouched
+    with pytest.raises(ValueError, match="setup 'p' must be an integer"):
+        small.with_size(p=20.9)  # was truncated to 20
 
 
 def test_spec_validation():
@@ -74,6 +76,14 @@ def test_spec_json_round_trip():
         assert back == spec
     custom = SetupSpec("mine", 0.2, 0.3, (0.0, 1.0), (0.5, 2.0), p=64, n_per_class=7)
     assert SetupSpec.from_json_dict(json.loads(json.dumps(custom.to_json_dict()))) == custom
+    # numpy floats are numbers; they are kept, and written, as Python floats
+    f = np.float64
+    spec = SetupSpec("mine", f(0.2), f(0.3), [f(0.0), 1], (0.5, f(2.0)), p=64, n_per_class=7)
+    assert spec == custom
+    assert all(type(v) is float for v in (spec.t2_fraction, spec.noise_fraction,
+                                          *spec.mean_diff, *spec.sd_range))
+    with pytest.raises(ValueError, match="missing key 'sd_range'"):
+        SetupSpec.from_json_dict({k: v for k, v in custom.to_json_dict().items() if k != "sd_range"})
 
 
 def test_generate_shapes_and_labels():
@@ -102,10 +112,10 @@ def test_generate_is_deterministic():
 def test_generate_seed_domain():
     spec = setup_catalog()["simple_normal"].with_size(p=4, n_per_class=3)
     generate(spec, seed=2**64 - 1)
-    with pytest.raises(ValueError):
-        generate(spec, seed=-1)
-    with pytest.raises(ValueError):
-        generate(spec, seed=2**64)
+    assert_array_equal(generate(spec, seed=np.int64(7)).x_train, generate(spec, seed=7).x_train)
+    for seed in (-1, 2**64, 1.7, 2.0, True):  # 1.7 gave seed 1's data
+        with pytest.raises(ValueError, match="seed"):
+            generate(spec, seed=seed)
 
 
 def test_variables_are_stable_under_p_growth():
