@@ -163,11 +163,11 @@ def check_labels(y, n_expected=None):
     k = int(y.max())
     if y.min() < 1:
         raise ValueError("labels must be numbered from 1, got %d" % y.min())
-    present = np.unique(y)
-    if present.shape[0] != k:
-        # present is sorted and >= 1: the first i with present[i] != i + 1 is class i + 1
-        gap = np.flatnonzero(present != np.arange(1, present.shape[0] + 1))[0]
-        raise ValueError("class %d has no members" % (gap + 1))
+    # n labels fill at most n classes, so with k > n one of 1..n is empty:
+    # labels above n count as n + 1, which bounds the count by n, not k
+    counts = np.bincount(np.minimum(y, y.shape[0] + 1))
+    if not counts[1:].all():
+        raise ValueError("class %d has no members" % (np.argmin(counts[1:]) + 1))
     return y, k
 
 

@@ -33,6 +33,7 @@ single-order forms.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -59,8 +60,17 @@ _BLOCK_DIFFS = 1 << 15
 
 
 def check_order(q):
-    """Validate an aggregation order: a real q >= 1, or infinity."""
-    q = float(q)
+    """Validate an aggregation order: a real number q >= 1, or infinity.
+
+    Returns it as a float.  Strings and booleans are refused, not converted;
+    :func:`parse_order` reads orders from text.
+    """
+    if isinstance(q, bool) or not isinstance(q, numbers.Real):
+        raise ValueError("aggregation order must be a number, got %r" % (q,))
+    try:
+        q = float(q)
+    except OverflowError:
+        raise ValueError("aggregation order is too large for a float; use inf") from None
     if math.isnan(q) or q < 1.0:
         raise ValueError("aggregation order must be >= 1 or inf, got %r" % (q,))
     return q

@@ -24,8 +24,7 @@ class ContingencyTable:
 def contingency_table(u, v):
     u, ku = check_labels(u)
     v, kv = check_labels(v, n_expected=u.shape[0])
-    counts = np.zeros((ku, kv), dtype=np.int64)
-    np.add.at(counts, (u - 1, v - 1), 1)
+    counts = np.bincount((u - 1) * kv + (v - 1), minlength=ku * kv).reshape(ku, kv)
     return ContingencyTable(
         counts=counts,
         row_totals=counts.sum(axis=1),
@@ -36,7 +35,7 @@ def contingency_table(u, v):
 
 def _pairs(counts):
     # number of object pairs lying together: sum of c*(c-1)/2, exact integers
-    return sum(int(c) * (int(c) - 1) // 2 for c in np.ravel(counts))
+    return sum(c * (c - 1) // 2 for c in counts.ravel().tolist())
 
 
 def adjusted_rand_index(u, v):

@@ -112,13 +112,15 @@ class ExperimentConfig:
     ``setup`` is a catalog name or a custom :class:`SetupSpec`; ``p`` and
     ``n_per_class`` override the setup's size when given.  ``orders`` holds
     the Minkowski orders (math.inf allowed).  The grid axes are lists or
-    tuples (kept as tuples, orders as floats).
+    tuples (kept as tuples).
 
     Construction only makes the axes tuples.  :meth:`validate` checks a config
     built in Python as :meth:`from_json_dict` checks one read from JSON: its
     :meth:`to_json_dict` image must pass the same type table, so a count
     must be a Python int (not a float, a bool or a numpy integer, which the
-    summary JSON could not hold) and a flag must be True or False.
+    summary JSON could not hold) and a flag must be True or False.  Each
+    order must be a real number (not a string or a bool), which validate()
+    stores as a float.
     """
 
     setup: str | SetupSpec
@@ -133,11 +135,9 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        # grid axes become tuples, orders of floats; an axis that is not a list
-        # or tuple is left for validate() to name
-        if isinstance(self.orders, (list, tuple)):
-            object.__setattr__(self, "orders", tuple(float(q) for q in self.orders))
-        for name in ("standardisations", "methods"):
+        # list axes become tuples; an axis that is not a list or tuple is left
+        # for validate() to name
+        for name in ("standardisations", "orders", "methods"):
             if isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
 
@@ -155,8 +155,7 @@ class ExperimentConfig:
                 raise ValueError("unknown standardisation method %r" % (s,))
         if not self.orders:
             raise ValueError("no aggregation orders requested")
-        for q in self.orders:
-            check_order(q)
+        object.__setattr__(self, "orders", tuple(check_order(q) for q in self.orders))
         if not self.methods:
             raise ValueError("no methods requested")
         for m in self.methods:
@@ -188,7 +187,8 @@ class ExperimentConfig:
             "replicates": self.replicates,
             "seed": self.seed,
             "standardisations": listed(self.standardisations),
-            "orders": listed(self.orders, format_order),
+            # an order that is not a float yet goes in as given, for validate()
+            "orders": listed(self.orders, lambda q: format_order(q) if isinstance(q, float) else q),
             "methods": listed(self.methods),
             "p": self.p,
             "n_per_class": self.n_per_class,
@@ -317,6 +317,8 @@ def _resolve_jobs(jobs):
                 ) from None
         else:
             jobs = os.cpu_count() or 1
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)):
+        raise ValueError("job count must be an integer, got %r" % (jobs,))
     jobs = int(jobs)
     if jobs < 1:
         raise ValueError("job count must be >= 1, got %d" % jobs)

@@ -164,6 +164,25 @@ def _build_swap(W, k, first):
         chosen.sort()
 
 
+# Below this many live nodes a linkage matrix gets room for every merge left
+# (2m - 1 slots for m live nodes) and is never compacted: a full scan there
+# takes about a microsecond, less than a compaction would save.
+_LINKAGE_SMALL = 64
+
+
+def _linkage_slots(live):
+    """Slots for a linkage matrix of ``live`` nodes: room for every merge left
+    below _LINKAGE_SMALL, else for a quarter more nodes."""
+    return 2 * live - 1 if live < _LINKAGE_SMALL else live + live // 4
+
+
+def _padded(block, slots):
+    # a (slots, slots) matrix of inf with ``block`` in its leading corner
+    W = np.full((slots, slots), np.inf)
+    W[:block.shape[0], :block.shape[0]] = block
+    return W
+
+
 def linkage(D, method):
     """Agglomerative clustering with complete or average linkage.
 
@@ -173,11 +192,16 @@ def linkage(D, method):
     Equal candidate distances are broken by the smallest (left, right) node-id
     pair.
 
-    The search runs on one fixed (2n-1) x (2n-1) float64 matrix whose row and
-    column i hold node i; each merge writes the Lance-Williams row of the new
-    node in place and retires its two children.  Time is O(n^3), memory
-    (2n-1)^2 float64 values (0.7 MB at n=150).  An ``average`` update that
-    overflows float64 (distances near the largest float) raises ValueError.
+    The search runs on a float64 matrix whose row and column s hold the node
+    in slot s.  Live nodes sit in slots in node-id order; each merge writes the
+    Lance-Williams row of the new node in place, in the slot after the last
+    one used, and retires its two children.  When the slots run out, the live
+    rows and columns are copied, in order, into a new matrix with room for a
+    quarter more nodes (below 64 live nodes, for all merges left), so each
+    scan covers about as many slots as there are live nodes.  Time is O(n^3),
+    memory about (5n/4)^2 float64 values (0.3 MB at n=150).  An ``average``
+    update that overflows float64 (distances near the largest float) raises
+    ValueError.
 
     Returns
     -------
@@ -187,35 +211,45 @@ def linkage(D, method):
     if method not in LINKAGE_METHODS:
         raise ValueError("unknown linkage method %r" % (method,))
     n = square.shape[0]
-    size = 2 * n - 1
-    # the diagonal, merged-away nodes and nodes not made yet hold inf
-    W = np.full((size, size), np.inf)
-    W[:n, :n] = square
+    # the diagonal, merged-away nodes and slots not used yet hold inf
+    slots = _linkage_slots(n)
+    W = _padded(square, slots)
     np.fill_diagonal(W, np.inf)
-    sizes = [1] * size
+    ids = list(range(n))  # ids[s]: the node in slot s, None once merged away
+    sizes = [1] * n
     merges, heights = [], []
     # an overflowing average update leaves inf, which the check below reports
     with np.errstate(over="ignore"):
-        for node in range(n, size):
+        for node in range(n, 2 * n - 1):
+            slot = len(ids)
+            if slot == slots:  # slots run out: compact the live nodes
+                live = [s for s, i in enumerate(ids) if i is not None]
+                slots = _linkage_slots(len(live))
+                W = _padded(W[np.ix_(live, live)], slots)
+                ids = [ids[s] for s in live]
+                sizes = [sizes[s] for s in live]
+                slot = len(ids)
             # W is symmetric and slot order is id order, so the first minimum in
             # row-major order falls in the row of the smallest id among the tied
             # pairs, at its smallest partner: the smallest (id, id) pair, a < b.
-            a, b = divmod(int(W.argmin()), size)
+            a, b = divmod(int(W.argmin()), slots)
             height = W[a, b]
             if height == np.inf:  # finite inputs: only an average can overflow
                 raise ValueError("average linkage overflowed: distances too large")
-            merges.append((a, b))
+            merges.append((ids[a], ids[b]))
             heights.append(height)
             sa, sb = sizes[a], sizes[b]
             if method == "complete":
-                row = np.maximum(W[a], W[b], out=W[node])
+                row = np.maximum(W[a], W[b], out=W[slot])
             else:
-                row = np.divide(sa * W[a] + sb * W[b], sa + sb, out=W[node])
-            W[:, node] = row
+                row = np.divide(sa * W[a] + sb * W[b], sa + sb, out=W[slot])
+            W[:, slot] = row
             W[a] = W[b] = np.inf
             W[:, a] = np.inf
             W[:, b] = np.inf
-            sizes[node] = sa + sb
+            ids[a] = ids[b] = None
+            ids.append(node)
+            sizes.append(sa + sb)
     return Dendrogram(n_leaves=n, merges=merges, heights=heights)
 
 

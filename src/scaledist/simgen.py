@@ -45,6 +45,14 @@ _SETUP_KINDS = {
 }
 
 
+def _floats(key, *values):
+    # integers too large for a float are a ValueError here, not an OverflowError
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError("setup %r holds a number too large for a float" % key) from None
+
+
 @dataclass(frozen=True)
 class SetupSpec:
     """Parameters of one simulation setup.
@@ -74,16 +82,17 @@ class SetupSpec:
         if not self.name or any(c in self.name for c in ",\n\r"):
             raise ValueError("setup name must be non-empty without commas or newlines")
         if isinstance(self.mean_diff, (list, tuple)):
-            lo, hi = self.mean_diff
-            object.__setattr__(self, "mean_diff", (float(lo), float(hi)))
+            lo, hi = _floats("mean_diff", *self.mean_diff)
+            object.__setattr__(self, "mean_diff", (lo, hi))
             if not 0.0 <= lo <= hi:
                 raise ValueError("mean_diff range must satisfy 0 <= low <= high")
         else:
-            object.__setattr__(self, "mean_diff", float(self.mean_diff))
+            (mean_diff,) = _floats("mean_diff", self.mean_diff)
+            object.__setattr__(self, "mean_diff", mean_diff)
             if self.mean_diff < 0:
                 raise ValueError("mean_diff must be non-negative")
-        lo, hi = self.sd_range
-        object.__setattr__(self, "sd_range", (float(lo), float(hi)))
+        lo, hi = _floats("sd_range", *self.sd_range)
+        object.__setattr__(self, "sd_range", (lo, hi))
         if not 0.0 < lo <= hi:
             raise ValueError("sd_range must satisfy 0 < low <= high")
         for name in ("t2_fraction", "noise_fraction"):

@@ -133,6 +133,39 @@ def naive_linkage(D, method):
     return np.array(merges), np.array(heights)
 
 
+def fixed_matrix_linkage(D, method):
+    """Lance-Williams agglomeration on one fixed (2n-1) x (2n-1) matrix whose
+    row and column i hold node i; each merge writes the new node's row in
+    place and retires its two children.
+
+    The same arithmetic as the library's linkage, laid out so that slot order
+    is id order from the start: the library must match it bit for bit.  Takes
+    a square array; returns (merges, heights).
+    """
+    n = D.shape[0]
+    size = 2 * n - 1
+    W = np.full((size, size), np.inf)
+    W[:n, :n] = D
+    np.fill_diagonal(W, np.inf)
+    sizes = [1] * size
+    merges, heights = [], []
+    for node in range(n, size):
+        a, b = divmod(int(W.argmin()), size)  # first minimum: smallest (id, id) pair
+        merges.append((a, b))
+        heights.append(W[a, b])
+        sa, sb = sizes[a], sizes[b]
+        if method == "complete":
+            row = np.maximum(W[a], W[b])
+        else:
+            row = (sa * W[a] + sb * W[b]) / (sa + sb)
+        W[node] = row
+        W[:, node] = row
+        W[[a, b]] = np.inf
+        W[:, [a, b]] = np.inf
+        sizes[node] = sa + sb
+    return np.array(merges, dtype=np.int64).reshape(-1, 2), np.array(heights)
+
+
 def pam_brute_force(D, k):
     """Global optimum over all medoid subsets.  Returns (objective, medoids)."""
     n = D.shape[0]

@@ -307,6 +307,9 @@ def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys, ke
         ("extra", 1, "unknown setup key(s): extra"),  # was ignored
         # was "too many values to unpack" from Python
         ("sd_range", (1, 2, 3), "setup 'sd_range' must be a list of two numbers"),
+        # were OverflowError tracebacks from the CLI
+        ("sd_range", [1, 10 ** 400], "setup 'sd_range' holds a number too large for a float"),
+        ("mean_diff", 10 ** 400, "setup 'mean_diff' holds a number too large for a float"),
     ],
 )
 def test_experiment_rejects_setup_values_of_the_wrong_type(tmp_path, capsys, key, value,

@@ -90,9 +90,32 @@ def test_config_validation():
         small_config(methods=("kmeans",)).validate()
     with pytest.raises(ValueError):
         small_config(orders=(0.5,)).validate()
+    for orders in (("1", "inf"), (True,), (1.0, "2")):  # were run as 1.0, inf and 2.0
+        with pytest.raises(ValueError, match="aggregation order must be a number"):
+            small_config(orders=orders).validate()
+    with pytest.raises(ValueError, match="too large for a float"):  # was an OverflowError
+        small_config(orders=(10 ** 400,)).validate()
     with pytest.raises(ValueError):
         small_config(setup="no_such_setup").validate()
     assert small_config().validate() is not None
+
+
+def test_config_orders_become_floats_from_python_and_json():
+    # JSON orders are read from text; Python orders must be numbers already
+    for config, orders in [
+        (small_config(orders=[1, 2.5, math.inf]), (1.0, 2.5, math.inf)),
+        (ExperimentConfig.from_json_dict({"setup": "simple_normal", "orders": ["1", "inf", 3]}),
+         (1.0, math.inf, 3.0)),
+    ]:
+        assert config.validate().orders == orders
+        assert all(type(q) is float for q in config.orders)
+
+
+@pytest.mark.parametrize("jobs", [2.7, 2.0, True])
+def test_job_count_must_be_an_integer(jobs):
+    # 2.7 ran as 2 workers
+    with pytest.raises(ValueError, match="job count must be an integer"):
+        run_experiment(small_config(), jobs=jobs)
 
 
 def test_pooled_clustering_needs_oracle_flag():

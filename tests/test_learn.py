@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import (
+    fixed_matrix_linkage,
     improving_swap_exists,
     naive_knn,
     naive_linkage,
@@ -157,6 +158,24 @@ def test_linkage_matches_naive_reference(method):
             assert_array_equal(dend.heights, heights)
         else:
             assert_allclose(dend.heights, heights, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("method", ["complete", "average"])
+@pytest.mark.parametrize("n", [2, 3, 40, 63, 64, 65, 150, 300])
+def test_linkage_matches_fixed_matrix_reference_bit_for_bit(method, n):
+    # sizes on both sides of the 64-node cut-off below which the matrix is
+    # never compacted, and sizes that compact several times
+    rng = np.random.default_rng(n)
+    cases = [pairwise(rng.uniform(0, 1, size=(n, 4)), 2),
+             pairwise(rng.integers(0, 3, size=(n, 4)), 1)]
+    if method == "complete":
+        # two 3-level coordinates under q = inf: nearly every merge is a tie
+        cases.append(pairwise(rng.integers(0, 3, size=(n, 2)), np.inf))
+    for D in cases:
+        dend = linkage(D, method)
+        merges, heights = fixed_matrix_linkage(D.to_square(), method)
+        assert_array_equal(dend.merges, merges)
+        assert_array_equal(dend.heights, heights)
 
 
 def test_linkage_average_overflow_is_an_error():
