@@ -9,11 +9,8 @@ output files are only written once fully computed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
-
-import numpy as np
 
 from . import core, harness, simgen
 from .distance import cross, pairwise, parse_order
@@ -182,11 +179,7 @@ _EXPERIMENT_FLAGS = (
 def _cmd_experiment(args):
     data = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError("%s: invalid JSON (%s)" % (args.config, exc)) from None
+        data = core._read_json(args.config)
         if not isinstance(data, dict):
             raise ValueError("%s: config must be a JSON object" % args.config)
     for attr, key, comma_list in _EXPERIMENT_FLAGS:

@@ -2,9 +2,10 @@
 
 Matrices are plain 2-D float64 numpy arrays (rows = observations, columns =
 variables).  Labels are 1-D integer arrays with classes numbered 1..k and every
-class present.  Distances between rows of one matrix are kept in condensed form
-(strict upper triangle) with a documented entry ordering that is part of the
-on-disk contract.
+class present.  Distances between rows of one matrix are kept in condensed form,
+each unordered pair once, ordered by the larger index and then the smaller one:
+(0,1), (0,2), (1,2), (0,3), ...  This is not scipy's ``pdist`` order, and it is
+part of the on-disk contract.
 """
 
 from __future__ import annotations
@@ -64,18 +65,22 @@ def condensed_index(i, j, n):
 
 @dataclass(frozen=True)
 class CondensedDistanceMatrix:
-    """Pairwise distances of n objects in condensed (strict upper triangle) form.
+    """Pairwise distances of n objects in condensed form.
 
     ``entries[condensed_index(i, j, n)]`` is the distance between objects i
-    and j.  Entries are finite and non-negative; the diagonal is implicit.
+    and j: pairs ordered by the larger index, then the smaller one.  ``n`` is
+    an integer >= 2 (a numpy integer too); entries are finite and
+    non-negative; the diagonal is implicit.
     """
 
     n: int
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 objects, got n=%d" % self.n)
+        n = _check_integer(self.n, "n")
+        if n < 2:
+            raise ValueError("need at least 2 objects, got n=%d" % n)
+        object.__setattr__(self, "n", n)
         entries = np.asarray(self.entries, dtype=np.float64)
         want = condensed_size(self.n)
         if entries.ndim != 1 or entries.shape[0] != want:
@@ -171,6 +176,14 @@ def check_labels(y, n_expected=None):
     return y, k
 
 
+def _check_integer(value, name):
+    """``value`` as an int: Python and numpy integers pass; ValueError naming
+    ``name`` on booleans and on everything else, integral floats included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 def _is_number(v):
     # float subclasses such as numpy's float64 count: json writes them as floats
     return type(v) is int or isinstance(v, float)
@@ -192,12 +205,16 @@ _JSON_KINDS = {
 }
 
 
-def _check_json_kinds(data, kinds, what):
-    """Raise one ValueError on a key not in ``kinds`` (key -> allowed kinds)
-    or on the first value of none of its key's kinds; missing keys pass."""
+def _check_json_kinds(data, kinds, what, required=()):
+    """Raise one ValueError on a key not in ``kinds`` (key -> allowed kinds),
+    on the first key of ``required`` that is missing, or on the first value of
+    none of its key's kinds; other missing keys pass."""
     extra = set(data) - set(kinds)
     if extra:
         raise ValueError("unknown %s key(s): %s" % (what, ", ".join(sorted(extra))))
+    for key in required:
+        if key not in data:
+            raise ValueError("%s: missing key %r" % (what, key))
     for key, value in data.items():
         if not any(_JSON_KINDS[kind][0](value) for kind in kinds[key]):
             raise ValueError("%s %r must be %s, got %s" % (
@@ -233,6 +250,15 @@ def _read_lines(path):
     while lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+def _read_json(path):
+    """The value of a JSON file; ValueError naming the file if it is not JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError("%s: invalid JSON (%s)" % (path, exc)) from None
 
 
 def _parse_cell(cell, lineno, colno):

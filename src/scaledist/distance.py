@@ -57,6 +57,7 @@ _SMALL = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # _blocked_orders forms at most this many absolute differences per block (or
 # one row of p when p is larger); three float64 buffers of this size are reused
 _BLOCK_DIFFS = 1 << 15
+_TOO_LARGE = "aggregation order is too large for a float; use inf"
 
 
 def check_order(q):
@@ -70,14 +71,18 @@ def check_order(q):
     try:
         q = float(q)
     except OverflowError:
-        raise ValueError("aggregation order is too large for a float; use inf") from None
+        raise ValueError(_TOO_LARGE) from None
     if math.isnan(q) or q < 1.0:
         raise ValueError("aggregation order must be >= 1 or inf, got %r" % (q,))
     return q
 
 
 def parse_order(text):
-    """Parse an aggregation order from a string; accepts 'inf'."""
+    """Parse an aggregation order from a string.
+
+    Only 'inf' and 'infinity' (any case) give infinity; other text that
+    overflows a float, such as '1e999', is a ValueError.
+    """
     s = str(text).strip().lower()
     if s in ("inf", "infinity"):
         return math.inf
@@ -85,6 +90,8 @@ def parse_order(text):
         q = float(s)
     except ValueError:
         raise ValueError("could not parse aggregation order %r" % (text,)) from None
+    if q == math.inf:
+        raise ValueError(_TOO_LARGE)
     return check_order(q)
 
 

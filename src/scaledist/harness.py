@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _atomic_write, _check_json_kinds, _read_lines
+from .core import _atomic_write, _check_integer, _check_json_kinds, _read_lines
 from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
 from .evaluate import adjusted_rand_index, misclassification_rate
 from .learn import cut_tree, knn_classify, linkage, pam
@@ -224,9 +224,8 @@ def replicate_seeds(seed, replicates):
     ``seed`` is a non-negative integer (a numpy integer too); ValueError on
     anything else, integral floats included.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError("seed must be an integer, got %r" % (seed,))
-    state = np.random.SeedSequence(int(seed)).generate_state(replicates, np.uint64)
+    seed = _check_integer(seed, "seed")
+    state = np.random.SeedSequence(seed).generate_state(replicates, np.uint64)
     return [int(s) for s in state]
 
 
@@ -317,9 +316,7 @@ def _resolve_jobs(jobs):
                 ) from None
         else:
             jobs = os.cpu_count() or 1
-    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)):
-        raise ValueError("job count must be an integer, got %r" % (jobs,))
-    jobs = int(jobs)
+    jobs = _check_integer(jobs, "job count")
     if jobs < 1:
         raise ValueError("job count must be >= 1, got %d" % jobs)
     return jobs

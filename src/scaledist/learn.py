@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CondensedDistanceMatrix, check_labels
+from .core import CondensedDistanceMatrix, _check_integer, check_labels
 
 __all__ = [
     "Clustering",
@@ -110,6 +110,7 @@ def pam(D, k):
     Clustering
         With ``medoids`` (ascending) and ``objective`` (total cost) set.
     """
+    k = _check_integer(k, "k")
     W = _square(D)
     n = W.shape[0]
     if not 2 <= k < n:
@@ -262,6 +263,7 @@ def cut_tree(dendrogram, k):
     -------
     np.ndarray of int64 labels, one per leaf.
     """
+    k = _check_integer(k, "k")
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n=%d, got %d" % (n, k))
@@ -292,6 +294,7 @@ def knn_classify(cross_distances, train_labels, k):
     -------
     np.ndarray of int64 predicted labels, one per test object.
     """
+    k = _check_integer(k, "k")
     Dx = np.asarray(cross_distances, dtype=np.float64)
     if Dx.ndim != 2:
         raise ValueError("expected a 2-D cross-distance matrix")

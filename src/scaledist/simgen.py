@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _atomic_write, _check_json_kinds, write_labels, write_matrix_csv
+from .core import _atomic_write, _check_integer, _check_json_kinds, write_labels, write_matrix_csv
 
 __all__ = ["SetupSpec", "GeneratedDataset", "setup_catalog", "generate", "write_dataset"]
 
@@ -130,10 +130,8 @@ class SetupSpec:
     def from_json_dict(cls, data):
         """Setup from :meth:`to_json_dict` output; ValueError on a missing,
         unknown or ill-typed key (see ``_SETUP_KINDS``)."""
-        _check_json_kinds(data, _SETUP_KINDS, "setup")
-        for f in dataclasses.fields(cls):
-            if f.default is dataclasses.MISSING and f.name not in data:
-                raise ValueError("invalid setup description: missing key %r" % f.name)
+        required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+        _check_json_kinds(data, _SETUP_KINDS, "setup", required)
         return cls(**data)
 
 
@@ -184,11 +182,10 @@ class GeneratedDataset:
 
 
 def _check_seed(seed):
-    # numpy integers pass; bools and floats, integral or not, do not
-    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if not (integer and 0 <= seed <= _MAX_SEED):
+    seed = _check_integer(seed, "seed")
+    if not 0 <= seed <= _MAX_SEED:
         raise ValueError("seed must be a 64-bit non-negative integer, got %r" % (seed,))
-    return int(seed)
+    return seed
 
 
 def generate(spec, seed):

@@ -17,12 +17,15 @@ are unaffected by per-column location.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _atomic_write, check_data_matrix, check_labels
+from .core import (
+    _atomic_write, _check_json_kinds, _is_number, _read_json, check_data_matrix, check_labels,
+)
 
 __all__ = [
     "LINEAR_METHODS",
@@ -241,10 +244,21 @@ def solve_tail_exponent(M):
     return float(_solve_tail_exponents(np.array([M]))[0])
 
 
-# per-variable keys of a saved boxplot parameter file
-_BOXPLOT_KEYS = (
-    "median", "lqr", "uqr", "t_lower", "t_upper", "degenerate", "scaled_min", "scaled_max",
-)
+# JSON kinds of each per-variable key of a boxplot parameter file, in field
+# order; a null tail exponent (NaN in BoxplotParams) means no tail was fitted
+_BOXPLOT_KINDS = {
+    "median": ("number",), "lqr": ("number",), "uqr": ("number",),
+    "t_lower": ("number", "null"), "t_upper": ("number", "null"), "degenerate": ("bool",),
+    "scaled_min": ("number",), "scaled_max": ("number",),
+}
+
+
+def _finite(value):
+    # a JSON number a float holds finitely, true or false, or null
+    try:
+        return value is None or math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -269,13 +283,10 @@ class BoxplotParams:
     scaled_max: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("median", "lqr", "uqr", "t_lower", "t_upper", "scaled_min", "scaled_max"):
-            arrays[name] = np.asarray(getattr(self, name), dtype=np.float64)
-        arrays["degenerate"] = np.asarray(self.degenerate, dtype=bool)
-        p = arrays["median"].shape[0] if arrays["median"].ndim == 1 else -1
-        for name, arr in arrays.items():
-            if arr.ndim != 1 or arr.shape[0] != p:
+        # arrays of the right dtype are kept, not copied; None becomes NaN
+        for name, kinds in _BOXPLOT_KINDS.items():
+            arr = np.asarray(getattr(self, name), dtype=bool if kinds == ("bool",) else np.float64)
+            if arr.ndim != 1 or arr.shape != np.shape(self.median):
                 raise ValueError("parameter arrays must be 1-D with equal length")
             object.__setattr__(self, name, arr)
 
@@ -284,32 +295,18 @@ class BoxplotParams:
         return self.median.shape[0]
 
     def to_json_dict(self):
-        def opt(x):
-            return None if np.isnan(x) else float(x)
-
-        variables = []
-        for j in range(self.n_vars):
-            variables.append(
-                {
-                    "median": float(self.median[j]),
-                    "lqr": float(self.lqr[j]),
-                    "uqr": float(self.uqr[j]),
-                    "t_lower": opt(self.t_lower[j]),
-                    "t_upper": opt(self.t_upper[j]),
-                    "degenerate": bool(self.degenerate[j]),
-                    "scaled_min": float(self.scaled_min[j]),
-                    "scaled_max": float(self.scaled_max[j]),
-                }
-            )
-        return {"variables": variables}
+        columns = [[None if "null" in kinds and math.isnan(v) else v  # no tail fitted
+                    for v in getattr(self, name).tolist()]
+                   for name, kinds in _BOXPLOT_KINDS.items()]
+        return {"variables": [dict(zip(_BOXPLOT_KINDS, row)) for row in zip(*columns)]}
 
     @classmethod
     def from_json_dict(cls, data):
         """Parameters from :meth:`to_json_dict` output, validated.
 
-        Raises ValueError naming the variable and key of the first missing
-        key or bad value: non-finite numbers (tail exponents may be null),
-        or a non-positive ``lqr``/``uqr`` on a non-degenerate variable.
+        Raises ValueError naming the variable and key of the first missing,
+        unknown or ill-typed key (see ``_BOXPLOT_KINDS``), non-finite number,
+        or non-positive ``lqr``/``uqr`` on a non-degenerate variable.
         """
         try:
             variables = data["variables"]
@@ -320,38 +317,19 @@ class BoxplotParams:
         for j, v in enumerate(variables, start=1):
             if not isinstance(v, dict):
                 raise ValueError("variable %d: expected a JSON object" % j)
-            for key in _BOXPLOT_KEYS:
-                if key not in v:
-                    raise ValueError("variable %d: missing key %r" % (j, key))
-
-        def arr(key):
-            try:
-                values = np.array(
-                    [np.nan if v[key] is None else v[key] for v in variables],
-                    dtype=np.float64,
-                )
-            except (TypeError, ValueError):
-                raise ValueError("%r: expected numbers" % (key,)) from None
-            valid = np.isfinite(values)
-            if key in ("t_lower", "t_upper"):
-                valid |= np.isnan(values)  # null: no tail fitted
-            bad = np.flatnonzero(~valid)
-            if bad.size:
-                raise ValueError("variable %d: non-finite %r" % (bad[0] + 1, key))
-            return values
-
-        fields = {key: arr(key) for key in _BOXPLOT_KEYS if key != "degenerate"}
-        degenerate = np.array([v["degenerate"] for v in variables])
-        if degenerate.dtype != bool:
-            raise ValueError("'degenerate': expected true or false")
+            _check_json_kinds(v, _BOXPLOT_KINDS, "variable %d" % j, required=_BOXPLOT_KINDS)
+            for key, value in v.items():
+                if not _finite(value):
+                    raise ValueError("variable %d: non-finite %r" % (j, key))
+        params = cls(**{key: [v[key] for v in variables] for key in _BOXPLOT_KINDS})
         for key in ("lqr", "uqr"):
-            bad = np.flatnonzero((fields[key] <= 0.0) & ~degenerate)
+            bad = np.flatnonzero((getattr(params, key) <= 0.0) & ~params.degenerate)
             if bad.size:
                 raise ValueError(
                     "variable %d: %r must be > 0 on a non-degenerate variable"
                     % (bad[0] + 1, key)
                 )
-        return cls(degenerate=degenerate, **fields)
+        return params
 
 
 def _scale_about_median(X, median, lqr, uqr):
@@ -495,18 +473,16 @@ class Standardiser:
             return cls(method, boxplot=BoxplotParams.from_json_dict(data))
         if "scales" not in data:
             raise ValueError("parameter file for %r lacks 'scales'" % (method,))
-        try:
-            scales = np.array(data["scales"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError("'scales': expected a list of numbers") from None
-        if scales.ndim != 1 or scales.shape[0] == 0:
+        scales = data["scales"]
+        if type(scales) is not list or not scales or any(type(s) is list for s in scales):
             raise ValueError("'scales': expected a non-empty list of numbers")
-        bad = np.flatnonzero(~np.isfinite(scales) | (scales < 0.0))
-        if bad.size:
-            raise ValueError(
-                "'scales': entry %d is %r; scales must be finite and >= 0"
-                % (bad[0] + 1, float(scales[bad[0]]))
-            )
+        for j, s in enumerate(scales, start=1):
+            if not _is_number(s):
+                raise ValueError("'scales': expected a list of numbers")
+            if not (_finite(s) and s >= 0.0):
+                raise ValueError(
+                    "'scales': entry %d is %r; scales must be finite and >= 0" % (j, s)
+                )
         return cls(method, scales=scales)
 
     def save(self, path):
@@ -514,8 +490,7 @@ class Standardiser:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_read_json(path))
 
 
 def fit_standardiser(X, method, labels=None):

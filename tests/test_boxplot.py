@@ -1,5 +1,6 @@
 """Boxplot transformation: solver, fit/apply pair, capping and persistence."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import solve_tail_by_bisection, solve_tail_stepwise
 from scaledist.standardise import (
+    _BOXPLOT_KINDS,
     BoxplotParams,
     Standardiser,
     _solve_tail_exponents,
@@ -248,6 +250,12 @@ def test_params_round_trip_json(tmp_path):
     assert_array_equal(back.degenerate, orig.degenerate)
     probe = rng.standard_normal((25, 3)) * 30
     assert_array_equal(loaded.transform(probe, cap=True), fitted.transform(probe, cap=True))
+
+
+def test_parameter_file_keys_are_the_fields_in_order():
+    assert list(_BOXPLOT_KINDS) == [f.name for f in dataclasses.fields(BoxplotParams)]
+    fitted = fit_boxplot(np.arange(12, dtype=float).reshape(-1, 2))
+    assert [list(v) for v in fitted.to_json_dict()["variables"]] == [list(_BOXPLOT_KINDS)] * 2
 
 
 def test_params_from_json_rejects_garbage():

@@ -158,6 +158,62 @@ def test_standardise_rejects_bad_scales(tmp_path, capsys, scales, expected):
     _rejects_params(tmp_path, capsys, data, params, expected)
 
 
+@pytest.mark.parametrize(
+    "method, key, value, expected",
+    [  # each of these loaded as a number or a flag
+        ("boxplot", "median", "0.25", "variable 2 'median' must be a number, got \"0.25\""),
+        ("boxplot", "lqr", True, "variable 2 'lqr' must be a number, got true"),
+        ("boxplot", "t_lower", "1", "variable 2 't_lower' must be a number or null"),
+        ("boxplot", "degenerate", 0, "variable 2 'degenerate' must be true or false, got 0"),
+        ("boxplot", "degenerate", "false", "'degenerate' must be true or false"),
+        ("boxplot", "scale", 1.0, "unknown variable 2 key(s): scale"),
+        pytest.param("boxplot", "scaled_max", 10 ** 400, "variable 2: non-finite 'scaled_max'",
+                     id="boxplot-scaled_max-400-digits"),
+        ("mad", "scales", ["1", 1.0, 2.0], "'scales': expected a list of numbers"),
+        ("mad", "scales", [1.0, True, 2.0], "'scales': expected a list of numbers"),
+        pytest.param("mad", "scales", [1.0, 10 ** 400, 2.0], "'scales': entry 2 is 1000",
+                     id="mad-scales-400-digits"),
+    ],
+)
+def test_standardise_refuses_params_of_the_wrong_json_kind(tmp_path, capsys, method, key,
+                                                           value, expected):
+    data, params, saved = _saved_params(tmp_path, method)
+    if method == "boxplot":
+        saved["variables"][1][key] = value
+    else:
+        saved[key] = value
+    params.write_text(json.dumps(saved))
+    _rejects_params(tmp_path, capsys, data, params, expected)
+
+
+def test_standardise_names_a_params_file_that_is_not_json(tmp_path, capsys):
+    data, params, _ = _saved_params(tmp_path, "mad")
+    params.write_text('{"method": "mad", "scales": [1.0 2.0]}')
+    _rejects_params(tmp_path, capsys, data, params, "%s: invalid JSON (Expecting ',' delimiter"
+                    % params)
+
+
+@pytest.mark.parametrize("command", ["distmat", "classify", "experiment"])
+@pytest.mark.parametrize("order", ["1e999", "1" + "0" * 400], ids=["1e999", "400-digits"])
+def test_order_too_large_for_a_float_is_one_error_line(tmp_path, capsys, command, order):
+    # was read as q = inf, and the distances written
+    data, out = tmp_path / "d.csv", tmp_path / "out"
+    write_matrix_csv(data, np.arange(8, dtype=float).reshape(4, 2))
+    (tmp_path / "y.labels").write_text("1\n1\n2\n2\n")
+    argv = {
+        "distmat": ["distmat", "--q", order, data, out],
+        "classify": ["classify", "--train", data, "--train-labels", tmp_path / "y.labels",
+                     "--test", data, "--q", order, "--k", 1, "--out", out],
+        "experiment": ["experiment", "--setup", "simple_normal", "--p", 4, "--n-per-class", 3,
+                       "--replicates", 1, "--methods", "knn3", "--q", "1," + order,
+                       "--out", out],
+    }[command]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scaledist: error: aggregation order is too large for a float; use inf"]
+    assert not out.exists()
+
+
 def test_distmat_cluster_classify_pipeline(tmp_path):
     rng = np.random.default_rng(9)
     X = np.vstack([rng.standard_normal((6, 3)), rng.standard_normal((6, 3)) + 4.0])

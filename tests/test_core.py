@@ -1,6 +1,10 @@
 """Container types, condensed indexing and file round-trips."""
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -255,3 +259,17 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         _atomic_write(tmp_path / "out.txt", "\ud800")  # fails inside the write
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_the_runtime_needs_numpy_only():
+    # a fresh interpreter: what the test run itself imported does not count
+    code = ("import sys; before = set(sys.modules); import scaledist, scaledist.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    loaded = {name.split(".")[0] for name in result.stdout.split()}
+    assert "scaledist" in loaded
+    assert not loaded & {"scipy", "hypothesis", "pytest", "_pytest"}

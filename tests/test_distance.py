@@ -70,6 +70,15 @@ def test_order_parsing_and_formatting():
         check_order(-1.0)
 
 
+def test_text_orders_that_overflow_a_float_are_refused():
+    # float("1e999") is inf: these were read as q = inf
+    for text in ("1e999", "1" + "0" * 400, " 2E400 ", "+inf"):
+        with pytest.raises(ValueError, match="too large for a float; use inf"):
+            parse_order(text)
+    with pytest.raises(ValueError, match=">= 1 or inf"):
+        parse_order("-1e999")
+
+
 def test_matches_naive_oracle():
     rng = np.random.default_rng(2)
     for q in ORDERS + (2.5,):

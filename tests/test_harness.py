@@ -111,6 +111,20 @@ def test_config_orders_become_floats_from_python_and_json():
         assert all(type(q) is float for q in config.orders)
 
 
+@pytest.mark.parametrize("order", ["1e999", "9" * 400], ids=["1e999", "400-digits"])
+def test_json_orders_too_large_for_a_float_are_refused(order):
+    # these validated to (inf,), while the same value from Python was refused
+    with pytest.raises(ValueError, match="too large for a float; use inf"):
+        ExperimentConfig.from_json_dict({"setup": "simple_normal", "orders": ["1", order]})
+
+
+def test_records_csv_refuses_an_order_too_large_for_a_float(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text(RESULTS_HEADER + "\nsimple_normal,1,7,none,1e999,pam,ari,0.5,\n")
+    with pytest.raises(ValueError, match="line 2: aggregation order is too large"):
+        read_records_csv(path)
+
+
 @pytest.mark.parametrize("jobs", [2.7, 2.0, True])
 def test_job_count_must_be_an_integer(jobs):
     # 2.7 ran as 2 workers

@@ -115,6 +115,23 @@ def test_pam_objective_consistent_with_labels():
     assert_allclose(result.objective, total, rtol=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda D, k: pam(D, k).labels,
+    lambda D, k: cut_tree(linkage(D, "complete"), k),
+    lambda D, k: knn_classify(D.to_square(), np.array([1, 1, 2, 2]), k),
+], ids=["pam", "cut_tree", "knn_classify"])
+def test_counts_must_be_integers(call):
+    D = line_distances([0.0, 1.0, 5.0, 6.0])
+    # True ran as 1, the floats failed late with a TypeError about slices
+    for k in (True, 2.5, 2.0, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            call(D, k)
+    assert_array_equal(call(D, 2), call(D, np.int64(2)))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        CondensedDistanceMatrix(2.5, [1.0])
+    assert CondensedDistanceMatrix(np.int64(2), [1.0]).n == 2
+
+
 def test_linkage_three_point_example():
     D = line_distances([0.0, 1.0, 10.0])
     comp = linkage(D, "complete")

@@ -1,0 +1,88 @@
+"""Property tests: parameter files, the boxplot band, ARI and metric axioms.
+
+Each property draws a bounded number of small examples, so the module adds a
+few seconds to the suite.
+"""
+
+import json
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from scaledist.distance import cross, pairwise
+from scaledist.evaluate import adjusted_rand_index
+from scaledist.standardise import (
+    METHODS,
+    Standardiser,
+    apply_boxplot,
+    fit_boxplot,
+    fit_standardiser,
+)
+
+ORDERS = (1.0, 2.0, 3.0, 4.0, math.inf)
+
+# Values on a grid of quarters, so columns have ties, zero spreads and
+# outlying values; a per-example scale moves them across magnitudes.
+_GRID = st.integers(-400, 400).map(lambda v: v / 4.0)
+_SCALES = st.sampled_from([1.0, 1e-6, 3.7, 1e8])
+
+
+def _matrices(rows, cols):
+    return st.builds(lambda a, s: a * s,
+                     arrays(np.float64, st.tuples(rows, cols), elements=_GRID), _SCALES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=_matrices(st.integers(4, 10), st.integers(1, 5)), method=st.sampled_from(METHODS))
+def test_parameter_file_round_trip_keeps_text_and_transform_bits(X, method):
+    labels = np.arange(X.shape[0]) % 2 + 1  # two classes of at least two rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # zero-scale columns
+        fitted = fit_standardiser(X, method, labels=labels)
+    text = json.dumps(fitted.to_json_dict(), indent=1)
+    loaded = Standardiser.from_json_dict(json.loads(text))
+    assert json.dumps(loaded.to_json_dict(), indent=1) == text
+    probe = np.vstack([X, 3.0 * X - 1.0])
+    for cap in (False, True):
+        want = fitted.transform(probe, cap=cap)
+        assert loaded.transform(probe, cap=cap).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(X=_matrices(st.integers(2, 12), st.integers(1, 4)))
+def test_boxplot_training_output_stays_in_the_band_and_keeps_order(X):
+    out = apply_boxplot(X, fit_boxplot(X))
+    assert out.min() >= -2.0 and out.max() <= 2.0
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        assert np.all(np.diff(out[order, j]) >= 0.0)
+
+
+def _partitions(n):
+    # labels 1..k with every class present: renumber a draw by first appearance
+    def renumber(values):
+        return np.unique(values, return_inverse=True)[1] + 1
+
+    return st.lists(st.integers(0, 4), min_size=n, max_size=n).map(renumber)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 25))
+def test_ari_is_symmetric(data, n):
+    u, v = data.draw(_partitions(n)), data.draw(_partitions(n))
+    assert adjusted_rand_index(u, v) == adjusted_rand_index(v, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(X=_matrices(st.integers(3, 8), st.integers(1, 6)), q=st.sampled_from(ORDERS))
+def test_minkowski_distances_are_metrics(X, q):
+    assert np.all(np.diag(cross(X, X, q)) == 0.0)
+    D = pairwise(X, q).to_square()
+    assert np.array_equal(cross(X, X[::-1], q), cross(X[::-1], X, q).T)
+    # D[i, k] <= D[i, j] + D[j, k] for every triple (i, j, k), to rtol 1e-12
+    via = D[:, :, None] + D[None, :, :]
+    assert np.all(D[:, None, :] <= via * (1.0 + 1e-12))
