@@ -26,7 +26,7 @@ for name in ("pam", "complete", "average"):
     ari = adjusted_rand_index(found, data.y_train)
     print("  %-9s ari %.4f" % (name, ari))
 
-Ztest = std.transform(data.x_test)
+Ztest = std.transform(data.x_test, cap=True)  # capped: the fit never saw these rows
 C = cross(Ztest, Z, 1)
 predicted = knn_classify(C, data.y_train, k=3)
 rate = misclassification_rate(predicted, data.y_test)

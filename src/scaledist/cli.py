@@ -18,6 +18,10 @@ from .learn import LINKAGE_METHODS, cut_tree, knn_classify, linkage, pam
 from .standardise import METHODS, POOLED_METHODS, Standardiser, fit_standardiser
 
 
+def _comma_list(text):
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="scaledist",
@@ -79,9 +83,11 @@ def _build_parser():
     p.add_argument("--n-per-class", type=int)
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--standardise", help="comma list, e.g. none,mad,boxplot")
-    p.add_argument("--q", help="comma list, e.g. 1,2,inf")
-    p.add_argument("--methods", help="comma list out of %s" % ",".join(harness.EXPERIMENT_METHODS))
+    p.add_argument("--standardise", type=_comma_list, dest="standardisations",
+                   help="comma list, e.g. none,mad,boxplot")
+    p.add_argument("--q", type=_comma_list, dest="orders", help="comma list, e.g. 1,2,inf")
+    p.add_argument("--methods", type=_comma_list,
+                   help="comma list out of %s" % ",".join(harness.EXPERIMENT_METHODS))
     p.add_argument("--oracle-pooling", action="store_true", default=None,
                    help="allow pooled standardisation for clustering (label-leaking)")
     p.add_argument("--timing", action="store_true", default=None,
@@ -161,31 +167,15 @@ def _cmd_classify(args):
     _write_label_lines(predictions, args.out)
 
 
-# experiment flags that override config keys: (flag attribute, key, comma list)
-_EXPERIMENT_FLAGS = (
-    ("setup", "setup", False),
-    ("replicates", "replicates", False),
-    ("seed", "seed", False),
-    ("p", "p", False),
-    ("n_per_class", "n_per_class", False),
-    ("standardise", "standardisations", True),
-    ("q", "orders", True),
-    ("methods", "methods", True),
-    ("oracle_pooling", "oracle_pooling", False),
-    ("timing", "timing", False),
-)
-
-
 def _cmd_experiment(args):
     data = {}
     if args.config:
         data = core._read_json(args.config)
         if not isinstance(data, dict):
             raise ValueError("%s: config must be a JSON object" % args.config)
-    for attr, key, comma_list in _EXPERIMENT_FLAGS:
-        value = getattr(args, attr)
-        if value is not None:
-            data[key] = [s.strip() for s in value.split(",") if s.strip()] if comma_list else value
+    # each experiment flag's dest is the config key it overrides
+    data.update((key, getattr(args, key)) for key in harness._CONFIG_KINDS
+                if getattr(args, key) is not None)
     if "setup" not in data:
         raise ValueError("no setup given (use --setup or --config)")
     # run_experiment validates the config before anything is computed

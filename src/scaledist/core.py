@@ -253,10 +253,17 @@ def _read_lines(path):
 
 
 def _read_json(path):
-    """The value of a JSON file; ValueError naming the file if it is not JSON."""
+    """The value of a JSON file; ValueError naming the file if it is not JSON
+    or holds a number literal that overflows a float (``Infinity`` does not)."""
+    def parse_float(text):
+        value = float(text)
+        if np.isinf(value):
+            raise ValueError("%s: number %s is too large for a float" % (path, text))
+        return value
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=parse_float)
         except json.JSONDecodeError as exc:
             raise ValueError("%s: invalid JSON (%s)" % (path, exc)) from None
 
@@ -336,9 +343,9 @@ def write_matrix_csv(path, X, header=None):
 
 
 def read_labels(path):
-    """Read a one-column file of integer labels (one per line)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip() != ""]
+    """Read a one-column file of integer labels, one per line; trailing empty
+    lines are ignored, and any other blank line is an error."""
+    lines = _read_lines(path)
     if not lines:
         raise ValueError("%s: no labels" % path)
     values = []
@@ -347,7 +354,7 @@ def read_labels(path):
             values.append(int(ln))
         except ValueError:
             raise ValueError(
-                "line %d: could not parse %r as an integer label" % (lineno, ln)
+                "line %d: could not parse %r as an integer label" % (lineno, ln.strip())
             ) from None
     labels, _ = check_labels(np.array(values, dtype=np.int64))
     return labels

@@ -39,7 +39,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,11 +96,11 @@ class ResultRecord:
     seconds: float
 
 
-# JSON kinds of each config value
+# JSON kinds of each config value, in field order
 _CONFIG_KINDS = {
     "setup": ("string", "object"), "replicates": ("integer",), "seed": ("integer",),
-    "p": ("integer", "null"), "n_per_class": ("integer", "null"),
     "standardisations": ("list",), "orders": ("list",), "methods": ("list",),
+    "p": ("integer", "null"), "n_per_class": ("integer", "null"),
     "oracle_pooling": ("bool",), "timing": ("bool",),
 }
 
@@ -124,8 +124,8 @@ class ExperimentConfig:
     """
 
     setup: str | SetupSpec
-    replicates: int
-    seed: int
+    replicates: int = 100
+    seed: int = 0
     standardisations: tuple = ("none",)
     orders: tuple = (1.0,)
     methods: tuple = EXPERIMENT_METHODS
@@ -178,39 +178,32 @@ class ExperimentConfig:
 
     def to_json_dict(self):
         # safe on an unchecked config: validate() checks this image
-        def listed(axis, item=lambda v: v):
-            return [item(v) for v in axis] if isinstance(axis, tuple) else axis
-
-        setup = self.setup.to_json_dict() if isinstance(self.setup, SetupSpec) else self.setup
-        return {
-            "setup": setup,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "standardisations": listed(self.standardisations),
-            # an order that is not a float yet goes in as given, for validate()
-            "orders": listed(self.orders, lambda q: format_order(q) if isinstance(q, float) else q),
-            "methods": listed(self.methods),
-            "p": self.p,
-            "n_per_class": self.n_per_class,
-            "oracle_pooling": self.oracle_pooling,
-            "timing": self.timing,
-        }
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, SetupSpec):
+                value = value.to_json_dict()
+            elif isinstance(value, tuple):
+                # an order that is not a float yet goes in as given, for validate()
+                value = [format_order(v) if f.name == "orders" and isinstance(v, float) else v
+                         for v in value]
+            data[f.name] = value
+        return data
 
     @classmethod
     def from_json_dict(cls, data):
         """Config from a JSON object such as :meth:`to_json_dict` writes.
 
-        Raises ValueError on unknown keys and on values of the wrong JSON
-        type: a catalog name or a :meth:`SetupSpec.from_json_dict` object for
-        ``setup``, lists for the grid axes, true/false for the flags, integers
-        (not booleans or fractions) for the counts, or null for ``p`` and
-        ``n_per_class``.
+        Keys left out take their field defaults.  Raises ValueError on
+        unknown keys and on values of the wrong JSON type: a catalog name or a
+        :meth:`SetupSpec.from_json_dict` object for ``setup``, lists for the
+        grid axes, true/false for the flags, integers (not booleans or
+        fractions) for the counts, or null for ``p`` and ``n_per_class``.
         """
         if not isinstance(data, dict) or "setup" not in data:
             raise ValueError("expected a JSON object with at least 'setup'")
         _check_json_kinds(data, _CONFIG_KINDS, "config")
-        kwargs = {"replicates": 100, "seed": 0}
-        kwargs.update((key, value) for key, value in data.items() if value is not None)
+        kwargs = dict(data)
         if isinstance(data["setup"], dict):
             kwargs["setup"] = SetupSpec.from_json_dict(data["setup"])
         if "orders" in data:
@@ -436,10 +429,8 @@ def summarise(records):
     return rows
 
 
-def write_summary_json(path, rows, config=None):
-    payload = {"groups": rows}
-    if config is not None:
-        payload = {"config": config.to_json_dict(), "groups": rows}
+def write_summary_json(path, rows, config):
+    payload = {"config": config.to_json_dict(), "groups": rows}
     _atomic_write(path, json.dumps(payload, indent=1) + "\n")
 
 
@@ -452,5 +443,5 @@ def run_experiment_to_files(config, out_csv, summary_json=None, jobs=None):
     records = run_experiment(config, jobs=jobs)
     write_records_csv(out_csv, records, timing=config.timing)
     if summary_json is not None:
-        write_summary_json(summary_json, summarise(records), config=config)
+        write_summary_json(summary_json, summarise(records), config)
     return records

@@ -37,7 +37,7 @@ __all__ = ["SetupSpec", "GeneratedDataset", "setup_catalog", "generate", "write_
 _MAX_SEED = 2 ** 64 - 1
 
 
-# JSON kinds of each SetupSpec field in a setup description
+# JSON kinds of each SetupSpec field in a setup description, in field order
 _SETUP_KINDS = {
     "name": ("string",), "t2_fraction": ("number",), "noise_fraction": ("number",),
     "mean_diff": ("number", "pair"), "sd_range": ("pair",),
@@ -48,9 +48,12 @@ _SETUP_KINDS = {
 def _floats(key, *values):
     # integers too large for a float are a ValueError here, not an OverflowError
     try:
-        return [float(v) for v in values]
+        floats = [float(v) for v in values]
     except OverflowError:
         raise ValueError("setup %r holds a number too large for a float" % key) from None
+    if not np.all(np.isfinite(floats)):
+        raise ValueError("setup %r must be finite, got %s" % (key, ", ".join(map(repr, floats))))
+    return floats
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,8 @@ class SetupSpec:
     read from JSON: the :meth:`to_json_dict` image must pass the same type
     table (``_SETUP_KINDS``), so the fractions and ranges are numbers (bools
     are not; numpy floats are), the pairs hold exactly two, and ``p`` and
-    ``n_per_class`` are Python ints.  The numbers are then kept as floats and
-    the pairs as tuples.
+    ``n_per_class`` are Python ints.  The numbers must be finite, and are then
+    kept as floats and the pairs as tuples.
     """
 
     name: str
@@ -96,10 +99,10 @@ class SetupSpec:
         if not 0.0 < lo <= hi:
             raise ValueError("sd_range must satisfy 0 < low <= high")
         for name in ("t2_fraction", "noise_fraction"):
-            v = getattr(self, name)
+            (v,) = _floats(name, getattr(self, name))
             if not 0.0 <= v <= 1.0:
                 raise ValueError("%s must be in [0, 1], got %r" % (name, v))
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.n_per_class < 2:
@@ -113,18 +116,11 @@ class SetupSpec:
 
     def to_json_dict(self):
         # safe on unchecked fields: __post_init__ checks this image
-        def listed(pair):
-            return list(pair) if isinstance(pair, tuple) else pair
-
-        return {
-            "name": self.name,
-            "t2_fraction": self.t2_fraction,
-            "noise_fraction": self.noise_fraction,
-            "mean_diff": listed(self.mean_diff),
-            "sd_range": listed(self.sd_range),
-            "p": self.p,
-            "n_per_class": self.n_per_class,
-        }
+        data = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            data[f.name] = list(value) if isinstance(value, tuple) else value
+        return data
 
     @classmethod
     def from_json_dict(cls, data):
@@ -177,8 +173,8 @@ class GeneratedDataset:
     x_test: np.ndarray = field(repr=False)
     y_test: np.ndarray = field(repr=False)
     variable_meta: dict = field(repr=False)
-    seed: int = 0
-    spec: SetupSpec | None = None
+    seed: int
+    spec: SetupSpec
 
 
 def _check_seed(seed):
@@ -259,7 +255,7 @@ def write_dataset(dataset, prefix):
     }
     meta = {
         "seed": dataset.seed,
-        "setup": dataset.spec.to_json_dict() if dataset.spec is not None else None,
+        "setup": dataset.spec.to_json_dict(),
         "variables": {
             key: np.asarray(val).tolist() for key, val in dataset.variable_meta.items()
         },

@@ -176,6 +176,8 @@ def standardise_matrix(X, method, labels=None):
 # point keeps the training extreme strictly inside [-2, 2].
 _TAIL_TARGET = 1.5 - 2.0 ** -44
 
+_FLOAT_MAX = np.finfo(np.float64).max
+
 
 def _tail_gain(base, t):
     """(1 - base**(-t)) / t with the t -> 0 limit log(base).
@@ -334,12 +336,17 @@ class BoxplotParams:
 
 def _scale_about_median(X, median, lqr, uqr):
     # centre on the median, divide the lower half by 2*LQR and the upper by
-    # 2*UQR; exact zeros stay zero so the median maps to 0 exactly
+    # 2*UQR; exact zeros stay zero so the median maps to 0 exactly.  A ratio
+    # beyond the float range (a half-range tiny next to the value) is held at
+    # the largest float, where the tail map has long reached its limit; an
+    # overflowing doubled half-range still warns.
     xm = X - median[None, :]
-    with np.errstate(invalid="ignore"):
-        lower = xm / (2.0 * lqr[None, :])
-        upper = xm / (2.0 * uqr[None, :])
-    return np.where(xm < 0.0, lower, np.where(xm > 0.0, upper, 0.0))
+    lower_width, upper_width = 2.0 * lqr[None, :], 2.0 * uqr[None, :]
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower = xm / lower_width
+        upper = xm / upper_width
+    out = np.where(xm < 0.0, lower, np.where(xm > 0.0, upper, 0.0))
+    return np.clip(out, -_FLOAT_MAX, _FLOAT_MAX, out=out)
 
 
 def fit_boxplot(X):
@@ -465,16 +472,19 @@ class Standardiser:
 
     @classmethod
     def from_json_dict(cls, data):
-        try:
-            method = data["method"]
-        except (TypeError, KeyError):
-            raise ValueError("expected a JSON object with key 'method'") from None
+        """Standardiser from :meth:`to_json_dict` output; ValueError on a
+        missing, unknown or ill-typed key, on a scale that is not a finite
+        number >= 0, and on a ``none`` scale other than 1."""
+        if not isinstance(data, dict) or "method" not in data:
+            raise ValueError("expected a JSON object with key 'method'")
+        method = data["method"]
+        key = "variables" if method == "boxplot" else "scales"
+        _check_json_kinds(data, {"method": ("string",), key: ("list",)}, "parameter file",
+                          required=(key,))
         if method == "boxplot":
             return cls(method, boxplot=BoxplotParams.from_json_dict(data))
-        if "scales" not in data:
-            raise ValueError("parameter file for %r lacks 'scales'" % (method,))
         scales = data["scales"]
-        if type(scales) is not list or not scales or any(type(s) is list for s in scales):
+        if not scales or any(type(s) is list for s in scales):
             raise ValueError("'scales': expected a non-empty list of numbers")
         for j, s in enumerate(scales, start=1):
             if not _is_number(s):
@@ -483,6 +493,8 @@ class Standardiser:
                 raise ValueError(
                     "'scales': entry %d is %r; scales must be finite and >= 0" % (j, s)
                 )
+            if method == "none" and s != 1:
+                raise ValueError("'scales': entry %d is %r; method 'none' scales by 1" % (j, s))
         return cls(method, scales=scales)
 
     def save(self, path):

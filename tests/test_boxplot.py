@@ -252,6 +252,22 @@ def test_params_round_trip_json(tmp_path):
     assert_array_equal(loaded.transform(probe, cap=True), fitted.transform(probe, cap=True))
 
 
+@pytest.mark.parametrize("column", [[0, 0, 0, 5e-324, 1000], [0, 0, 1e-300, 2e-300, 1e300]])
+def test_quartile_range_tiny_next_to_the_extreme(tmp_path, column):
+    # the scaled extreme overflowed to inf with a RuntimeWarning, and the
+    # saved file held "scaled_max": Infinity, which loading refused
+    X = np.array(column, dtype=float)[:, None]
+    fitted = fit_standardiser(X, "boxplot")
+    for name in ("median", "lqr", "uqr", "scaled_min", "scaled_max"):
+        assert np.isfinite(getattr(fitted.boxplot, name)).all()
+    out = fitted.transform(X)
+    assert out.min() >= -2.0 and out.max() <= 2.0
+    assert out.max() > 2.0 - 1e-12
+    path = tmp_path / "bp.json"
+    fitted.save(path)
+    assert_array_equal(Standardiser.load(path).transform(X), out)
+
+
 def test_parameter_file_keys_are_the_fields_in_order():
     assert list(_BOXPLOT_KINDS) == [f.name for f in dataclasses.fields(BoxplotParams)]
     fitted = fit_boxplot(np.arange(12, dtype=float).reshape(-1, 2))

@@ -173,12 +173,18 @@ def test_standardise_rejects_bad_scales(tmp_path, capsys, scales, expected):
         ("mad", "scales", [1.0, True, 2.0], "'scales': expected a list of numbers"),
         pytest.param("mad", "scales", [1.0, 10 ** 400, 2.0], "'scales': entry 2 is 1000",
                      id="mad-scales-400-digits"),
+        # were loaded: 'none' divided every column by 3, unknown keys were ignored
+        ("none", "scales", [1.0, 3.0, 1.0], "entry 2 is 3.0; method 'none' scales by 1"),
+        ("mad", "cap", True, "unknown parameter file key(s): cap"),
+        ("mad", "variables", [], "unknown parameter file key(s): variables"),
+        ("mad", "method", 1, "parameter file 'method' must be a string, got 1"),
+        ("boxplot", "scales", [1.0], "unknown parameter file key(s): scales"),
     ],
 )
 def test_standardise_refuses_params_of_the_wrong_json_kind(tmp_path, capsys, method, key,
                                                            value, expected):
     data, params, saved = _saved_params(tmp_path, method)
-    if method == "boxplot":
+    if method == "boxplot" and key != "scales":
         saved["variables"][1][key] = value
     else:
         saved[key] = value
@@ -305,6 +311,48 @@ def test_experiment_accepts_config_file_with_flag_overrides(tmp_path):
     assert len(records) == 3  # the flag wins over the file
 
 
+def test_experiment_refuses_a_json_number_too_large_for_a_float(tmp_path, capsys):
+    # was run as q = inf
+    config, out = tmp_path / "cfg.json", tmp_path / "r.csv"
+    base = '{"setup": "simple_normal", "replicates": 1, "p": 4, "n_per_class": 3, ' \
+           '"methods": ["knn3"], "orders": '
+    config.write_text(base + "[1, 1e999]}")
+    assert run("experiment", "--config", config, "--out", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scaledist: error: %s: number 1e999 is too large for a float" % config]
+    assert not out.exists()
+    config.write_text(base + '[Infinity, "inf"]}')  # both still mean inf
+    assert run("experiment", "--config", config, "--out", out) == 0
+    assert [r.q for r in read_records_csv(out)] == [math.inf, math.inf]
+
+
+@pytest.mark.parametrize(
+    "flag, value, key, expected",
+    [
+        ("--setup", "ntn_01", "setup", "ntn_01"),
+        ("--replicates", "2", "replicates", 2),
+        ("--seed", "9", "seed", 9),
+        ("--standardise", "mad, range", "standardisations", ["mad", "range"]),
+        ("--q", "2,inf", "orders", ["2", "inf"]),
+        ("--methods", "pam,knn3", "methods", ["pam", "knn3"]),
+        ("--p", "5", "p", 5),
+        ("--n-per-class", "4", "n_per_class", 4),
+        ("--oracle-pooling", None, "oracle_pooling", True),
+        ("--timing", None, "timing", True),
+    ],
+)
+def test_each_experiment_flag_overrides_its_config_key(tmp_path, flag, value, key, expected):
+    config = {"setup": "simple_normal", "replicates": 1, "seed": 5,
+              "standardisations": ["none"], "orders": [1], "methods": ["knn3"],
+              "p": 4, "n_per_class": 3, "oracle_pooling": False, "timing": False}
+    path, out, summary = tmp_path / "cfg.json", tmp_path / "r.csv", tmp_path / "s.json"
+    path.write_text(json.dumps(config))
+    argv = [flag] if value is None else [flag, value]
+    assert run("experiment", "--config", path, *argv, "--out", out, "--summary", summary) == 0
+    written = json.loads(summary.read_text())["config"]
+    assert written == {**config, "orders": ["1"], key: expected}
+
+
 def _rejected_on_both_routes(tmp_path, capsys, config, expected):
     """``config`` fails with one error naming ``expected`` and writes no file,
     read by the CLI from a JSON file and built in Python alike.  Each route
@@ -366,6 +414,13 @@ def test_experiment_rejects_config_values_of_the_wrong_type(tmp_path, capsys, ke
         # were OverflowError tracebacks from the CLI
         ("sd_range", [1, 10 ** 400], "setup 'sd_range' holds a number too large for a float"),
         ("mean_diff", 10 ** 400, "setup 'mean_diff' holds a number too large for a float"),
+        # passed every check, then failed in the fit naming neither setup nor key
+        ("mean_diff", math.inf, "setup 'mean_diff' must be finite, got inf"),
+        ("mean_diff", [0, math.inf], "setup 'mean_diff' must be finite, got 0.0, inf"),
+        ("sd_range", [0.5, math.inf], "setup 'sd_range' must be finite, got 0.5, inf"),
+        ("mean_diff", math.nan, "setup 'mean_diff' must be finite, got nan"),
+        ("t2_fraction", math.nan, "setup 't2_fraction' must be finite, got nan"),
+        ("noise_fraction", math.inf, "setup 'noise_fraction' must be finite, got inf"),
     ],
 )
 def test_experiment_rejects_setup_values_of_the_wrong_type(tmp_path, capsys, key, value,

@@ -180,6 +180,23 @@ def test_labels_round_trip(tmp_path):
     assert_array_equal(read_labels(path), [1, 1, 2, 3])
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # was "line 3: could not parse 'x'", the bad label sitting on line 4
+        ("1\n1\n\nx\n2\n", "line 3: could not parse ''"),
+        ("1\n \n2\n", "line 2: could not parse ''"),  # was skipped
+    ],
+)
+def test_label_errors_name_the_true_line(tmp_path, text, expected):
+    path = tmp_path / "y.labels"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        read_labels(path)
+    path.write_text("1\n2\n\n\n")  # trailing empty lines are ignored
+    assert_array_equal(read_labels(path), [1, 2])
+
+
 def test_condensed_file_round_trip(tmp_path):
     path = tmp_path / "d.dm"
     D = CondensedDistanceMatrix(3, np.array([1.0, 2.0, 3.0]))

@@ -12,6 +12,7 @@ from numpy.testing import assert_array_equal
 
 from scaledist.evaluate import adjusted_rand_index, misclassification_rate
 from scaledist.harness import (
+    _CONFIG_KINDS,
     EXPERIMENT_METHODS,
     RESULTS_HEADER,
     ExperimentConfig,
@@ -24,7 +25,7 @@ from scaledist.harness import (
     summarise,
     write_records_csv,
 )
-from scaledist.simgen import SetupSpec, generate, setup_catalog
+from scaledist.simgen import _SETUP_KINDS, SetupSpec, generate, setup_catalog
 
 
 def small_config(**overrides):
@@ -157,6 +158,14 @@ def test_config_json_round_trip():
     assert ExperimentConfig.from_json_dict(custom.to_json_dict()) == custom
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_dict({"setup": "simple_normal", "bogus": 1})
+
+
+def test_config_and_setup_keys_are_the_fields_in_order():
+    spec = SetupSpec("mine", 0.1, 0.2, (0.0, 1.0), (0.5, 2.0))
+    for cls, kinds, image in ((ExperimentConfig, _CONFIG_KINDS, small_config().to_json_dict()),
+                              (SetupSpec, _SETUP_KINDS, spec.to_json_dict())):
+        assert list(kinds) == [f.name for f in dataclasses.fields(cls)]
+        assert list(image) == list(kinds)
 
 
 def test_replicate_seeds_are_stable_and_distinct():
