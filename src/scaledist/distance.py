@@ -5,29 +5,35 @@ For order q >= 1 the distance between rows x and y is
 difference.
 
 One kernel serves every entry point.  It takes a block of absolute
-differences and reduces it for each requested order, so |x - y| is formed
-once however many orders are asked for.  Orders 1 to 4 use direct power sums
-(the square is shared by 2, 3 and 4); other finite orders use the generic
-power.  Only the pairs whose largest difference m could overflow the power
-sum (p * m**q above the float range) or lose it to underflow (m**q within a
-factor 2**52 of the smallest normal float) are rescaled: for those,
-m * (sum (|x - y| / m)**q) ** (1/q).  So coordinate differences from about
-1e150 down to subnormal sizes keep full relative precision for any finite q.
+differences d and reduces it for each requested order, so |x - y| is formed
+once however many orders are asked for.  Each power sum is one ``np.einsum``
+pass over the rows, never given ``optimize=``, so BLAS and its thread count
+play no part: ``ij->i`` over d for q = 1 and over the shared square d2 = d*d
+for q = 2, ``ij,ij->i`` over (d2, d) for q = 3 and (d2, d2) for q = 4, and
+``ij->i`` over d**q for any other finite order.  d2 is formed once per block
+when order 2, 3 or 4 is requested.  Only the pairs whose largest difference
+m could overflow the power sum (p * m**q above the float range) or lose it
+to underflow (m**q within a factor 2**52 of the smallest normal float) are
+rescaled, with the same sums: for those, m * (sum (|x - y| / m)**q) ** (1/q).
+So coordinate differences from about 1e150 down to subnormal sizes keep full
+relative precision for any finite q.
 
 One blocked loop feeds the kernel for every entry point.  It lists the
 pairs as segments, one row against a run of rows (for pairwise distances row
 j against rows 0..j-1, for cross distances one left row against every right
 row), and writes their differences into a (rows, p) buffer of about
 ``_BLOCK_DIFFS`` values that is allocated once per call, together with the
-buffers for d*d and one product.  A segment may be split across two blocks.
-In segment order the pairs are the condensed vector and the row-major cross
-matrix, so each block's distances fill one contiguous slice of the result.
+buffer for d2 and, only when an order other than 1 to 4 or inf is requested,
+one for d**q.  A segment may be split across two blocks.  In segment order
+the pairs are the condensed vector and the row-major cross matrix, so each
+block's distances fill one contiguous slice of the result.
 
 Each order's value depends only on its pair of rows and q: never on which
-other orders were requested alongside, nor on how rows are grouped into
-blocks.  ``pairwise_orders`` and ``cross_orders`` validate once and return
-one result per order; ``pairwise``, ``cross`` and ``minkowski`` are their
-single-order forms.
+other orders were requested alongside, on how rows are grouped into blocks,
+on the input's layout or alignment, nor on the BLAS thread count.
+``pairwise_orders`` and ``cross_orders`` validate once and return one result
+per order; ``pairwise``, ``cross`` and ``minkowski`` are their single-order
+forms.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ _HUGE = np.finfo(np.float64).max
 # stay below p * 2**-105 of the sum.
 _SMALL = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # _blocked_orders forms at most this many absolute differences per block (or
-# one row of p when p is larger); three float64 buffers of this size are reused
+# one row of p when p is larger); two or three float64 buffers of this size
+# are reused
 _BLOCK_DIFFS = 1 << 15
 _TOO_LARGE = "aggregation order is too large for a float; use inf"
 
@@ -114,25 +121,27 @@ def _root(s, q):
 
 
 def _power_sum(d, q, d2=None, out=None):
-    # sum over the last axis of d**q; d2 = d*d may be passed in precomputed,
-    # and out, shaped like d, takes the product or power before the sum
+    # sum over the last axis of d**q, each order in one einsum pass (never
+    # with optimize=, which could route it through BLAS); d2 = d*d may be
+    # passed in precomputed, and out, shaped like d, takes the generic power
     if q == 1.0:
-        return d.sum(axis=-1)
+        return np.einsum("ij->i", d)
     if q in (2.0, 3.0, 4.0):
         if d2 is None:
             d2 = d * d
         if q == 2.0:
-            return d2.sum(axis=-1)
-        return np.multiply(d2, d if q == 3.0 else d2, out=out).sum(axis=-1)
-    return np.power(d, q, out=out).sum(axis=-1)
+            return np.einsum("ij->i", d2)
+        return np.einsum("ij,ij->i", d2, d if q == 3.0 else d2)
+    return np.einsum("ij->i", np.power(d, q, out=out))
 
 
 def _reduce_orders(d, orders, d2, prod):
     """Distances of every order from a (pairs, variables) block of |x - y|.
 
-    ``d2`` and ``prod`` are work buffers shaped like ``d``.  Returns one
-    array of length ``pairs`` per order.  Callers silence overflow and
-    underflow warnings: the affected pairs are recomputed.
+    ``d2`` and ``prod`` are work buffers shaped like ``d``; ``prod`` is None
+    when every finite order is 1 to 4.  Returns one array of length ``pairs``
+    per order.  Callers silence overflow and underflow warnings: the affected
+    pairs are recomputed.
     """
     m = d.max(axis=-1)
     m_low, m_high = m.min(), m.max()
@@ -162,7 +171,9 @@ def _blocked_orders(segments, n_pairs, p, orders):
     order.  Returns one flat array of length ``n_pairs`` per order.
     """
     rows = min(n_pairs, max(1, _BLOCK_DIFFS // p))
-    d, d2, prod = (np.empty((rows, p)) for _ in range(3))
+    d, d2 = np.empty((rows, p)), np.empty((rows, p))
+    generic = any(q not in (1.0, 2.0, 3.0, 4.0) and not math.isinf(q) for q in orders)
+    prod = np.empty((rows, p)) if generic else None
     out = [np.empty(n_pairs) for _ in orders]
     done = filled = 0
     with np.errstate(over="ignore", under="ignore"):
@@ -176,7 +187,8 @@ def _blocked_orders(segments, n_pairs, p, orders):
                 start += take
                 filled += take
                 if filled == rows or done + filled == n_pairs:
-                    dists = _reduce_orders(d[:filled], orders, d2[:filled], prod[:filled])
+                    dists = _reduce_orders(d[:filled], orders, d2[:filled],
+                                           None if prod is None else prod[:filled])
                     for o, dist in zip(out, dists):
                         o[done:done + filled] = dist
                     done += filled

@@ -334,6 +334,12 @@ class BoxplotParams:
         return params
 
 
+def _degenerate_widths(lqr, uqr, degenerate):
+    # half-range 1 stands in on degenerate variables, whose output is zeroed
+    # afterwards, so scaling them divides by no zero
+    return np.where(degenerate, 1.0, lqr), np.where(degenerate, 1.0, uqr)
+
+
 def _scale_about_median(X, median, lqr, uqr):
     # centre on the median, divide the lower half by 2*LQR and the upper by
     # 2*UQR; exact zeros stay zero so the median maps to 0 exactly.  A ratio
@@ -361,10 +367,8 @@ def fit_boxplot(X):
     lqr_raw = med - q1
     uqr_raw = q3 - med
     degenerate = (lqr_raw == 0.0) & (uqr_raw == 0.0)
-    lqr = np.where(lqr_raw > 0.0, lqr_raw, uqr_raw)
-    uqr = np.where(uqr_raw > 0.0, uqr_raw, lqr_raw)
-    lqr = np.where(degenerate, 1.0, lqr)
-    uqr = np.where(degenerate, 1.0, uqr)
+    lqr, uqr = _degenerate_widths(np.where(lqr_raw > 0.0, lqr_raw, uqr_raw),
+                                  np.where(uqr_raw > 0.0, uqr_raw, lqr_raw), degenerate)
     scaled = _scale_about_median(X, med, lqr, uqr)
     scaled[:, degenerate] = 0.0
     smin = scaled.min(axis=0)
@@ -407,7 +411,8 @@ def apply_boxplot(X, params, cap=False):
         raise ValueError(
             "matrix has %d variables, parameters describe %d" % (X.shape[1], params.n_vars)
         )
-    scaled = _scale_about_median(X, params.median, params.lqr, params.uqr)
+    scaled = _scale_about_median(
+        X, params.median, *_degenerate_widths(params.lqr, params.uqr, params.degenerate))
     out = scaled.copy()
     t_low = np.broadcast_to(params.t_lower[None, :], scaled.shape)
     lower = (scaled < -0.5) & ~np.isnan(t_low)
@@ -426,20 +431,41 @@ def apply_boxplot(X, params, cap=False):
 # --- fitted standardiser for train/test pipelines ----------------------------
 
 
+def _checked_scales(method, scales):
+    # scales as a float array; ValueError unless a non-empty 1-D list of
+    # finite numbers >= 0 (true, false and strings are not numbers), each
+    # exactly 1 for 'none'.  An array is read as Python numbers for the errors.
+    values = scales.tolist() if isinstance(scales, np.ndarray) else scales
+    if (not isinstance(values, (list, tuple)) or not values
+            or any(isinstance(s, (list, tuple)) for s in values)):
+        raise ValueError("'scales': expected a non-empty list of numbers")
+    for j, s in enumerate(values, start=1):
+        if not _is_number(s):
+            raise ValueError("'scales': expected a list of numbers")
+        if not (_finite(s) and s >= 0.0):
+            raise ValueError(
+                "'scales': entry %d is %r; scales must be finite and >= 0" % (j, s)
+            )
+        if method == "none" and s != 1:
+            raise ValueError("'scales': entry %d is %r; method 'none' scales by 1" % (j, s))
+    return np.array(values, dtype=np.float64)
+
+
 class Standardiser:
     """A fitted standardisation, applicable to training and later test data.
 
     Linear methods store the per-column scales fitted on training data; the
     boxplot method stores its :class:`BoxplotParams`.  ``transform`` never
     looks at anything but the stored parameters, so test data cannot leak
-    into the fit.
+    into the fit.  Scales must be a non-empty 1-D list of finite numbers
+    >= 0, each exactly 1 for ``none``.
     """
 
     def __init__(self, method, scales=None, boxplot=None):
         if method not in METHODS:
             raise ValueError("unknown standardisation method %r" % (method,))
         self.method = method
-        self.scales = None if scales is None else np.asarray(scales, dtype=np.float64)
+        self.scales = None if scales is None else _checked_scales(method, scales)
         self.boxplot = boxplot
         if method == "boxplot":
             if boxplot is None:
@@ -473,8 +499,8 @@ class Standardiser:
     @classmethod
     def from_json_dict(cls, data):
         """Standardiser from :meth:`to_json_dict` output; ValueError on a
-        missing, unknown or ill-typed key, on a scale that is not a finite
-        number >= 0, and on a ``none`` scale other than 1."""
+        missing, unknown or ill-typed key, or on scales the constructor
+        refuses."""
         if not isinstance(data, dict) or "method" not in data:
             raise ValueError("expected a JSON object with key 'method'")
         method = data["method"]
@@ -483,19 +509,7 @@ class Standardiser:
                           required=(key,))
         if method == "boxplot":
             return cls(method, boxplot=BoxplotParams.from_json_dict(data))
-        scales = data["scales"]
-        if not scales or any(type(s) is list for s in scales):
-            raise ValueError("'scales': expected a non-empty list of numbers")
-        for j, s in enumerate(scales, start=1):
-            if not _is_number(s):
-                raise ValueError("'scales': expected a list of numbers")
-            if not (_finite(s) and s >= 0.0):
-                raise ValueError(
-                    "'scales': entry %d is %r; scales must be finite and >= 0" % (j, s)
-                )
-            if method == "none" and s != 1:
-                raise ValueError("'scales': entry %d is %r; method 'none' scales by 1" % (j, s))
-        return cls(method, scales=scales)
+        return cls(method, scales=data["scales"])
 
     def save(self, path):
         _atomic_write(path, json.dumps(self.to_json_dict(), indent=1) + "\n")

@@ -21,6 +21,14 @@ def naive_minkowski(a, b, q):
     return sum(d ** q for d in diffs) ** (1.0 / q)
 
 
+def fsum_minkowski(a, b, q):
+    """Power sum added exactly (math.fsum), so only the powers and the root round."""
+    diffs = [abs(float(x) - float(y)) for x, y in zip(a, b)]
+    if math.isinf(q):
+        return max(diffs)
+    return math.fsum(d ** q for d in diffs) ** (1.0 / q)
+
+
 def naive_pairwise_square(X, q):
     n = X.shape[0]
     D = np.zeros((n, n))

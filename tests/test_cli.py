@@ -265,6 +265,21 @@ def test_warnings_print_as_one_line_each(tmp_path, capsys):
         "scaledist: warning: zero mad scale in column(s) 3; output set to zero there"]
 
 
+def test_loaded_degenerate_boxplot_variable_transforms_without_a_warning(tmp_path, capsys):
+    # a hand-written file may give a degenerate variable zero half-ranges;
+    # data away from its median warned "divide by zero" twice
+    variable = dict(median=0.0, lqr=1.0, uqr=1.0, t_lower=None, t_upper=None,
+                    degenerate=False, scaled_min=-1.0, scaled_max=1.0)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"method": "boxplot", "variables": [
+        variable, dict(variable, median=5.0, lqr=0.0, uqr=0.0, degenerate=True)]}))
+    data = tmp_path / "d.csv"
+    write_matrix_csv(data, np.array([[1.0, 4.0], [-1.0, 6.0]]))
+    assert run("standardise", "--params", params, data, tmp_path / "out.csv") == 0
+    assert capsys.readouterr().err == ""
+    assert_array_equal(read_matrix_csv(tmp_path / "out.csv")[0], [[0.5, 0.0], [-0.5, 0.0]])
+
+
 def test_classify_end_to_end(tmp_path):
     rng = np.random.default_rng(10)
     train = np.vstack([rng.standard_normal((8, 2)), rng.standard_normal((8, 2)) + 5.0])

@@ -1,6 +1,10 @@
 """Minkowski aggregation and distance-matrix construction."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import naive_cross, naive_minkowski, naive_pairwise_square
+from oracles import fsum_minkowski, naive_cross, naive_minkowski, naive_pairwise_square
 from scaledist import distance
 from scaledist.core import CondensedDistanceMatrix
 from scaledist.distance import (
@@ -258,6 +262,80 @@ def test_results_do_not_depend_on_memory_layout():
     for q, C, D in zip(ORDERS, cross_orders(XF, YF, ORDERS), pairwise_orders(XF, ORDERS)):
         assert_array_equal(C, cross(X, Y, q))
         assert_array_equal(D.entries, pairwise(X, q).entries)
+
+
+def _misaligned(A):
+    # a copy whose rows start 8 bytes off the 16-byte alignment of np.empty
+    B = np.empty(A.size + 1)[1:].reshape(A.shape)
+    B[...] = A
+    assert B.ctypes.data % 16 == 8
+    return B
+
+
+@pytest.mark.parametrize("p", [127, 129, 500])
+def test_each_pair_gets_its_bits_alone_whatever_the_call(monkeypatch, p):
+    # widths that reach the SIMD loops, with odd widths putting the rows of a
+    # block at every alignment: every order of every pair must equal the value
+    # the pair gets alone, whatever the block size, the input's alignment and
+    # the other orders requested
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((7, p))
+    X[3] *= 1e150  # rescaled pairs next to direct ones
+    T = rng.standard_normal((4, p))
+    orders = ORDERS + (2.5,)
+    alone = {q: (np.array([minkowski(X[j], X[i], q) for j in range(1, 7) for i in range(j)]),
+                 np.array([[minkowski(t, x, q) for x in X] for t in T]))
+             for q in orders}
+    requests = [(q,) for q in orders] + [orders, orders[::-1]]
+    for block_diffs in (1, 3 * p, 5 * p + 1, 1 << 15):
+        monkeypatch.setattr(distance, "_BLOCK_DIFFS", block_diffs)
+        for A, B in ((X, T), (_misaligned(X), _misaligned(T))):
+            for requested in requests:
+                for q, D, C in zip(requested, pairwise_orders(A, requested),
+                                   cross_orders(B, A, requested)):
+                    assert_array_equal(D.entries, alone[q][0])
+                    assert_array_equal(C, alone[q][1])
+
+
+def test_wide_rows_match_an_exactly_summed_oracle():
+    rng = np.random.default_rng(19)
+    X = rng.standard_normal((4, 2000)) * rng.uniform(0.1, 10.0, 2000)
+    T = rng.standard_normal((3, 2000))
+    orders = ORDERS + (2.5,)
+    for q, D, C in zip(orders, pairwise_orders(X, orders), cross_orders(T, X, orders)):
+        assert_allclose(D.to_square(), [[fsum_minkowski(x, y, q) for y in X] for x in X],
+                        rtol=1e-12, atol=0)
+        assert_allclose(C, [[fsum_minkowski(t, x, q) for x in X] for t in T],
+                        rtol=1e-12, atol=0)
+
+
+_DIGEST_CHILD = r"""
+import hashlib, math
+import numpy as np
+from scaledist.distance import cross_orders, pairwise_orders
+rng = np.random.default_rng(20)
+X, T = rng.standard_normal((40, 300)), rng.standard_normal((30, 300))
+orders = (1.0, 2.0, 3.0, 4.0, math.inf, 2.5)
+digest = hashlib.sha256()
+for D, C in zip(pairwise_orders(X, orders), cross_orders(T, X, orders)):
+    digest.update(D.entries.tobytes())
+    digest.update(C.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_distances_do_not_depend_on_blas_threads():
+    # a matmul or einsum(optimize=...) route would hand the sums to BLAS,
+    # whose blocking, and so whose rounding, follows the thread count
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", _DIGEST_CHILD], env=env,
+                                capture_output=True, text=True, timeout=60, check=True)
+        digests.append(result.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 # Coordinates on a coarse grid: scaling by s rounds every coordinate, and a

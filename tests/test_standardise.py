@@ -158,6 +158,21 @@ def test_transform_rejects_wrong_width():
         fitted.transform(np.ones((2, 5)))
 
 
+@pytest.mark.parametrize(
+    "method, scales, expected",
+    [  # each was accepted: a NaN column, a negated one, 'none' dividing by 3
+        ("mad", [float("nan"), 1.0], "entry 1 is nan; scales must be finite and >= 0"),
+        ("mad", [1.0, -1.0], "entry 2 is -1.0; scales must be finite and >= 0"),
+        ("none", [3.0], "entry 1 is 3.0; method 'none' scales by 1"),
+    ],
+)
+def test_constructor_refuses_bad_scales(method, scales, expected):
+    for given in (scales, np.array(scales)):
+        with pytest.raises(ValueError) as err:
+            Standardiser(method, scales=given)
+        assert expected in str(err.value)
+
+
 def test_fitted_scales_are_training_only():
     # the returned object stores plain numbers; transforming new data cannot
     # update them
