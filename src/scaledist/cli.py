@@ -3,7 +3,8 @@
 Subcommands mirror the library: simulate, standardise, distmat, cluster,
 classify, experiment.  All failures print one diagnostic line to stderr and
 exit nonzero, and each warning prints as one ``scaledist: warning:`` line;
-output files are only written once fully computed.
+output files are only written once fully computed, and a command's files are
+renamed into place together, so a failure leaves none of them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import warnings
 from . import core, harness, simgen
 from .distance import cross, pairwise, parse_order
 from .learn import LINKAGE_METHODS, cut_tree, knn_classify, linkage, pam
-from .standardise import METHODS, POOLED_METHODS, Standardiser, fit_standardiser
+from .standardise import METHODS, Standardiser, fit_standardiser
 
 
 def _comma_list(text):
@@ -45,7 +46,7 @@ def _build_parser():
                    help="fit this method on the input and transform it")
     p.add_argument("--params", help="apply previously saved parameters instead of fitting")
     p.add_argument("--save-params", help="write the fitted parameters as JSON")
-    p.add_argument("--labels", help="label file (required for pooled methods)")
+    p.add_argument("--labels", help="label file, checked whenever given; pooled methods need it")
     p.add_argument("--cap", action="store_true",
                    help="cap boxplot output to [-2, 2] (for data the fit never saw)")
     p.add_argument("input")
@@ -55,7 +56,7 @@ def _build_parser():
     p.add_argument("--q", required=True, help="aggregation order (>= 1 or 'inf')")
     p.add_argument("--standardise", default="none", choices=METHODS, dest="method",
                    help="standardisation fitted on the input (default none)")
-    p.add_argument("--labels", help="label file (required for pooled methods)")
+    p.add_argument("--labels", help="label file, checked whenever given; pooled methods need it")
     p.add_argument("input")
     p.add_argument("output")
 
@@ -99,19 +100,17 @@ def _build_parser():
     return parser
 
 
-def _pooled_labels(args):
-    # class labels for a pooled --standardise method, else None
-    if args.method not in POOLED_METHODS:
-        return None
-    if args.labels is None:
-        raise ValueError("method %r requires --labels" % args.method)
-    return core.read_labels(args.labels)
+def _fit(X, args):
+    # the --labels file is read whenever given; fit_standardiser decides its use
+    labels = None if args.labels is None else core.read_labels(args.labels)
+    return fit_standardiser(X, args.method, labels=labels)
 
 
-def _write_label_lines(labels, out):
-    text = "\n".join(str(int(v)) for v in labels) + "\n"
+def _write_labels(labels, out):
+    # predictions need not cover every class, so they are not checked
+    text = core._labels_text(labels)
     if out:
-        core._atomic_write(out, text)
+        core._write_files({out: text})
     else:
         sys.stdout.write(text)
 
@@ -125,21 +124,20 @@ def _cmd_simulate(args):
 def _cmd_standardise(args):
     if (args.method is None) == (args.params is None):
         raise ValueError("give exactly one of --method or --params")
-    if args.params is not None and args.save_params is not None:
-        raise ValueError("--save-params needs --method, not --params")
+    for flag in ("save_params", "labels"):
+        if args.params is not None and getattr(args, flag) is not None:
+            raise ValueError("--%s needs --method, not --params" % flag.replace("_", "-"))
     X, _ = core.read_matrix_csv(args.input)
-    if args.params is not None:
-        std = Standardiser.load(args.params)
-    else:
-        std = fit_standardiser(X, args.method, labels=_pooled_labels(args))
-        if args.save_params:
-            std.save(args.save_params)
-    core.write_matrix_csv(args.output, std.transform(X, cap=args.cap))
+    std = Standardiser.load(args.params) if args.params is not None else _fit(X, args)
+    # both files are written together, or neither
+    texts = {} if args.save_params is None else {args.save_params: std._json_text()}
+    texts[args.output] = core._matrix_text(std.transform(X, cap=args.cap))
+    core._write_files(texts)
 
 
 def _cmd_distmat(args):
     X, _ = core.read_matrix_csv(args.input)
-    std = fit_standardiser(X, args.method, labels=_pooled_labels(args))
+    std = _fit(X, args)
     core.write_condensed(args.output, pairwise(std.transform(X), parse_order(args.q)))
 
 
@@ -149,22 +147,21 @@ def _cmd_cluster(args):
         labels = pam(D, args.k).labels
     else:
         labels = cut_tree(linkage(D, args.method), args.k)
-    _write_label_lines(labels, args.out)
+    _write_labels(labels, args.out)
 
 
 def _cmd_classify(args):
     x_train, _ = core.read_matrix_csv(args.train)
     y_train = core.read_labels(args.train_labels)
     x_test, _ = core.read_matrix_csv(args.test)
-    labels = y_train if args.method in POOLED_METHODS else None
-    std = fit_standardiser(x_train, args.method, labels=labels)
+    std = fit_standardiser(x_train, args.method, labels=y_train)
     q = parse_order(args.q)
     predictions = knn_classify(
         cross(std.transform(x_test, cap=True), std.transform(x_train), q),
         y_train,
         args.k,
     )
-    _write_label_lines(predictions, args.out)
+    _write_labels(predictions, args.out)
 
 
 def _cmd_experiment(args):

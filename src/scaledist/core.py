@@ -10,6 +10,7 @@ part of the on-disk contract.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from dataclasses import dataclass, field
@@ -147,6 +148,9 @@ def check_data_matrix(X, min_rows=1):
 def check_labels(y, n_expected=None):
     """Validate a label vector: integers 1..k with every class present.
 
+    Only integer dtypes are labels: strings, booleans and floats, integral
+    ones included, are a ValueError, as they are for ``k`` and seeds.
+
     Returns
     -------
     (labels, k) : (np.ndarray of int64, int)
@@ -157,11 +161,7 @@ def check_labels(y, n_expected=None):
     if y.shape[0] == 0:
         raise ValueError("labels are empty")
     if not np.issubdtype(y.dtype, np.integer):
-        yf = np.asarray(y, dtype=np.float64)
-        yi = yf.astype(np.int64)
-        if not np.all(yf == yi):
-            raise ValueError("labels must be integers")
-        y = yi
+        raise ValueError("labels must be integers")
     y = y.astype(np.int64)
     if n_expected is not None and y.shape[0] != n_expected:
         raise ValueError("expected %d labels, got %d" % (n_expected, y.shape[0]))
@@ -227,20 +227,26 @@ def _format(x):
     return repr(float(x))
 
 
-def _atomic_write(path, text):
-    # write a sibling temp file, then rename it over path; on failure the
-    # temp file is removed and the error re-raised
-    tmp = "%s.tmp.%d" % (path, os.getpid())
+def _write_files(texts):
+    # write each path's text to a sibling temporary, and rename the temporaries
+    # over their paths only once all are written: a failure leaves no path
+    # touched and no temporary behind, and an OSError names the path
+    for path in texts:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    temps = {path: "%s.tmp.%d" % (path, os.getpid()) for path in texts}
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-        raise
+        for path, text in texts.items():
+            with open(temps[path], "w") as fh:
+                fh.write(text)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _read_lines(path):
@@ -329,8 +335,8 @@ def read_matrix_csv(path, has_header=False):
     return np.array(rows, dtype=np.float64), header
 
 
-def write_matrix_csv(path, X, header=None):
-    """Write a data matrix as CSV at full precision (values round-trip exactly)."""
+def _matrix_text(X, header=None):
+    # the matrix CSV format, at full precision (values round-trip exactly)
     X = check_data_matrix(X)
     out = []
     if header is not None:
@@ -339,7 +345,12 @@ def write_matrix_csv(path, X, header=None):
         out.append(",".join(header))
     for row in X:
         out.append(",".join(_format(v) for v in row))
-    _atomic_write(path, "\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
+
+
+def write_matrix_csv(path, X, header=None):
+    """Write a data matrix as CSV at full precision (values round-trip exactly)."""
+    _write_files({path: _matrix_text(X, header)})
 
 
 def read_labels(path):
@@ -356,13 +367,19 @@ def read_labels(path):
             raise ValueError(
                 "line %d: could not parse %r as an integer label" % (lineno, ln.strip())
             ) from None
+        if not -(1 << 63) <= values[-1] < 1 << 63:
+            raise ValueError("line %d: label %s is beyond int64" % (lineno, ln.strip()))
     labels, _ = check_labels(np.array(values, dtype=np.int64))
     return labels
 
 
+def _labels_text(y):
+    # one integer per line, unchecked: k-nn predictions need not cover every class
+    return "".join("%d\n" % v for v in np.asarray(y).tolist())
+
+
 def write_labels(path, y):
-    y, _ = check_labels(np.asarray(y))
-    _atomic_write(path, "\n".join(str(int(v)) for v in y) + "\n")
+    _write_files({path: _labels_text(check_labels(y)[0])})
 
 
 def write_condensed(path, D):
@@ -375,7 +392,7 @@ def write_condensed(path, D):
         raise TypeError("expected a CondensedDistanceMatrix")
     parts = [json.dumps({"n": D.n})]
     parts.extend(_format(v) for v in D.entries)
-    _atomic_write(path, "\n".join(parts) + "\n")
+    _write_files({path: "\n".join(parts) + "\n"})
 
 
 def read_condensed(path):
@@ -388,6 +405,9 @@ def read_condensed(path):
         n = head["n"]
     except (json.JSONDecodeError, TypeError, KeyError):
         raise ValueError("%s: first line must be a JSON header with key 'n'" % path) from None
+    extra = ", ".join(sorted(set(head) - {"n"}))
+    if extra:
+        raise ValueError("%s: unknown header key(s): %s" % (path, extra))
     if not isinstance(n, int) or n < 2:
         raise ValueError("%s: header n must be an integer >= 2" % path)
     want = condensed_size(n)

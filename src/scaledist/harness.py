@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _atomic_write, _check_integer, _check_json_kinds, _read_lines
+from .core import _check_integer, _check_json_kinds, _read_lines, _write_files
 from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
 from .evaluate import adjusted_rand_index, misclassification_rate
 from .learn import cut_tree, knn_classify, linkage, pam
@@ -63,7 +63,6 @@ __all__ = [
     "summarise",
     "write_records_csv",
     "read_records_csv",
-    "write_summary_json",
 ]
 
 CLUSTER_METHODS = ("pam", "complete", "average")
@@ -272,8 +271,7 @@ def _score_standardisation(data, std_method, orders, methods):
     """(value, seconds) of one standardisation's cells, in grid order; its
     matrices and distances are freed on return, before the next fit."""
     k_classes = int(data.y_train.max())
-    pooled = std_method in POOLED_METHODS
-    std = fit_standardiser(data.x_train, std_method, labels=data.y_train if pooled else None)
+    std = fit_standardiser(data.x_train, std_method, labels=data.y_train)
     x_train = std.transform(data.x_train)
     x_test = std.transform(data.x_test, cap=True)
     if any(m in CLUSTER_METHODS for m in methods):
@@ -348,6 +346,10 @@ def write_records_csv(path, records, timing=False):
     one field that would break bytewise reproducibility of otherwise identical
     runs.
     """
+    _write_files({path: _records_text(records, timing)})
+
+
+def _records_text(records, timing):
     lines = [RESULTS_HEADER]
     for r in records:
         lines.append(
@@ -364,7 +366,7 @@ def write_records_csv(path, records, timing=False):
                 repr(float(r.seconds)) if timing else "",
             )
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def read_records_csv(path):
@@ -429,19 +431,16 @@ def summarise(records):
     return rows
 
 
-def write_summary_json(path, rows, config):
-    payload = {"config": config.to_json_dict(), "groups": rows}
-    _atomic_write(path, json.dumps(payload, indent=1) + "\n")
-
-
 def run_experiment_to_files(config, out_csv, summary_json=None, jobs=None):
     """Run an experiment and write results CSV (+ optional summary JSON).
 
-    Everything is computed before anything is written, so a failure leaves no
-    partial output files.
+    Everything is computed before anything is written, and both files are
+    renamed into place together, so a failure leaves no partial output files.
     """
     records = run_experiment(config, jobs=jobs)
-    write_records_csv(out_csv, records, timing=config.timing)
+    texts = {out_csv: _records_text(records, config.timing)}
     if summary_json is not None:
-        write_summary_json(summary_json, summarise(records), config)
+        summary = {"config": config.to_json_dict(), "groups": summarise(records)}
+        texts[summary_json] = json.dumps(summary, indent=1) + "\n"
+    _write_files(texts)
     return records

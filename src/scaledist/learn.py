@@ -34,12 +34,6 @@ class Clustering:
     medoids: np.ndarray | None = None
     objective: float | None = None
 
-    def __post_init__(self):
-        labels, _ = check_labels(self.labels)
-        object.__setattr__(self, "labels", labels)
-        if self.medoids is not None:
-            object.__setattr__(self, "medoids", np.asarray(self.medoids, dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class Dendrogram:

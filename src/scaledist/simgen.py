@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _atomic_write, _check_integer, _check_json_kinds, write_labels, write_matrix_csv
+from .core import (
+    _check_integer, _check_json_kinds, _labels_text, _matrix_text, _write_files, check_labels,
+)
 
 __all__ = ["SetupSpec", "GeneratedDataset", "setup_catalog", "generate", "write_dataset"]
 
@@ -246,13 +248,6 @@ def write_dataset(dataset, prefix):
 
     Returns the list of paths written.
     """
-    paths = {
-        "train": prefix + ".train.csv",
-        "train_labels": prefix + ".train.labels",
-        "test": prefix + ".test.csv",
-        "test_labels": prefix + ".test.labels",
-        "meta": prefix + ".meta.json",
-    }
     meta = {
         "seed": dataset.seed,
         "setup": dataset.spec.to_json_dict(),
@@ -260,9 +255,12 @@ def write_dataset(dataset, prefix):
             key: np.asarray(val).tolist() for key, val in dataset.variable_meta.items()
         },
     }
-    write_matrix_csv(paths["train"], dataset.x_train)
-    write_labels(paths["train_labels"], dataset.y_train)
-    write_matrix_csv(paths["test"], dataset.x_test)
-    write_labels(paths["test_labels"], dataset.y_test)
-    _atomic_write(paths["meta"], json.dumps(meta) + "\n")
-    return list(paths.values())
+    texts = {
+        prefix + ".train.csv": _matrix_text(dataset.x_train),
+        prefix + ".train.labels": _labels_text(check_labels(dataset.y_train)[0]),
+        prefix + ".test.csv": _matrix_text(dataset.x_test),
+        prefix + ".test.labels": _labels_text(check_labels(dataset.y_test)[0]),
+        prefix + ".meta.json": json.dumps(meta) + "\n",
+    }
+    _write_files(texts)
+    return list(texts)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    _atomic_write, _check_json_kinds, _is_number, _read_json, check_data_matrix, check_labels,
+    _check_json_kinds, _is_number, _read_json, _write_files, check_data_matrix, check_labels,
 )
 
 __all__ = [
@@ -89,8 +89,21 @@ def _abs_dev(A):
     return np.abs(A - _median(A))
 
 
-def _column_scales(X, method, labels):
-    """Scale statistic of every column of a checked matrix (>= 2 rows)."""
+def _checked(X, labels):
+    # X as a data matrix of >= 2 rows, and labels, whenever given, as (y, k)
+    X = check_data_matrix(X, min_rows=2)
+    return X, None if labels is None else check_labels(labels, n_expected=X.shape[0])
+
+
+def _column_scales(X, method, classes):
+    """Scale statistic of every column, X and classes as ``_checked`` returns
+    them.  One whose computation overflows (finite data near the float limit;
+    NaN comes only from inf - inf) is held at the largest float, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.nan_to_num(_statistics(X, method, classes), nan=_FLOAT_MAX, posinf=_FLOAT_MAX)
+
+
+def _statistics(X, method, classes):
     if method == "none":
         return np.ones(X.shape[1])
     # variances reduce along the rows of a contiguous transpose, so each column
@@ -103,9 +116,9 @@ def _column_scales(X, method, labels):
         return np.ptp(X, axis=0)
     if method not in POOLED_METHODS:
         raise ValueError("unknown scale method %r" % (method,))
-    if labels is None:
+    if classes is None:
         raise ValueError("method %r requires class labels" % (method,))
-    y, k = check_labels(labels, n_expected=X.shape[0])
+    y, k = classes
     groups = [X[y == c] for c in range(1, k + 1)]
     if method == "pooled_variance":
         for c, g in enumerate(groups, start=1):
@@ -150,13 +163,15 @@ def scale_statistic(column, method, labels=None):
     pooled_range_shift
         Largest per-class range.
 
-    Pooled methods require ``labels``.  ``column`` is 1-D and is checked as
-    the one column of a data matrix: at least 2 finite values.
+    Pooled methods require ``labels``; labels, whenever given, are checked
+    against the column.  ``column`` is 1-D and is checked as the one column
+    of a data matrix: at least 2 finite values.  A statistic whose
+    computation overflows is held at the largest float.
     """
     if np.ndim(column) != 1:
         raise ValueError("column must be 1-D")
-    X = check_data_matrix(np.reshape(column, (-1, 1)), min_rows=2)
-    return float(_column_scales(X, method, labels)[0])
+    X, classes = _checked(np.reshape(column, (-1, 1)), labels)
+    return float(_column_scales(X, method, classes)[0])
 
 
 def standardise_matrix(X, method, labels=None):
@@ -362,7 +377,10 @@ def fit_boxplot(X):
     scaled training value falls strictly outside [-2, 2]; every such tail is
     solved in one array bisection.
     """
-    X = check_data_matrix(X, min_rows=2)
+    return _fit_boxplot(check_data_matrix(X, min_rows=2))
+
+
+def _fit_boxplot(X):  # X checked
     q1, med, q3 = np.quantile(X, [0.25, 0.5, 0.75], axis=0, method="linear")
     lqr_raw = med - q1
     uqr_raw = q3 - med
@@ -511,8 +529,11 @@ class Standardiser:
             return cls(method, boxplot=BoxplotParams.from_json_dict(data))
         return cls(method, scales=data["scales"])
 
+    def _json_text(self):
+        return json.dumps(self.to_json_dict(), indent=1) + "\n"
+
     def save(self, path):
-        _atomic_write(path, json.dumps(self.to_json_dict(), indent=1) + "\n")
+        _write_files({path: self._json_text()})
 
     @classmethod
     def load(cls, path):
@@ -524,12 +545,14 @@ def fit_standardiser(X, method, labels=None):
 
     For linear methods this computes the per-column scale statistics (columns
     with zero scale are reported in one warning and will map to zero); for
-    ``boxplot`` it fits the full transform.  ``none`` scales by 1.
+    ``boxplot`` it fits the full transform.  ``none`` scales by 1.  Labels,
+    whenever given, are checked against the rows of X for every method; only
+    the pooled methods use them, and they require them.
     """
-    if method == "boxplot":  # fit_boxplot checks X itself
-        return Standardiser(method, boxplot=fit_boxplot(X))
-    X = check_data_matrix(X, min_rows=2)
-    scales = _column_scales(X, method, labels)
+    X, classes = _checked(X, labels)
+    if method == "boxplot":
+        return Standardiser(method, boxplot=_fit_boxplot(X))
+    scales = _column_scales(X, method, classes)
     zero = np.flatnonzero(scales == 0.0)
     if zero.size:
         warnings.warn(

@@ -11,10 +11,13 @@ from numpy.testing import assert_array_equal
 
 from scaledist.cli import main
 from scaledist.core import read_condensed, read_labels, read_matrix_csv, write_matrix_csv
+from scaledist.distance import cross, pairwise
 from scaledist.evaluate import adjusted_rand_index, misclassification_rate
 from scaledist.harness import read_records_csv, replicate_seeds, run_experiment
 from scaledist.harness import ExperimentConfig, run_experiment_to_files
+from scaledist.learn import knn_classify
 from scaledist.simgen import SetupSpec
+from scaledist.standardise import fit_standardiser
 
 
 def run(*argv):
@@ -511,3 +514,150 @@ def test_cli_composition_reproduces_experiment_records(tmp_path):
         read_labels(pred_out), read_labels(str(prefix) + ".test.labels")
     )
     assert miscls == by_method["knn3"].value
+
+
+def _error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scaledist: error: "), lines
+    return lines[0]
+
+
+def _pooled_data(tmp_path):
+    rng = np.random.default_rng(12)
+    X = np.vstack([rng.standard_normal((5, 4)), 3.0 * rng.standard_normal((5, 4)) + 1.0])
+    y = np.repeat([1, 2], 5)
+    write_matrix_csv(tmp_path / "x.csv", X)
+    (tmp_path / "y.labels").write_text("".join("%d\n" % v for v in y))
+    return X, y
+
+
+def test_standardise_and_distmat_fit_a_pooled_method_on_the_labels_given(tmp_path):
+    X, y = _pooled_data(tmp_path)
+    std = fit_standardiser(X, "pooled_variance", labels=y)
+    assert run("standardise", "--method", "pooled_variance", "--labels", tmp_path / "y.labels",
+               tmp_path / "x.csv", tmp_path / "out.csv") == 0
+    assert read_matrix_csv(tmp_path / "out.csv")[0].tobytes() == std.transform(X).tobytes()
+    assert run("distmat", "--q", 1, "--standardise", "pooled_variance",
+               "--labels", tmp_path / "y.labels", tmp_path / "x.csv", tmp_path / "x.dm") == 0
+    want = pairwise(std.transform(X), 1.0).entries
+    assert read_condensed(tmp_path / "x.dm").entries.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("command", ["standardise", "distmat"])
+@pytest.mark.parametrize(
+    "method, labels, expected",
+    [
+        ("pooled_variance", None, "method 'pooled_variance' requires class labels"),
+        # --labels is read and checked whenever given, whatever the method
+        ("mad", "1\n2\n", "expected 10 labels, got 2"),
+        ("none", "absent", "No such file or directory"),
+        ("boxplot", "1\n1.0\n", "line 2: could not parse '1.0' as an integer label"),
+        ("range", "99999999999999999999\n", "line 1: label 99999999999999999999 is beyond int64"),
+    ],
+)
+def test_bad_or_missing_labels_are_one_error_line(tmp_path, capsys, command, method, labels,
+                                                 expected):
+    _pooled_data(tmp_path)
+    argv = [command, "--method" if command == "standardise" else "--standardise", method]
+    if command == "distmat":
+        argv += ["--q", 1]
+    if labels is not None:
+        path = tmp_path / "bad.labels"
+        if labels != "absent":
+            path.write_text(labels)
+        argv += ["--labels", path]
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert run(*argv, tmp_path / "x.csv", out) == 1
+    assert expected in _error_line(capsys)
+    assert not out.exists()
+
+
+def test_standardise_refuses_labels_with_loaded_params(tmp_path, capsys):
+    data, params, _ = _saved_params(tmp_path, "mad")
+    (tmp_path / "y.labels").write_text("1\n" * 20)
+    capsys.readouterr()
+    assert run("standardise", "--params", params, "--labels", tmp_path / "y.labels",
+               data, tmp_path / "out.csv") == 1
+    assert _error_line(capsys) == "scaledist: error: --labels needs --method, not --params"
+
+
+def test_classify_with_a_pooled_method_matches_the_library(tmp_path):
+    X, y = _pooled_data(tmp_path)
+    test = X[::-1] * 1.5 + 0.25
+    write_matrix_csv(tmp_path / "t.csv", test)
+    std = fit_standardiser(X, "pooled_mad_shift", labels=y)
+    want = knn_classify(cross(std.transform(test), std.transform(X), 1.0), y, 3)
+    out = tmp_path / "pred.labels"
+    assert run("classify", "--train", tmp_path / "x.csv", "--train-labels", tmp_path / "y.labels",
+               "--test", tmp_path / "t.csv", "--q", 1, "--standardise", "pooled_mad_shift",
+               "--out", out) == 0
+    assert out.read_text() == "".join("%d\n" % v for v in want)
+
+
+def test_predictions_that_miss_a_class_are_still_written(tmp_path, capsys):
+    # k-nn predictions need not cover every class, so they are not checked
+    write_matrix_csv(tmp_path / "x.csv", np.array([[0.0], [1.0], [10.0]]))
+    (tmp_path / "y.labels").write_text("1\n1\n2\n")
+    write_matrix_csv(tmp_path / "t.csv", np.array([[0.5], [0.7]]))
+    assert run("classify", "--train", tmp_path / "x.csv", "--train-labels", tmp_path / "y.labels",
+               "--test", tmp_path / "t.csv", "--q", 1, "--k", 1) == 0
+    assert capsys.readouterr().out == "1\n1\n"
+
+
+def test_cluster_refuses_a_condensed_header_with_an_unknown_key(tmp_path, capsys):
+    dm = tmp_path / "d.dm"
+    dm.write_text('{"n": 3, "junk": 1}\n1.0\n2.0\n3.0\n')
+    assert run("cluster", "--method", "pam", "--k", 2, dm) == 1
+    assert _error_line(capsys) == "scaledist: error: %s: unknown header key(s): junk" % dm
+
+
+@pytest.mark.parametrize("method, labels", [
+    ("range", None), ("unit_variance", None), ("pooled_range_weights", "1\n1\n2\n"),
+])
+def test_an_overflowing_linear_scale_is_held_and_its_file_reloads(tmp_path, capsys, method,
+                                                                 labels):
+    # the statistic of the first column overflows; it used to warn and then
+    # fail with an error about a parameter-file key
+    data = tmp_path / "x.csv"
+    data.write_text("-1e308,1\n1e308,2\n0,3\n")
+    argv = ["standardise", "--method", method, "--save-params", tmp_path / "p.json"]
+    if labels is not None:
+        (tmp_path / "y.labels").write_text(labels)
+        argv += ["--labels", tmp_path / "y.labels"]
+    capsys.readouterr()
+    assert run(*argv, data, tmp_path / "fitted.csv") == 0
+    assert capsys.readouterr().err == ""
+    scales = json.loads((tmp_path / "p.json").read_text())["scales"]
+    assert scales[0] == np.finfo(np.float64).max and 0.0 < scales[1] < 3.0
+    assert run("standardise", "--params", tmp_path / "p.json", data, tmp_path / "again.csv") == 0
+    assert (tmp_path / "again.csv").read_text() == (tmp_path / "fitted.csv").read_text()
+
+
+def test_experiment_writes_neither_file_when_the_summary_fails(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    summary = tmp_path / "absent" / "s.json"
+    assert run("experiment", "--setup", "simple_normal", "--p", 4, "--n-per-class", 3,
+               "--replicates", 1, "--methods", "knn3", "--jobs", 1,
+               "--out", out, "--summary", summary) == 1
+    assert _error_line(capsys).endswith("No such file or directory: '%s'" % summary)
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_standardise_writes_no_params_when_the_output_fails(tmp_path, capsys):
+    data, _, _ = _saved_params(tmp_path, "mad")
+    before = sorted(tmp_path.iterdir())
+    params, out = tmp_path / "again.json", tmp_path / "absent" / "o.csv"
+    capsys.readouterr()
+    assert run("standardise", "--method", "mad", "--save-params", params, data, out) == 1
+    assert _error_line(capsys).endswith("No such file or directory: '%s'" % out)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_simulate_writes_nothing_when_a_target_is_a_directory(tmp_path, capsys):
+    prefix = tmp_path / "s"
+    (tmp_path / "s.meta.json").mkdir()
+    assert run("simulate", "--setup", "ntn_05", "--p", 3, "--n-per-class", 2, "--seed", 1,
+               "--out-prefix", prefix) == 1
+    assert _error_line(capsys).endswith("Is a directory: '%s.meta.json'" % prefix)
+    assert [p.name for p in tmp_path.iterdir()] == ["s.meta.json"]

@@ -13,7 +13,7 @@ from numpy.testing import assert_array_equal
 
 from scaledist.core import (
     CondensedDistanceMatrix,
-    _atomic_write,
+    _write_files,
     check_data_matrix,
     check_labels,
     condensed_index,
@@ -121,6 +121,16 @@ def test_check_labels():
         check_labels([1, 2], n_expected=3)
 
 
+@pytest.mark.parametrize(
+    "labels",
+    # were classes 1 and 2, one class, and classes 1 and 2
+    [["1", "2"], [True, True], [1.0, 2.0], np.array([2.0, 1.0]), [1, None]],
+)
+def test_check_labels_takes_integer_dtypes_only(labels):
+    with pytest.raises(ValueError, match="^labels must be integers$"):
+        check_labels(labels)
+
+
 def test_check_labels_names_the_missing_class_without_counting_to_the_largest():
     # the first gap in the sorted labels; memory must not grow with the largest
     # label.  Checked before the 10**12 case, so that a version whose memory
@@ -195,6 +205,28 @@ def test_label_errors_name_the_true_line(tmp_path, text, expected):
         read_labels(path)
     path.write_text("1\n2\n\n\n")  # trailing empty lines are ignored
     assert_array_equal(read_labels(path), [1, 2])
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("1\n99999999999999999999\n", 2),  # ended in an OverflowError traceback
+    ("-9223372036854775809\n1\n", 1),
+])
+def test_a_label_beyond_int64_is_an_error_naming_its_line(tmp_path, text, lineno):
+    path = tmp_path / "y.labels"
+    path.write_text(text)
+    label = text.splitlines()[lineno - 1]
+    with pytest.raises(ValueError, match="^line %d: label %s is beyond int64$" % (lineno, label)):
+        read_labels(path)
+    path.write_text("1\n9223372036854775807\n")  # fits int64; class 2 is then empty
+    with pytest.raises(ValueError, match="^class 2 has no members$"):
+        read_labels(path)
+
+
+def test_condensed_header_refuses_unknown_keys(tmp_path):
+    path = tmp_path / "d.dm"
+    path.write_text('{"n": 3, "junk": 1, "a": 2}\n1.0\n2.0\n3.0\n')
+    with pytest.raises(ValueError, match=re.escape("d.dm: unknown header key(s): a, junk")):
+        read_condensed(path)
 
 
 def test_condensed_file_round_trip(tmp_path):
@@ -272,10 +304,28 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()  # os.replace cannot put a file over a directory
     with pytest.raises(IsADirectoryError):
-        _atomic_write(target, "1.0\n")
+        _write_files({target: "1.0\n"})
     with pytest.raises(UnicodeEncodeError):
-        _atomic_write(tmp_path / "out.txt", "\ud800")  # fails inside the write
+        _write_files({tmp_path / "out.txt": "\ud800"})  # fails inside the write
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_write_files_renames_all_or_none_and_names_the_path(tmp_path):
+    kept, absent = tmp_path / "kept.txt", tmp_path / "absent" / "b.txt"
+    kept.write_text("old\n")
+    with pytest.raises(FileNotFoundError) as err:
+        _write_files({kept: "new\n", absent: "b\n"})
+    assert err.value.filename == str(absent)  # not its temporary
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        _write_files({kept: "new\n", taken: "x\n"})
+    assert err.value.filename == str(taken)
+    assert kept.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "taken"]
+    _write_files({kept: "new\n", tmp_path / "c.txt": "c\n"})
+    assert kept.read_text() == "new\n" and (tmp_path / "c.txt").read_text() == "c\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "kept.txt", "taken"]
 
 
 def test_the_runtime_needs_numpy_only():

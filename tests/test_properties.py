@@ -1,20 +1,26 @@
-"""Property tests: parameter files, the boxplot band, ARI and metric axioms.
+"""Property tests: file round trips, the boxplot band, ARI and metric axioms.
 
 Each property draws a bounded number of small examples, so the module adds a
 few seconds to the suite.
 """
 
+import dataclasses
 import json
 import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from scaledist.core import (
+    CondensedDistanceMatrix, read_condensed, read_labels, read_matrix_csv, write_condensed,
+    write_labels, write_matrix_csv,
+)
 from scaledist.distance import cross, pairwise
 from scaledist.evaluate import adjusted_rand_index
+from scaledist.harness import ResultRecord, read_records_csv, write_records_csv
 from scaledist.standardise import (
     METHODS,
     Standardiser,
@@ -86,3 +92,68 @@ def test_minkowski_distances_are_metrics(X, q):
     # D[i, k] <= D[i, j] + D[j, k] for every triple (i, j, k), to rtol 1e-12
     via = D[:, :, None] + D[None, :, :]
     assert np.all(D[:, None, :] <= via * (1.0 + 1e-12))
+
+
+# Every finite float: subnormals, -0.0 and the extremes included.  The files
+# below are rewritten at each example, so one tmp_path serves them all.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_EDGES = [-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308, 0.1]
+_FILES = settings(max_examples=60, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FILES
+@given(X=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5)), elements=_FLOATS))
+@example(X=np.array([_EDGES]))
+def test_matrix_csv_round_trips_every_bit(tmp_path, X):
+    write_matrix_csv(tmp_path / "m.csv", X)
+    assert read_matrix_csv(tmp_path / "m.csv")[0].tobytes() == X.tobytes()
+
+
+@_FILES
+@given(data=st.data(), n=st.integers(1, 30))
+def test_labels_file_round_trips(tmp_path, data, n):
+    y = data.draw(_partitions(n))
+    write_labels(tmp_path / "y.labels", y)
+    back = read_labels(tmp_path / "y.labels")
+    assert back.dtype == np.int64 and np.array_equal(back, y)
+
+
+_DISTANCES = st.floats(0.0, allow_infinity=False) | st.just(-0.0)
+
+
+@_FILES
+@given(D=st.integers(2, 8).flatmap(lambda n: st.builds(
+    CondensedDistanceMatrix, st.just(n),
+    arrays(np.float64, n * (n - 1) // 2, elements=_DISTANCES))))
+@example(D=CondensedDistanceMatrix(4, [-0.0, 5e-324, 2.225073858507201e-308,
+                                       1.7976931348623157e308, 0.1, 0.0]))
+def test_condensed_file_round_trips_every_bit(tmp_path, D):
+    write_condensed(tmp_path / "d.dm", D)
+    back = read_condensed(tmp_path / "d.dm")
+    assert back.n == D.n and back.entries.tobytes() == D.entries.tobytes()
+
+
+_RECORDS = st.lists(st.builds(
+    ResultRecord,
+    setup=st.sampled_from(["ntn_05", "custom"]),
+    replicate=st.integers(0, 10 ** 6),
+    seed=st.integers(0, 2 ** 64 - 1),
+    standardisation=st.sampled_from(["none", "boxplot", "pooled_mad_shift:oracle"]),
+    q=st.sampled_from([1.0, 2.5, math.inf]) | st.floats(1.0, allow_infinity=False),
+    method=st.sampled_from(["pam", "knn3"]),
+    metric=st.sampled_from(["ari", "misclassification"]),
+    value=st.sampled_from(_EDGES) | _FLOATS,
+    seconds=st.floats(0.0, allow_infinity=False),
+), min_size=1, max_size=6)
+
+
+@_FILES
+@given(records=_RECORDS, timing=st.booleans())
+def test_records_csv_round_trips_every_bit(tmp_path, records, timing):
+    write_records_csv(tmp_path / "r.csv", records, timing=timing)
+    back = read_records_csv(tmp_path / "r.csv")
+    # repr tells -0.0 from 0.0 and shows each float exactly
+    if not timing:
+        records = [dataclasses.replace(r, seconds=math.nan) for r in records]
+    assert [repr(r) for r in back] == [repr(r) for r in records]

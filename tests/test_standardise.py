@@ -215,3 +215,31 @@ def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
     alone = [entry for j in range(X.shape[1]) for entry in fitted(X[:, [j]])]
     # json text compares floats bit for bit, including the sign of zero
     assert json.dumps(fitted(X)) == json.dumps(alone)
+
+
+@pytest.mark.parametrize("method", LINEAR_METHODS)
+def test_an_overflowing_statistic_is_held_at_the_largest_float(method):
+    # every linear statistic overflows on column 1: its range and variance, and
+    # the median interpolation between -1e308 and 1e308 that MAD makes; it
+    # used to warn and store inf, which the Standardiser then refused
+    X = np.array([[-1e308, 1.0], [-1e308, 2.0], [1e308, 3.0], [1e308, 5.0]])
+    y = np.array([1, 2, 1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        std = fit_standardiser(X, method, labels=y)
+        assert scale_statistic(X[:, 0], method, y) == np.finfo(np.float64).max
+    assert std.scales[0] == np.finfo(np.float64).max and 0.0 < std.scales[1] < 5.0
+    loaded = Standardiser.from_json_dict(json.loads(json.dumps(std.to_json_dict())))
+    assert loaded.transform(X).tobytes() == std.transform(X).tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_labels_are_checked_against_the_rows_whenever_given(method):
+    X = np.arange(8.0).reshape(4, 2)
+    for labels, expected in (([1, 2], "expected 4 labels, got 2"),
+                             ([1.0, 2.0, 1.0, 2.0], "labels must be integers"),
+                             ([1, 3, 1, 3], "class 2 has no members")):
+        with pytest.raises(ValueError, match=expected):
+            fit_standardiser(X, method, labels=labels)
+        with pytest.raises(ValueError, match=expected):
+            scale_statistic(X[:, 0], method, labels)
