@@ -15,8 +15,13 @@ import warnings
 
 from . import core, harness, simgen
 from .distance import cross, pairwise, parse_order
-from .learn import LINKAGE_METHODS, cut_tree, knn_classify, linkage, pam
+from .learn import cut_tree, knn_classify, linkage, pam
 from .standardise import METHODS, Standardiser, fit_standardiser
+
+
+def integer(text):
+    # named for argparse's message: "invalid integer value: '1_0'"
+    return core._parse_number(text, integer=True)
 
 
 def _comma_list(text):
@@ -34,9 +39,9 @@ def _build_parser():
     p = sub.add_parser("simulate", help="generate a two-class dataset")
     p.add_argument("--setup", required=True,
                    help="setup name (%s)" % ", ".join(simgen.setup_catalog()))
-    p.add_argument("--p", type=int, help="number of variables (override)")
-    p.add_argument("--n-per-class", type=int, help="observations per class (override)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--p", type=integer, help="number of variables (override)")
+    p.add_argument("--n-per-class", type=integer, help="observations per class (override)")
+    p.add_argument("--seed", type=integer, required=True)
     p.add_argument("--out-prefix", required=True,
                    help="writes <prefix>.train.csv, .train.labels, .test.csv, "
                         ".test.labels, .meta.json")
@@ -61,8 +66,8 @@ def _build_parser():
     p.add_argument("output")
 
     p = sub.add_parser("cluster", help="cluster a condensed distance file")
-    p.add_argument("--method", required=True, choices=("pam",) + LINKAGE_METHODS)
-    p.add_argument("--k", type=int, required=True, help="number of clusters")
+    p.add_argument("--method", required=True, choices=harness.CLUSTER_METHODS)
+    p.add_argument("--k", type=integer, required=True, help="number of clusters")
     p.add_argument("--out", help="write labels here instead of stdout")
     p.add_argument("distances")
 
@@ -74,16 +79,16 @@ def _build_parser():
     p.add_argument("--standardise", default="none", choices=METHODS, dest="method",
                    help="fitted on training data, applied to both sides "
                         "(boxplot output is capped on the test side)")
-    p.add_argument("--k", type=int, default=3, help="neighbour count (default 3)")
+    p.add_argument("--k", type=integer, default=3, help="neighbour count (default 3)")
     p.add_argument("--out", help="write predictions here instead of stdout")
 
     p = sub.add_parser("experiment", help="run a simulation experiment grid")
     p.add_argument("--config", help="JSON config; command-line flags override it")
     p.add_argument("--setup", help="setup name or 'custom' fields in --config")
-    p.add_argument("--p", type=int)
-    p.add_argument("--n-per-class", type=int)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--p", type=integer)
+    p.add_argument("--n-per-class", type=integer)
+    p.add_argument("--replicates", type=integer)
+    p.add_argument("--seed", type=integer)
     p.add_argument("--standardise", type=_comma_list, dest="standardisations",
                    help="comma list, e.g. none,mad,boxplot")
     p.add_argument("--q", type=_comma_list, dest="orders", help="comma list, e.g. 1,2,inf")
@@ -93,7 +98,7 @@ def _build_parser():
                    help="allow pooled standardisation for clustering (label-leaking)")
     p.add_argument("--timing", action="store_true", default=None,
                    help="fill the seconds column (breaks bytewise reproducibility)")
-    p.add_argument("--jobs", type=int, help="worker processes (default: $%s or CPU count)"
+    p.add_argument("--jobs", type=integer, help="worker processes (default: $%s or CPU count)"
                    % harness.JOBS_ENV_VAR)
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--summary", help="summary JSON path")
@@ -127,7 +132,7 @@ def _cmd_standardise(args):
     for flag in ("save_params", "labels"):
         if args.params is not None and getattr(args, flag) is not None:
             raise ValueError("--%s needs --method, not --params" % flag.replace("_", "-"))
-    X, _ = core.read_matrix_csv(args.input)
+    X = core.read_matrix_csv(args.input)
     std = Standardiser.load(args.params) if args.params is not None else _fit(X, args)
     # both files are written together, or neither
     texts = {} if args.save_params is None else {args.save_params: std._json_text()}
@@ -136,7 +141,7 @@ def _cmd_standardise(args):
 
 
 def _cmd_distmat(args):
-    X, _ = core.read_matrix_csv(args.input)
+    X = core.read_matrix_csv(args.input)
     std = _fit(X, args)
     core.write_condensed(args.output, pairwise(std.transform(X), parse_order(args.q)))
 
@@ -151,9 +156,9 @@ def _cmd_cluster(args):
 
 
 def _cmd_classify(args):
-    x_train, _ = core.read_matrix_csv(args.train)
+    x_train = core.read_matrix_csv(args.train)
     y_train = core.read_labels(args.train_labels)
-    x_test, _ = core.read_matrix_csv(args.test)
+    x_test = core.read_matrix_csv(args.test)
     std = fit_standardiser(x_train, args.method, labels=y_train)
     q = parse_order(args.q)
     predictions = knn_classify(

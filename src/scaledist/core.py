@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +164,8 @@ def check_labels(y, n_expected=None):
         raise ValueError("labels are empty")
     if not np.issubdtype(y.dtype, np.integer):
         raise ValueError("labels must be integers")
+    if y.max() > np.iinfo(np.int64).max:  # an unsigned label the cast would wrap
+        raise ValueError("label %d is beyond int64" % y.max())
     y = y.astype(np.int64)
     if n_expected is not None and y.shape[0] != n_expected:
         raise ValueError("expected %d labels, got %d" % (n_expected, y.shape[0]))
@@ -258,11 +262,37 @@ def _read_lines(path):
     return lines
 
 
+# A number written in text is an optional sign, then ASCII digits with an
+# optional fraction and exponent; an integer is an optional sign and ASCII
+# digits.  inf, infinity and nan (any case, signed) are numbers only so that
+# each float reader keeps its own rule for them.  Every other form Python
+# reads, such as 1_000 or non-ASCII digits, is refused (under re.A, \d and
+# re.I match ASCII alone).
+_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)", re.A | re.I)
+_INTEGER = re.compile(r"[+-]?\d+", re.A)
+
+
+def _parse_number(text, integer=False):
+    """The float ``text`` writes, or with ``integer`` the int, blanks around
+    it ignored; ValueError on text outside the grammar above."""
+    token = text.strip()
+    if (_INTEGER if integer else _NUMBER).fullmatch(token):
+        return int(token) if integer else float(token)
+    raise ValueError("could not parse %r as %s" % (token, "an integer" if integer else "a number"))
+
+
+def _parse_finite(text):
+    value = _parse_number(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite value %r" % text.strip())
+    return value
+
+
 def _read_json(path):
     """The value of a JSON file; ValueError naming the file if it is not JSON
     or holds a number literal that overflows a float (``Infinity`` does not)."""
     def parse_float(text):
-        value = float(text)
+        value = _parse_number(text)
         if np.isinf(value):
             raise ValueError("%s: number %s is too large for a float" % (path, text))
         return value
@@ -276,28 +306,13 @@ def _read_json(path):
 
 def _parse_cell(cell, lineno, colno):
     try:
-        v = float(cell)
-    except ValueError:
-        raise ValueError(
-            "line %d, column %d: could not parse %r as a number" % (lineno, colno, cell)
-        ) from None
-    if not np.isfinite(v):
-        raise ValueError("line %d, column %d: non-finite value %r" % (lineno, colno, cell))
-    return v
+        return _parse_finite(cell)
+    except ValueError as exc:
+        raise ValueError("line %d, column %d: %s" % (lineno, colno, exc)) from None
 
 
-def read_matrix_csv(path, has_header=False):
-    """Read a numeric CSV into a data matrix.
-
-    Parameters
-    ----------
-    path : str
-    has_header : bool
-        If true the first line holds column names and is skipped.
-
-    Returns
-    -------
-    (X, header) : (np.ndarray, list of str or None)
+def read_matrix_csv(path):
+    """Read a numeric CSV, one row per line and no header, into a data matrix.
 
     Raises
     ------
@@ -306,51 +321,26 @@ def read_matrix_csv(path, has_header=False):
         message names the offending line and column (1-based).
     """
     lines = _read_lines(path)
-    header = None
-    start = 0
-    if has_header:
-        if not lines:
-            raise ValueError("%s: empty file" % path)
-        header = [c.strip() for c in lines[0].split(",")]
-        start = 1
-    if not lines[start:]:
+    if not lines:
         raise ValueError("%s: no data rows" % path)
+    width = len(lines[0].split(","))
     rows = []
-    width = None
-    for offset, line in enumerate(lines[start:]):
-        lineno = start + offset + 1
+    for lineno, line in enumerate(lines, start=1):
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if header is not None and len(header) != width:
-                raise ValueError(
-                    "line %d: %d cells but header names %d columns"
-                    % (lineno, width, len(header))
-                )
-        elif len(cells) != width:
-            raise ValueError(
-                "line %d: %d cells, expected %d" % (lineno, len(cells), width)
-            )
-        rows.append([_parse_cell(c.strip(), lineno, k + 1) for k, c in enumerate(cells)])
-    return np.array(rows, dtype=np.float64), header
+        if len(cells) != width:
+            raise ValueError("line %d: %d cells, expected %d" % (lineno, len(cells), width))
+        rows.append([_parse_cell(c, lineno, k + 1) for k, c in enumerate(cells)])
+    return np.array(rows, dtype=np.float64)
 
 
-def _matrix_text(X, header=None):
+def _matrix_text(X):
     # the matrix CSV format, at full precision (values round-trip exactly)
-    X = check_data_matrix(X)
-    out = []
-    if header is not None:
-        if len(header) != X.shape[1]:
-            raise ValueError("header names %d columns, matrix has %d" % (len(header), X.shape[1]))
-        out.append(",".join(header))
-    for row in X:
-        out.append(",".join(_format(v) for v in row))
-    return "\n".join(out) + "\n"
+    return "".join(",".join(map(_format, row)) + "\n" for row in check_data_matrix(X))
 
 
-def write_matrix_csv(path, X, header=None):
+def write_matrix_csv(path, X):
     """Write a data matrix as CSV at full precision (values round-trip exactly)."""
-    _write_files({path: _matrix_text(X, header)})
+    _write_files({path: _matrix_text(X)})
 
 
 def read_labels(path):
@@ -362,7 +352,7 @@ def read_labels(path):
     values = []
     for lineno, ln in enumerate(lines, start=1):
         try:
-            values.append(int(ln))
+            values.append(_parse_number(ln, integer=True))
         except ValueError:
             raise ValueError(
                 "line %d: could not parse %r as an integer label" % (lineno, ln.strip())
@@ -416,7 +406,5 @@ def read_condensed(path):
         raise ValueError(
             "%s: expected %d entries for n=%d, found %d" % (path, want, n, len(body))
         )
-    entries = np.empty(want)
-    for k, ln in enumerate(body):
-        entries[k] = _parse_cell(ln.strip(), k + 2, 1)
-    return CondensedDistanceMatrix(n, entries)
+    return CondensedDistanceMatrix(
+        n, [_parse_cell(ln, lineno, 1) for lineno, ln in enumerate(body, start=2)])

@@ -43,7 +43,7 @@ import numbers
 
 import numpy as np
 
-from .core import CondensedDistanceMatrix, check_data_matrix, condensed_size
+from .core import CondensedDistanceMatrix, _parse_number, check_data_matrix, condensed_size
 
 __all__ = [
     "check_order",
@@ -87,14 +87,15 @@ def check_order(q):
 def parse_order(text):
     """Parse an aggregation order from a string.
 
-    Only 'inf' and 'infinity' (any case) give infinity; other text that
-    overflows a float, such as '1e999', is a ValueError.
+    The text is a number in core's grammar.  Only 'inf' and 'infinity' (any
+    case) give infinity; other text that overflows a float, such as '1e999',
+    is a ValueError.
     """
     s = str(text).strip().lower()
     if s in ("inf", "infinity"):
         return math.inf
     try:
-        q = float(s)
+        q = _parse_number(s)
     except ValueError:
         raise ValueError("could not parse aggregation order %r" % (text,)) from None
     if q == math.inf:

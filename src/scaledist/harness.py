@@ -43,10 +43,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _check_integer, _check_json_kinds, _read_lines, _write_files
+from .core import (
+    _check_integer, _check_json_kinds, _parse_finite, _parse_number, _read_lines, _write_files,
+)
 from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
 from .evaluate import adjusted_rand_index, misclassification_rate
-from .learn import cut_tree, knn_classify, linkage, pam
+from .learn import LINKAGE_METHODS, cut_tree, knn_classify, linkage, pam
 from .simgen import SetupSpec, _catalog_setup, generate
 from .standardise import METHODS, POOLED_METHODS, fit_standardiser
 
@@ -65,7 +67,7 @@ __all__ = [
     "read_records_csv",
 ]
 
-CLUSTER_METHODS = ("pam", "complete", "average")
+CLUSTER_METHODS = ("pam",) + LINKAGE_METHODS
 EXPERIMENT_METHODS = CLUSTER_METHODS + ("knn3",)
 
 RESULTS_HEADER = "setup,replicate,seed,standardisation,q,method,metric,value,seconds"
@@ -285,7 +287,7 @@ def _score_standardisation(data, std_method, orders, methods):
             if method == "pam":
                 labels = pam(train_ds[i], k_classes).labels
                 value = adjusted_rand_index(labels, data.y_train)
-            elif method in ("complete", "average"):
+            elif method in LINKAGE_METHODS:
                 labels = cut_tree(linkage(train_ds[i], method), k_classes)
                 value = adjusted_rand_index(labels, data.y_train)
             else:  # knn3
@@ -300,7 +302,7 @@ def _resolve_jobs(jobs):
         env = os.environ.get(JOBS_ENV_VAR, "").strip()
         if env:
             try:
-                jobs = int(env)
+                jobs = _parse_number(env, integer=True)
             except ValueError:
                 raise ValueError(
                     "%s must be an integer, got %r" % (JOBS_ENV_VAR, env)
@@ -383,14 +385,14 @@ def read_records_csv(path):
             records.append(
                 ResultRecord(
                     setup=cells[0],
-                    replicate=int(cells[1]),
-                    seed=int(cells[2]),
+                    replicate=_parse_number(cells[1], integer=True),
+                    seed=_parse_number(cells[2], integer=True),
                     standardisation=cells[3],
                     q=parse_order(cells[4]),
                     method=cells[5],
                     metric=cells[6],
-                    value=float(cells[7]),
-                    seconds=float(cells[8]) if cells[8] != "" else math.nan,
+                    value=_parse_finite(cells[7]),
+                    seconds=_parse_finite(cells[8]) if cells[8] != "" else math.nan,
                 )
             )
         except ValueError as exc:

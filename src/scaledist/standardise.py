@@ -76,12 +76,24 @@ def quantile(values, prob):
         raise ValueError("values must be 1-D")
     if not 0.0 <= prob <= 1.0:
         raise ValueError("prob must be in [0, 1], got %r" % (prob,))
-    v = check_data_matrix(np.reshape(values, (-1, 1)))[:, 0]
-    return float(np.quantile(v, prob, method="linear"))
+    return float(_quantiles(check_data_matrix(np.reshape(values, (-1, 1))), prob)[0])
+
+
+def _quantiles(A, probs):
+    # np.quantile of each column by linear interpolation.  numpy interpolates
+    # through b - a, which overflows between order statistics of opposite
+    # signs near the float limit; only the entries that come out non-finite
+    # are taken again from the halved data and doubled, which is exact.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.quantile(A, probs, axis=0, method="linear")
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = 2 * np.quantile(A / 2, probs, axis=0, method="linear")[bad]
+    return out
 
 
 def _median(A):
-    return np.quantile(A, 0.5, axis=0, method="linear")
+    return _quantiles(A, 0.5)
 
 
 def _abs_dev(A):
@@ -359,14 +371,18 @@ def _scale_about_median(X, median, lqr, uqr):
     # centre on the median, divide the lower half by 2*LQR and the upper by
     # 2*UQR; exact zeros stay zero so the median maps to 0 exactly.  A ratio
     # beyond the float range (a half-range tiny next to the value) is held at
-    # the largest float, where the tail map has long reached its limit; an
-    # overflowing doubled half-range still warns.
-    xm = X - median[None, :]
-    lower_width, upper_width = 2.0 * lqr[None, :], 2.0 * uqr[None, :]
+    # the largest float, where the tail map has long reached its limit.  A
+    # column whose centred values or doubled half-ranges overflow is scaled
+    # again with every input halved, which leaves the ratios unchanged.
     with np.errstate(invalid="ignore", over="ignore"):
-        lower = xm / lower_width
-        upper = xm / upper_width
+        xm = X - median[None, :]
+        lower = xm / (2.0 * lqr[None, :])
+        upper = xm / (2.0 * uqr[None, :])
     out = np.where(xm < 0.0, lower, np.where(xm > 0.0, upper, 0.0))
+    wide = ~np.isfinite(xm).all(axis=0) | (np.maximum(lqr, uqr) > _FLOAT_MAX / 2)
+    if wide.any():
+        out[:, wide] = _scale_about_median(X[:, wide] / 2, median[wide] / 2,
+                                           lqr[wide] / 2, uqr[wide] / 2)
     return np.clip(out, -_FLOAT_MAX, _FLOAT_MAX, out=out)
 
 
@@ -381,9 +397,10 @@ def fit_boxplot(X):
 
 
 def _fit_boxplot(X):  # X checked
-    q1, med, q3 = np.quantile(X, [0.25, 0.5, 0.75], axis=0, method="linear")
-    lqr_raw = med - q1
-    uqr_raw = q3 - med
+    q1, med, q3 = _quantiles(X, [0.25, 0.5, 0.75])
+    with np.errstate(over="ignore"):  # a half-range beyond the float range is held
+        lqr_raw = np.minimum(med - q1, _FLOAT_MAX)
+        uqr_raw = np.minimum(q3 - med, _FLOAT_MAX)
     degenerate = (lqr_raw == 0.0) & (uqr_raw == 0.0)
     lqr, uqr = _degenerate_widths(np.where(lqr_raw > 0.0, lqr_raw, uqr_raw),
                                   np.where(uqr_raw > 0.0, uqr_raw, lqr_raw), degenerate)

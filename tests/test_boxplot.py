@@ -268,6 +268,28 @@ def test_quartile_range_tiny_next_to_the_extreme(tmp_path, column):
     assert_array_equal(Standardiser.load(path).transform(X), out)
 
 
+@pytest.mark.parametrize("column", [
+    [-1e308, -1e308, 1e308, 1e308],
+    [-1e308, -1e308, 1e308],
+    [-1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308],
+    [-1.7e308, 1.6e308, 1.7e308, 1.7e308, 1.7e308],
+], ids=["median", "median-at-an-order-statistic", "half-range", "centred-value"])
+def test_values_near_the_float_limit_fit_to_finite_parameters(tmp_path, column):
+    # each overflowed: numpy's interpolation of a median or quartile between
+    # values of opposite signs (to -inf, or nan where it lands on an order
+    # statistic), a half-range, a value minus the median, or a doubled
+    # half-range; the fit stored non-finite parameters or warned
+    X = np.array(column)[:, None]
+    fitted = fit_standardiser(X, "boxplot")
+    for name in ("median", "lqr", "uqr", "scaled_min", "scaled_max"):
+        assert np.isfinite(getattr(fitted.boxplot, name)).all()
+    out = fitted.transform(X)[:, 0]
+    assert -2.0 <= out.min() and out.max() <= 2.0 and np.all(np.diff(out) >= 0.0)
+    path = tmp_path / "bp.json"
+    fitted.save(path)
+    assert_array_equal(Standardiser.load(path).transform(X), fitted.transform(X))
+
+
 def test_parameter_file_keys_are_the_fields_in_order():
     assert list(_BOXPLOT_KINDS) == [f.name for f in dataclasses.fields(BoxplotParams)]
     fitted = fit_boxplot(np.arange(12, dtype=float).reshape(-1, 2))

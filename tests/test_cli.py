@@ -42,7 +42,7 @@ def test_simulate_writes_dataset(tmp_path):
         "simulate", "--setup", "ntn_05", "--p", 15, "--n-per-class", 5,
         "--seed", 3, "--out-prefix", prefix,
     ) == 0
-    X, _ = read_matrix_csv(str(prefix) + ".train.csv")
+    X = read_matrix_csv(str(prefix) + ".train.csv")
     assert X.shape == (10, 15)
     meta = json.loads((tmp_path / "sim.meta.json").read_text())
     assert meta["seed"] == 3
@@ -65,12 +65,12 @@ def test_standardise_fit_save_and_reapply(tmp_path):
 
     assert run("standardise", "--method", "boxplot", "--save-params", params,
                train, tmp_path / "train_std.csv") == 0
-    out, _ = read_matrix_csv(tmp_path / "train_std.csv")
+    out = read_matrix_csv(tmp_path / "train_std.csv")
     assert out.min() >= -2.0 and out.max() <= 2.0
 
     assert run("standardise", "--params", params, "--cap",
                test, tmp_path / "test_std.csv") == 0
-    capped, _ = read_matrix_csv(tmp_path / "test_std.csv")
+    capped = read_matrix_csv(tmp_path / "test_std.csv")
     assert capped.min() >= -2.0 and capped.max() <= 2.0
 
 
@@ -280,7 +280,7 @@ def test_loaded_degenerate_boxplot_variable_transforms_without_a_warning(tmp_pat
     write_matrix_csv(data, np.array([[1.0, 4.0], [-1.0, 6.0]]))
     assert run("standardise", "--params", params, data, tmp_path / "out.csv") == 0
     assert capsys.readouterr().err == ""
-    assert_array_equal(read_matrix_csv(tmp_path / "out.csv")[0], [[0.5, 0.0], [-0.5, 0.0]])
+    assert_array_equal(read_matrix_csv(tmp_path / "out.csv"), [[0.5, 0.0], [-0.5, 0.0]])
 
 
 def test_classify_end_to_end(tmp_path):
@@ -536,7 +536,7 @@ def test_standardise_and_distmat_fit_a_pooled_method_on_the_labels_given(tmp_pat
     std = fit_standardiser(X, "pooled_variance", labels=y)
     assert run("standardise", "--method", "pooled_variance", "--labels", tmp_path / "y.labels",
                tmp_path / "x.csv", tmp_path / "out.csv") == 0
-    assert read_matrix_csv(tmp_path / "out.csv")[0].tobytes() == std.transform(X).tobytes()
+    assert read_matrix_csv(tmp_path / "out.csv").tobytes() == std.transform(X).tobytes()
     assert run("distmat", "--q", 1, "--standardise", "pooled_variance",
                "--labels", tmp_path / "y.labels", tmp_path / "x.csv", tmp_path / "x.dm") == 0
     want = pairwise(std.transform(X), 1.0).entries
@@ -630,6 +630,23 @@ def test_an_overflowing_linear_scale_is_held_and_its_file_reloads(tmp_path, caps
     assert capsys.readouterr().err == ""
     scales = json.loads((tmp_path / "p.json").read_text())["scales"]
     assert scales[0] == np.finfo(np.float64).max and 0.0 < scales[1] < 3.0
+    assert run("standardise", "--params", tmp_path / "p.json", data, tmp_path / "again.csv") == 0
+    assert (tmp_path / "again.csv").read_text() == (tmp_path / "fitted.csv").read_text()
+
+
+def test_a_boxplot_fit_whose_median_overflowed_reloads_through_params(tmp_path, capsys):
+    # numpy's median of the first column overflowed: the command warned
+    # "overflow encountered in subtract", then stopped at a non-finite value
+    data = tmp_path / "x.csv"
+    data.write_text("-1e308,1\n-1e308,2\n1e308,3\n1e308,5\n")
+    capsys.readouterr()
+    assert run("standardise", "--method", "boxplot", "--save-params", tmp_path / "p.json",
+               data, tmp_path / "fitted.csv") == 0
+    assert capsys.readouterr().err == ""
+    first = json.loads((tmp_path / "p.json").read_text())["variables"][0]
+    assert [first[key] for key in ("median", "lqr", "uqr", "scaled_min", "scaled_max")] == [
+        0.0, 1e308, 1e308, -0.5, 0.5]
+    assert read_matrix_csv(tmp_path / "fitted.csv")[:, 0].tolist() == [-0.5, -0.5, 0.5, 0.5]
     assert run("standardise", "--params", tmp_path / "p.json", data, tmp_path / "again.csv") == 0
     assert (tmp_path / "again.csv").read_text() == (tmp_path / "fitted.csv").read_text()
 

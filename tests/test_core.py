@@ -156,17 +156,8 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
     X = rng.standard_normal((13, 7)) * 10.0 ** rng.integers(-12, 12, size=(13, 7))
     path = tmp_path / "m.csv"
     write_matrix_csv(path, X)
-    back, header = read_matrix_csv(path)
-    assert header is None
+    back = read_matrix_csv(path)
     assert_array_equal(back, X)
-
-
-def test_matrix_csv_header_handling(tmp_path):
-    path = tmp_path / "h.csv"
-    path.write_text("a,b\n1,2\n3,4\n")
-    X, header = read_matrix_csv(path, has_header=True)
-    assert header == ["a", "b"]
-    assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_matrix_csv_parse_errors_name_the_cell(tmp_path):
@@ -222,6 +213,15 @@ def test_a_label_beyond_int64_is_an_error_naming_its_line(tmp_path, text, lineno
         read_labels(path)
 
 
+def test_an_unsigned_label_beyond_int64_is_named_as_given():
+    # the int64 cast wrapped it: "labels must be numbered from 1, got
+    # -9223372036854775808"
+    with pytest.raises(ValueError, match="^label 9223372036854775808 is beyond int64$"):
+        check_labels(np.array([1, 2**63], dtype=np.uint64))
+    labels, k = check_labels(np.array([2, 1], dtype=np.uint64))
+    assert labels.dtype == np.int64 and labels.tolist() == [2, 1] and k == 2
+
+
 def test_condensed_header_refuses_unknown_keys(tmp_path):
     path = tmp_path / "d.dm"
     path.write_text('{"n": 3, "junk": 1, "a": 2}\n1.0\n2.0\n3.0\n')
@@ -272,7 +272,7 @@ _RECORD = "simple_normal,%d,5,none,1,pam,ari,0.5,"
 @pytest.mark.parametrize(
     "read, lines, malformed",
     [
-        (lambda path: read_matrix_csv(path)[0].tolist(),
+        (lambda path: read_matrix_csv(path).tolist(),
          ["1.0,2.0", "3.0,4.0", "5.0,6.0"],
          [(2, "3.0,4.0,7.0", "line 2: 3 cells, expected 2")]),
         (lambda path: read_condensed(path).entries.tolist(),

@@ -1,8 +1,10 @@
-"""Static guard: every name a module of the package imports is used.
+"""Static guards: every name a module of the package imports is used, and
+every private module-level name is used somewhere in the package.
 
 No linter is a dependency, so this parses each module with ``ast``.  A name
 bound by an import must be read somewhere in the module or be listed in its
-``__all__`` (a re-export).
+``__all__`` (a re-export).  A module-level ``_name`` must be read, by name,
+somewhere in the package outside its own definition.
 """
 
 import ast
@@ -40,3 +42,42 @@ def test_every_imported_name_is_used(path):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\n__all__ = ['loads']\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "dumps")]
+
+
+def _names_read(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _dead_private_names(trees):
+    # by name across the package: a read in a module's own definition of the
+    # name (a recursive call) does not count
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = {node.name}
+            elif isinstance(node, ast.Assign):
+                own = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined |= {name for name in own if name.startswith("_") and not name.startswith("__")}
+            read |= set(_names_read(node)) - own
+    return sorted(defined - read)
+
+
+def test_every_private_module_level_name_is_used():
+    trees = [ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))]
+    assert _dead_private_names(trees) == []
+
+
+def test_the_guard_sees_a_dead_private_name():
+    defining = ast.parse("def _used(): pass\ndef _dead(n): return _dead(n)\n"
+                         "_CONST = 1\n__all__ = []\nclass _Kind: pass\n")
+    reading = ast.parse("from a import _used\nimport a\na._Kind\n")
+    assert _dead_private_names([defining, reading]) == ["_CONST", "_dead"]

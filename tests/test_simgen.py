@@ -205,10 +205,10 @@ def test_write_dataset_round_trip(tmp_path):
             prefix + ".meta.json",
         ]
     )
-    X, _ = read_matrix_csv(prefix + ".train.csv")
+    X = read_matrix_csv(prefix + ".train.csv")
     assert_array_equal(X, ds.x_train)
     assert_array_equal(read_labels(prefix + ".train.labels"), ds.y_train)
-    X_test, _ = read_matrix_csv(prefix + ".test.csv")
+    X_test = read_matrix_csv(prefix + ".test.csv")
     assert_array_equal(X_test, ds.x_test)
 
     meta = json.loads((tmp_path / "toy.meta.json").read_text())

@@ -219,16 +219,19 @@ def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
 
 @pytest.mark.parametrize("method", LINEAR_METHODS)
 def test_an_overflowing_statistic_is_held_at_the_largest_float(method):
-    # every linear statistic overflows on column 1: its range and variance, and
-    # the median interpolation between -1e308 and 1e308 that MAD makes; it
-    # used to warn and store inf, which the Standardiser then refused
+    # column 1's range, variance and class-size weighted MAD overflow and are
+    # held at the largest float (they used to warn and store inf, which the
+    # Standardiser then refused); its MAD and pooled MAD about the class
+    # medians are 1e308, once the medians between -1e308 and 1e308 no longer
+    # overflow
     X = np.array([[-1e308, 1.0], [-1e308, 2.0], [1e308, 3.0], [1e308, 5.0]])
     y = np.array([1, 2, 1, 2])
+    expected = 1e308 if method in ("mad", "pooled_mad_shift") else np.finfo(np.float64).max
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         std = fit_standardiser(X, method, labels=y)
-        assert scale_statistic(X[:, 0], method, y) == np.finfo(np.float64).max
-    assert std.scales[0] == np.finfo(np.float64).max and 0.0 < std.scales[1] < 5.0
+        assert scale_statistic(X[:, 0], method, y) == expected
+    assert std.scales[0] == expected and 0.0 < std.scales[1] < 5.0
     loaded = Standardiser.from_json_dict(json.loads(json.dumps(std.to_json_dict())))
     assert loaded.transform(X).tobytes() == std.transform(X).tobytes()
 
