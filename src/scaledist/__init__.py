@@ -23,9 +23,7 @@ from .standardise import (
     fit_boxplot,
     fit_standardiser,
     quantile,
-    scale_statistic,
     solve_tail_exponent,
-    standardise_matrix,
 )
 
 __version__ = "0.1.0"
@@ -39,7 +37,6 @@ __all__ = [
     "Clustering", "Dendrogram", "cut_tree", "knn_classify", "linkage", "pam",
     "GeneratedDataset", "SetupSpec", "generate", "setup_catalog",
     "BoxplotParams", "METHODS", "Standardiser", "apply_boxplot", "fit_boxplot",
-    "fit_standardiser", "quantile", "scale_statistic", "solve_tail_exponent",
-    "standardise_matrix",
+    "fit_standardiser", "quantile", "solve_tail_exponent",
     "__version__",
 ]

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +85,7 @@ class CondensedDistanceMatrix:
         if n < 2:
             raise ValueError("need at least 2 objects, got n=%d" % n)
         object.__setattr__(self, "n", n)
-        entries = np.asarray(self.entries, dtype=np.float64)
+        entries = _check_dtype(self.entries, "distances").astype(np.float64, copy=False)
         want = condensed_size(self.n)
         if entries.ndim != 1 or entries.shape[0] != want:
             raise ValueError(
@@ -129,12 +130,24 @@ def _strict_lower(n):
     return np.tri(n, k=-1, dtype=bool)
 
 
+def _check_dtype(values, what, kinds="iuf"):
+    """``values`` as an array of integer or floating dtype (only integer with
+    ``kinds="iu"``); booleans, strings and objects are a ValueError naming
+    ``what``, never converted."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in kinds:
+        raise ValueError("%s must be %s" % (what, "integers" if kinds == "iu" else
+                                            "integers or floats"))
+    return arr
+
+
 def check_data_matrix(X, min_rows=1):
     """Validate and return a 2-D float64 data matrix.
 
-    Rejects non-rectangular input, NaN and infinities.
+    Rejects non-rectangular input, dtypes other than integer or floating
+    (booleans and strings included), NaN and infinities.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _check_dtype(X, "matrix entries").astype(np.float64, copy=False)
     if X.ndim != 2:
         raise ValueError("expected a 2-D matrix, got %d dimension(s)" % X.ndim)
     if X.shape[0] < min_rows:
@@ -162,8 +175,7 @@ def check_labels(y, n_expected=None):
         raise ValueError("labels must be 1-D")
     if y.shape[0] == 0:
         raise ValueError("labels are empty")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError("labels must be integers")
+    _check_dtype(y, "labels", kinds="iu")
     if y.max() > np.iinfo(np.int64).max:  # an unsigned label the cast would wrap
         raise ValueError("label %d is beyond int64" % y.max())
     y = y.astype(np.int64)
@@ -276,9 +288,14 @@ def _parse_number(text, integer=False):
     """The float ``text`` writes, or with ``integer`` the int, blanks around
     it ignored; ValueError on text outside the grammar above."""
     token = text.strip()
-    if (_INTEGER if integer else _NUMBER).fullmatch(token):
+    if not (_INTEGER if integer else _NUMBER).fullmatch(token):
+        raise ValueError(
+            "could not parse %r as %s" % (token, "an integer" if integer else "a number"))
+    try:
         return int(token) if integer else float(token)
-    raise ValueError("could not parse %r as %s" % (token, "an integer" if integer else "a number"))
+    except ValueError:  # int() beyond the interpreter's limit on the digits it converts
+        raise ValueError("integer of %d digits is beyond the %d-digit limit"
+                         % (len(token.lstrip("+-")), sys.get_int_max_str_digits())) from None
 
 
 def _parse_finite(text):
@@ -288,20 +305,30 @@ def _parse_finite(text):
     return value
 
 
-def _read_json(path):
-    """The value of a JSON file; ValueError naming the file if it is not JSON
-    or holds a number literal that overflows a float (``Infinity`` does not)."""
-    def parse_float(text):
-        value = _parse_number(text)
+def _parse_json(text, path):
+    """The value of JSON text from file ``path``; ValueError naming the file
+    if it is not JSON, holds a number literal that overflows a float
+    (``Infinity`` does not) or an integer beyond the digit limit of
+    :func:`_parse_number`."""
+    def parse_float(token):
+        value = _parse_number(token)
         if np.isinf(value):
-            raise ValueError("%s: number %s is too large for a float" % (path, text))
+            raise ValueError("number %s is too large for a float" % token)
         return value
 
+    try:
+        return json.loads(text, parse_float=parse_float,
+                          parse_int=lambda token: _parse_number(token, integer=True))
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s: invalid JSON (%s)" % (path, exc)) from None
+    except ValueError as exc:  # a number the hooks refuse
+        raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _read_json(path):
+    """The value of a JSON file, read as :func:`_parse_json` reads it."""
     with open(path) as fh:
-        try:
-            return json.load(fh, parse_float=parse_float)
-        except json.JSONDecodeError as exc:
-            raise ValueError("%s: invalid JSON (%s)" % (path, exc)) from None
+        return _parse_json(fh.read(), path)
 
 
 def _parse_cell(cell, lineno, colno):
@@ -390,15 +417,15 @@ def read_condensed(path):
     lines = _read_lines(path)
     if not lines:
         raise ValueError("%s: empty file" % path)
+    head = _parse_json(lines[0], path)
+    if not isinstance(head, dict) or "n" not in head:
+        raise ValueError("%s: first line must be a JSON header with key 'n'" % path)
     try:
-        head = json.loads(lines[0])
-        n = head["n"]
-    except (json.JSONDecodeError, TypeError, KeyError):
-        raise ValueError("%s: first line must be a JSON header with key 'n'" % path) from None
-    extra = ", ".join(sorted(set(head) - {"n"}))
-    if extra:
-        raise ValueError("%s: unknown header key(s): %s" % (path, extra))
-    if not isinstance(n, int) or n < 2:
+        _check_json_kinds(head, {"n": ("integer",)}, "header")
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+    n = head["n"]
+    if n < 2:
         raise ValueError("%s: header n must be an integer >= 2" % path)
     want = condensed_size(n)
     body = lines[1:]

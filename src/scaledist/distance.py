@@ -48,6 +48,7 @@ from .core import CondensedDistanceMatrix, _parse_number, check_data_matrix, con
 __all__ = [
     "check_order",
     "parse_order",
+    "format_order",
     "minkowski",
     "pairwise",
     "cross",

@@ -55,6 +55,7 @@ from .standardise import METHODS, POOLED_METHODS, fit_standardiser
 __all__ = [
     "CLUSTER_METHODS",
     "EXPERIMENT_METHODS",
+    "JOBS_ENV_VAR",
     "RESULTS_HEADER",
     "ResultRecord",
     "ExperimentConfig",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CondensedDistanceMatrix, _check_integer, check_labels
+from .core import CondensedDistanceMatrix, _check_dtype, _check_integer, check_labels
 
 __all__ = [
     "Clustering",
@@ -21,6 +21,7 @@ __all__ = [
     "linkage",
     "cut_tree",
     "knn_classify",
+    "LINKAGE_METHODS",
 ]
 
 LINKAGE_METHODS = ("complete", "average")
@@ -40,7 +41,8 @@ class Dendrogram:
     """Agglomeration history: leaves 0..n-1, internal nodes n..2n-2.
 
     Row s of ``merges`` holds the two node ids joined at step s (smaller id
-    first), creating node ``n_leaves + s`` at height ``heights[s]``.
+    first), creating node ``n_leaves + s`` at height ``heights[s]``.  Merges
+    must have an integer dtype and heights an integer or floating one, finite.
     """
 
     n_leaves: int
@@ -48,8 +50,8 @@ class Dendrogram:
     heights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        merges = np.asarray(self.merges, dtype=np.int64)
-        heights = np.asarray(self.heights, dtype=np.float64)
+        merges = _check_dtype(self.merges, "merges", kinds="iu").astype(np.int64, copy=False)
+        heights = _check_dtype(self.heights, "heights").astype(np.float64, copy=False)
         n = self.n_leaves
         if n < 2:
             raise ValueError("need at least 2 leaves")
@@ -60,6 +62,8 @@ class Dendrogram:
         if (((left < 0) | (left >= right) | (right >= np.arange(n, 2 * n - 1))).any()
                 or np.bincount(merges.ravel()).max() > 1):
             raise ValueError("merge s must join two unmerged nodes below n + s, smaller id first")
+        if not np.isfinite(heights).all():
+            raise ValueError("heights must be finite")
         object.__setattr__(self, "merges", merges)
         object.__setattr__(self, "heights", heights)
 
@@ -289,7 +293,7 @@ def knn_classify(cross_distances, train_labels, k):
     np.ndarray of int64 predicted labels, one per test object.
     """
     k = _check_integer(k, "k")
-    Dx = np.asarray(cross_distances, dtype=np.float64)
+    Dx = _check_dtype(cross_distances, "distances").astype(np.float64, copy=False)
     if Dx.ndim != 2:
         raise ValueError("expected a 2-D cross-distance matrix")
     if not np.all(np.isfinite(Dx)) or np.any(Dx < 0):

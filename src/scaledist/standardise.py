@@ -12,6 +12,11 @@ Two families:
 Dividing by a scale only (never shifting, except for the median centring the
 boxplot transform needs) keeps all methods comparable: distances between rows
 are unaffected by per-column location.
+
+``fit_standardiser`` is the one route to a fit, for every method; it returns
+a :class:`Standardiser` holding the fitted scales or :class:`BoxplotParams`.
+Both check their parameters at construction, whether built in Python or read
+from a parameter file, with the same messages.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ __all__ = [
     "POOLED_METHODS",
     "METHODS",
     "quantile",
-    "scale_statistic",
-    "standardise_matrix",
     "solve_tail_exponent",
     "BoxplotParams",
     "fit_boxplot",
@@ -101,16 +104,10 @@ def _abs_dev(A):
     return np.abs(A - _median(A))
 
 
-def _checked(X, labels):
-    # X as a data matrix of >= 2 rows, and labels, whenever given, as (y, k)
-    X = check_data_matrix(X, min_rows=2)
-    return X, None if labels is None else check_labels(labels, n_expected=X.shape[0])
-
-
 def _column_scales(X, method, classes):
-    """Scale statistic of every column, X and classes as ``_checked`` returns
-    them.  One whose computation overflows (finite data near the float limit;
-    NaN comes only from inf - inf) is held at the largest float, silently."""
+    """Scale statistic of every column (X and classes checked).  One whose
+    computation overflows (finite data near the float limit; NaN comes only
+    from inf - inf) is held at the largest float, silently."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.nan_to_num(_statistics(X, method, classes), nan=_FLOAT_MAX, posinf=_FLOAT_MAX)
 
@@ -149,51 +146,6 @@ def _statistics(X, method, classes):
         return _median(np.concatenate([_abs_dev(g) for g in groups]))
     # pooled_range_shift
     return np.max([np.ptp(g, axis=0) for g in groups], axis=0)
-
-
-def scale_statistic(column, method, labels=None):
-    """Scale statistic of one variable under a named method.
-
-    Methods
-    -------
-    none
-        Always 1.0.
-    unit_variance
-        Sample standard deviation (denominator n - 1).
-    mad
-        Median absolute deviation from the median (no consistency factor).
-    range
-        max - min.
-    pooled_variance
-        Square root of the variance pooled within classes,
-        sum_l (n_l - 1) s_l^2 / sum_l (n_l - 1); every class needs >= 2 members.
-    pooled_mad_weights / pooled_range_weights
-        Class-size weighted mean of the per-class statistic, (1/n) sum_l n_l stat_l.
-    pooled_mad_shift
-        Median absolute deviation from the own-class median, pooled over all
-        observations.
-    pooled_range_shift
-        Largest per-class range.
-
-    Pooled methods require ``labels``; labels, whenever given, are checked
-    against the column.  ``column`` is 1-D and is checked as the one column
-    of a data matrix: at least 2 finite values.  A statistic whose
-    computation overflows is held at the largest float.
-    """
-    if np.ndim(column) != 1:
-        raise ValueError("column must be 1-D")
-    X, classes = _checked(np.reshape(column, (-1, 1)), labels)
-    return float(_column_scales(X, method, classes)[0])
-
-
-def standardise_matrix(X, method, labels=None):
-    """Divide every column of X by its scale statistic.
-
-    ``method="none"`` returns an unchanged copy.  Columns with zero scale are
-    set entirely to zero and reported in a single warning.  The input is never
-    modified.
-    """
-    return fit_standardiser(X, method, labels=labels).transform(X)
 
 
 # --- boxplot transform -------------------------------------------------------
@@ -283,23 +235,38 @@ _BOXPLOT_KINDS = {
 
 
 def _finite(value):
-    # a JSON number a float holds finitely, true or false, or null
+    # a JSON number a float holds finitely
     try:
-        return value is None or math.isfinite(value)
+        return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _from_json(value):
+    # a JSON value as BoxplotParams takes it: null is NaN (no tail fitted), and
+    # an integer beyond the float range is inf, which the constructor refuses
+    if value is None:
+        return math.nan
+    if type(value) is int:
+        return float(value) if _finite(value) else math.inf
+    return value
 
 
 @dataclass(frozen=True)
 class BoxplotParams:
     """Fitted per-variable parameters of the boxplot transform.
 
-    All fields are arrays of length n_vars.  ``lqr``/``uqr`` are the effective
-    half-ranges used for scaling (a zero half substitutes the other side; both
-    zero marks the variable degenerate and its values are unused).  Tail
-    exponents are NaN where the training data had no value beyond the +-2
-    band.  ``scaled_min``/``scaled_max`` record the training extremes on the
-    scaled axis, before tail compression.
+    All fields are 1-D arrays of one length n_vars >= 1.  ``lqr``/``uqr`` are
+    the effective half-ranges used for scaling (a zero half substitutes the
+    other side; both zero marks the variable degenerate and its values are
+    unused).  Tail exponents are NaN where the training data had no value
+    beyond the +-2 band.  ``scaled_min``/``scaled_max`` record the training
+    extremes on the scaled axis, before tail compression.
+
+    The constructor checks values as a parameter file's are checked, with the
+    same messages: a boolean dtype for ``degenerate`` and an integer or
+    floating one elsewhere, nothing converted; finite values, but for NaN
+    tail exponents; ``lqr``/``uqr`` > 0 on non-degenerate variables.
     """
 
     median: np.ndarray = field(repr=False)
@@ -312,12 +279,32 @@ class BoxplotParams:
     scaled_max: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # arrays of the right dtype are kept, not copied; None becomes NaN
+        # arrays of the stored dtype are kept, not copied
+        finite = []
         for name, kinds in _BOXPLOT_KINDS.items():
-            arr = np.asarray(getattr(self, name), dtype=bool if kinds == ("bool",) else np.float64)
-            if arr.ndim != 1 or arr.shape != np.shape(self.median):
-                raise ValueError("parameter arrays must be 1-D with equal length")
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1 or arr.shape != np.shape(self.median) or not arr.size:
+                raise ValueError("parameter arrays must be 1-D with equal, non-zero length")
+            flags = kinds == ("bool",)
+            if arr.dtype.kind not in ("b" if flags else "iuf"):
+                # named as a parameter file names it: the first entry of another kind
+                for j, value in enumerate(arr.tolist(), start=1):
+                    _check_json_kinds({name: value}, {name: kinds[:1]}, "variable %d" % j)
+                raise ValueError("%r: unexpected dtype %s" % (name, arr.dtype))
+            arr = arr.astype(bool if flags else np.float64, copy=False)
             object.__setattr__(self, name, arr)
+            finite.append(np.isfinite(arr) | ("null" in kinds and np.isnan(arr)))
+        bad = np.argwhere(~np.column_stack(finite))  # variable by variable, fields in order
+        if bad.size:
+            raise ValueError("variable %d: non-finite %r"
+                             % (bad[0][0] + 1, list(_BOXPLOT_KINDS)[bad[0][1]]))
+        for key in ("lqr", "uqr"):
+            bad = np.flatnonzero((getattr(self, key) <= 0.0) & ~self.degenerate)
+            if bad.size:
+                raise ValueError(
+                    "variable %d: %r must be > 0 on a non-degenerate variable"
+                    % (bad[0] + 1, key)
+                )
 
     @property
     def n_vars(self):
@@ -334,8 +321,8 @@ class BoxplotParams:
         """Parameters from :meth:`to_json_dict` output, validated.
 
         Raises ValueError naming the variable and key of the first missing,
-        unknown or ill-typed key (see ``_BOXPLOT_KINDS``), non-finite number,
-        or non-positive ``lqr``/``uqr`` on a non-degenerate variable.
+        unknown or ill-typed key (see ``_BOXPLOT_KINDS``); the constructor
+        checks the values.
         """
         try:
             variables = data["variables"]
@@ -347,18 +334,7 @@ class BoxplotParams:
             if not isinstance(v, dict):
                 raise ValueError("variable %d: expected a JSON object" % j)
             _check_json_kinds(v, _BOXPLOT_KINDS, "variable %d" % j, required=_BOXPLOT_KINDS)
-            for key, value in v.items():
-                if not _finite(value):
-                    raise ValueError("variable %d: non-finite %r" % (j, key))
-        params = cls(**{key: [v[key] for v in variables] for key in _BOXPLOT_KINDS})
-        for key in ("lqr", "uqr"):
-            bad = np.flatnonzero((getattr(params, key) <= 0.0) & ~params.degenerate)
-            if bad.size:
-                raise ValueError(
-                    "variable %d: %r must be > 0 on a non-degenerate variable"
-                    % (bad[0] + 1, key)
-                )
-        return params
+        return cls(**{key: [_from_json(v[key]) for v in variables] for key in _BOXPLOT_KINDS})
 
 
 def _degenerate_widths(lqr, uqr, degenerate):
@@ -492,21 +468,27 @@ class Standardiser:
     Linear methods store the per-column scales fitted on training data; the
     boxplot method stores its :class:`BoxplotParams`.  ``transform`` never
     looks at anything but the stored parameters, so test data cannot leak
-    into the fit.  Scales must be a non-empty 1-D list of finite numbers
-    >= 0, each exactly 1 for ``none``.
+    into the fit.  Each method takes exactly its own parameter: ``boxplot``
+    a :class:`BoxplotParams`, every other method ``scales``, a non-empty 1-D
+    list of finite numbers >= 0, each exactly 1 for ``none``.
     """
 
     def __init__(self, method, scales=None, boxplot=None):
         if method not in METHODS:
             raise ValueError("unknown standardisation method %r" % (method,))
+        if method == "boxplot":
+            if scales is not None:
+                raise ValueError("method 'boxplot' takes no scales")
+            if not isinstance(boxplot, BoxplotParams):
+                raise TypeError("method 'boxplot' needs BoxplotParams, got %s"
+                                % type(boxplot).__name__)
+        elif boxplot is not None:
+            raise ValueError("method %r takes no boxplot parameters" % (method,))
+        elif scales is None:
+            raise ValueError("method %r needs fitted scales" % (method,))
         self.method = method
         self.scales = None if scales is None else _checked_scales(method, scales)
         self.boxplot = boxplot
-        if method == "boxplot":
-            if boxplot is None:
-                raise ValueError("boxplot method needs fitted parameters")
-        elif self.scales is None:
-            raise ValueError("method %r needs fitted scales" % (method,))
 
     def transform(self, X, cap=False):
         """Standardise X with the fitted parameters.
@@ -534,8 +516,8 @@ class Standardiser:
     @classmethod
     def from_json_dict(cls, data):
         """Standardiser from :meth:`to_json_dict` output; ValueError on a
-        missing, unknown or ill-typed key, or on scales the constructor
-        refuses."""
+        missing, unknown or ill-typed key, or on values the constructors
+        refuse."""
         if not isinstance(data, dict) or "method" not in data:
             raise ValueError("expected a JSON object with key 'method'")
         method = data["method"]
@@ -560,13 +542,27 @@ class Standardiser:
 def fit_standardiser(X, method, labels=None):
     """Fit a :class:`Standardiser` on training data.
 
-    For linear methods this computes the per-column scale statistics (columns
-    with zero scale are reported in one warning and will map to zero); for
-    ``boxplot`` it fits the full transform.  ``none`` scales by 1.  Labels,
-    whenever given, are checked against the rows of X for every method; only
-    the pooled methods use them, and they require them.
+    X is a data matrix of at least 2 rows.  Linear methods divide each column
+    by a scale statistic; columns with zero scale are reported in one warning
+    and map to zero, and a statistic whose computation overflows is held at
+    the largest float.  ``none`` scales by 1; ``unit_variance`` by the sample
+    standard deviation (denominator n - 1); ``mad`` by the median absolute
+    deviation from the median (no consistency factor); ``range`` by max - min.
+    The pooled methods need class labels: ``pooled_variance`` scales by the
+    square root of sum_l (n_l - 1) s_l^2 / sum_l (n_l - 1), every class having
+    >= 2 members; ``pooled_mad_weights`` and ``pooled_range_weights`` by the
+    class-size weighted mean (1/n) sum_l n_l stat_l of the per-class MAD or
+    range; ``pooled_mad_shift`` by the median absolute deviation from the
+    own-class median, over all rows; ``pooled_range_shift`` by the largest
+    per-class range.  ``boxplot`` fits the boxplot transform.  Labels,
+    whenever given, are checked against the rows of X for every method.
+
+    ``fit_standardiser(X, m, labels=y).transform(X)`` standardises X itself,
+    and ``fit_standardiser(col[:, None], m, labels=y).scales[0]`` is the scale
+    statistic of one variable.
     """
-    X, classes = _checked(X, labels)
+    X = check_data_matrix(X, min_rows=2)
+    classes = None if labels is None else check_labels(labels, n_expected=X.shape[0])
     if method == "boxplot":
         return Standardiser(method, boxplot=_fit_boxplot(X))
     scales = _column_scales(X, method, classes)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,57 @@ def test_parameter_file_keys_are_the_fields_in_order():
 def test_params_from_json_rejects_garbage():
     with pytest.raises(ValueError):
         BoxplotParams.from_json_dict({"nope": 1})
+
+
+# one variable with both tails fitted: every field is a finite number
+_ONE_VARIABLE = fit_boxplot(np.array([[-30.0], [1.0], [2.0], [3.0], [40.0]]))
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [  # built in Python, each was kept: a NaN median ended apply_boxplot in a
+        # RecursionError, lqr -1 scaled like 1, an infinite exponent saved a
+        # file that did not load, and the rest were converted
+        ("median", math.nan, "variable 1: non-finite 'median'"),
+        ("lqr", -1.0, "variable 1: 'lqr' must be > 0 on a non-degenerate variable"),
+        ("t_upper", math.inf, "variable 1: non-finite 't_upper'"),
+        ("median", True, "variable 1 'median' must be a number, got true"),
+        ("degenerate", "yes", 'variable 1 \'degenerate\' must be true or false, got "yes"'),
+        ("degenerate", 1.5, "variable 1 'degenerate' must be true or false, got 1.5"),
+    ],
+)
+def test_parameters_built_in_python_are_refused_as_their_file_is(tmp_path, key, value,
+                                                                 expected):
+    fields = {name: getattr(_ONE_VARIABLE, name).tolist() for name in _BOXPLOT_KINDS}
+    with pytest.raises(ValueError, match="^%s$" % re.escape(expected)):
+        BoxplotParams(**dict(fields, **{key: [value]}))
+    saved = Standardiser("boxplot", boxplot=_ONE_VARIABLE).to_json_dict()
+    saved["variables"][0][key] = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(saved))
+    with pytest.raises(ValueError, match="^%s$" % re.escape(expected)):
+        Standardiser.load(path)
+
+
+def test_a_standardiser_takes_exactly_its_methods_parameter():
+    # each was accepted, the string failing only at transform
+    with pytest.raises(ValueError, match="^method 'boxplot' takes no scales$"):
+        Standardiser("boxplot", scales=[1.0], boxplot=_ONE_VARIABLE)
+    with pytest.raises(ValueError, match="^method 'mad' takes no boxplot parameters$"):
+        Standardiser("mad", scales=[1.0], boxplot=_ONE_VARIABLE)
+    with pytest.raises(TypeError, match="^method 'boxplot' needs BoxplotParams, got str$"):
+        Standardiser("boxplot", boxplot="x")
+    # a file names the parameter its method does not take as a key it does not know
+    saved = dict(Standardiser("boxplot", boxplot=_ONE_VARIABLE).to_json_dict(), scales=[1.0])
+    with pytest.raises(ValueError, match=re.escape("unknown parameter file key(s): scales")):
+        Standardiser.from_json_dict(saved)
+
+
+def test_params_need_one_variable_and_arrays_of_one_length():
+    fields = {name: getattr(_ONE_VARIABLE, name) for name in _BOXPLOT_KINDS}
+    for bad in ({name: v[:0] for name, v in fields.items()}, dict(fields, lqr=[1.0, 2.0])):
+        with pytest.raises(ValueError, match="1-D with equal, non-zero length"):
+            BoxplotParams(**bad)
 
 
 def test_boxplot_scale_equivariance():

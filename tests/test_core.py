@@ -106,6 +106,25 @@ def test_check_data_matrix_rejects_bad_cells():
         check_data_matrix(np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize(
+    "X", [[["1", "2"], ["3", "4"]], [[True, False], [False, True]], [[1.0, None]]],
+    ids=["strings", "booleans", "object"],
+)
+def test_check_data_matrix_takes_integer_and_float_dtypes_only(X):
+    # the strings and booleans were read as floats
+    with pytest.raises(ValueError, match="^matrix entries must be integers or floats$"):
+        check_data_matrix(X)
+    assert check_data_matrix(np.array([[1, 2]], dtype=np.uint8)).dtype == np.float64
+
+
+@pytest.mark.parametrize("entries", [["1.5"], [True], np.array([1.5], dtype=object)])
+def test_condensed_matrix_takes_integer_and_float_dtypes_only(entries):
+    # ["1.5"] and [True] were stored as 1.5 and 1.0
+    with pytest.raises(ValueError, match="^distances must be integers or floats$"):
+        CondensedDistanceMatrix(2, entries)
+    assert CondensedDistanceMatrix(2, [3]).entries.tolist() == [3.0]
+
+
 def test_check_labels():
     y, k = check_labels([1, 2, 1, 3, 2])
     assert k == 3

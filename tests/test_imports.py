@@ -1,5 +1,6 @@
-"""Static guards: every name a module of the package imports is used, and
-every private module-level name is used somewhere in the package.
+"""Static guards: every name a module of the package imports is used, every
+private module-level name is used somewhere in the package, and the public
+names modules take from one another are the ones their ``__all__`` lists.
 
 No linter is a dependency, so this parses each module with ``ast``.  A name
 bound by an import must be read somewhere in the module or be listed in its
@@ -81,3 +82,68 @@ def test_the_guard_sees_a_dead_private_name():
                          "_CONST = 1\n__all__ = []\nclass _Kind: pass\n")
     reading = ast.parse("from a import _used\nimport a\na._Kind\n")
     assert _dead_private_names([defining, reading]) == ["_CONST", "_dead"]
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _bound(tree):
+    # names a module binds at its top level
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return names
+
+
+def _surface_faults(trees):
+    """(module, name, fault) for each ``__all__`` entry a module does not bind,
+    and each public name one package module takes from another, by
+    ``from .x import name`` or as ``x.name`` after ``from . import x``, that x's
+    ``__all__`` does not list."""
+    faults = [(module, name, "listed in __all__ but not bound")
+              for module, tree in trees.items()
+              for name in _exports(tree) if name not in _bound(tree)]
+    for module, tree in trees.items():
+        taken, modules = [], {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    modules.update((alias.asname or alias.name, alias.name)
+                                   for alias in node.names)
+                else:
+                    taken += [(node.module, alias.name) for alias in node.names]
+        taken += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules]
+        faults += [(module, "%s.%s" % (source, name), "imported but not in %s.__all__" % source)
+                   for source, name in sorted(set(taken))
+                   if not name.startswith("_") and name not in _exports(trees[source])]
+    return sorted(faults)
+
+
+def test_the_public_surface_is_all():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(_SRC.glob("*.py"))}
+    assert _surface_faults(trees) == []
+
+
+def test_the_guard_sees_an_unlisted_import_and_an_unbound_export():
+    trees = {
+        "a": ast.parse("__all__ = ['f', 'gone']\ndef f(): pass\ndef g(): pass\nH = 1\n"),
+        "b": ast.parse("from .a import f, g, _p\nfrom . import a\na.H + a._q\n"),
+    }
+    assert _surface_faults(trees) == [
+        ("a", "gone", "listed in __all__ but not bound"),
+        ("b", "a.H", "imported but not in a.__all__"),
+        ("b", "a.g", "imported but not in a.__all__"),
+    ]

@@ -328,6 +328,30 @@ def test_knn_validates_sizes():
         knn_classify(np.ones((2, 3)), np.array([1, 2, 1]), 0)
 
 
+@pytest.mark.parametrize("cross", [[["1.0", "2.0"]], [[True, False]]])
+def test_knn_takes_integer_and_float_distances_only(cross):
+    # the strings were read as distances 1 and 2
+    with pytest.raises(ValueError, match="^distances must be integers or floats$"):
+        knn_classify(cross, [1, 2], 1)
+    assert knn_classify([[1, 2]], [1, 2], 1).tolist() == [1]
+
+
+@pytest.mark.parametrize(
+    "merges, heights, expected",
+    [  # each was stored: merges [[0, 1]] or [[0, 1]] again, height 0.5, NaN or -inf
+        ([[0.7, 1.2]], ["0.5"], "merges must be integers"),
+        ([[False, True]], [0.5], "merges must be integers"),
+        ([[0, 1]], ["0.5"], "heights must be integers or floats"),
+        ([[0, 1]], [np.nan], "heights must be finite"),
+        ([[0, 1]], [-np.inf], "heights must be finite"),
+    ],
+)
+def test_dendrogram_takes_integer_merges_and_finite_heights(merges, heights, expected):
+    with pytest.raises(ValueError, match="^%s$" % expected):
+        Dendrogram(2, merges, heights)
+    assert Dendrogram(2, np.array([[0, 1]], dtype=np.uint8), [1]).heights.tolist() == [1.0]
+
+
 def test_dendrogram_validation():
     with pytest.raises(ValueError):
         Dendrogram(3, np.zeros((1, 2), dtype=np.int64), np.array([1.0]))

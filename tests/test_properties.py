@@ -23,6 +23,7 @@ from scaledist.evaluate import adjusted_rand_index
 from scaledist.harness import ResultRecord, read_records_csv, write_records_csv
 from scaledist.standardise import (
     METHODS,
+    BoxplotParams,
     Standardiser,
     apply_boxplot,
     fit_boxplot,
@@ -157,3 +158,37 @@ def test_records_csv_round_trips_every_bit(tmp_path, records, timing):
     if not timing:
         records = [dataclasses.replace(r, seconds=math.nan) for r in records]
     assert [repr(r) for r in back] == [repr(r) for r in records]
+
+
+@st.composite
+def _boxplot_params(draw):
+    # what the constructor accepts: finite numbers, NaN only for a tail not
+    # fitted, and any finite half-range on a degenerate variable
+    degenerate = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    n = len(degenerate)
+    numbers = st.sampled_from(_EDGES) | _FLOATS
+    halves = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    return BoxplotParams(
+        median=column(numbers),
+        lqr=[draw(numbers if d else halves) for d in degenerate],
+        uqr=[draw(numbers if d else halves) for d in degenerate],
+        t_lower=column(st.just(math.nan) | numbers),
+        t_upper=column(st.just(math.nan) | numbers),
+        degenerate=degenerate,
+        scaled_min=column(numbers),
+        scaled_max=column(numbers),
+    )
+
+
+@_FILES
+@given(params=_boxplot_params())
+def test_accepted_boxplot_params_survive_save_and_load_bit_for_bit(tmp_path, params):
+    Standardiser("boxplot", boxplot=params).save(tmp_path / "p.json")
+    back = Standardiser.load(tmp_path / "p.json").boxplot
+    for f in dataclasses.fields(BoxplotParams):
+        want, got = getattr(params, f.name), getattr(back, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -16,8 +16,6 @@ from scaledist.standardise import (
     fit_boxplot,
     fit_standardiser,
     quantile,
-    scale_statistic,
-    standardise_matrix,
 )
 
 
@@ -50,50 +48,52 @@ def test_quantile_rejects_bad_input():
 
 
 def test_scale_statistic_examples():
-    assert scale_statistic([1, 2, 3, 4, 100], "mad") == 1.0
-    assert scale_statistic([1, 2, 5], "range") == 4.0
-    assert scale_statistic([0, 2, 4], "unit_variance") == 2.0
+    assert fit_standardiser(np.array([1, 2, 3, 4, 100])[:, None], "mad").scales[0] == 1.0
+    assert fit_standardiser(np.array([1, 2, 5])[:, None], "range").scales[0] == 4.0
+    assert fit_standardiser(np.array([0, 2, 4])[:, None], "unit_variance").scales[0] == 2.0
 
     col = np.array([0.0, 2.0, 0.0, 4.0])
     y = np.array([1, 1, 2, 2])
-    assert scale_statistic(col, "pooled_mad_weights", y) == 1.5
-    assert scale_statistic(col, "pooled_mad_shift", y) == 1.5
-    assert scale_statistic(col, "pooled_range_shift", y) == 4.0
+    assert fit_standardiser(col[:, None], "pooled_mad_weights", labels=y).scales[0] == 1.5
+    assert fit_standardiser(col[:, None], "pooled_mad_shift", labels=y).scales[0] == 1.5
+    assert fit_standardiser(col[:, None], "pooled_range_shift", labels=y).scales[0] == 4.0
     # class ranges 2 and 4, sizes 2 and 2
-    assert scale_statistic(col, "pooled_range_weights", y) == 3.0
+    assert fit_standardiser(col[:, None], "pooled_range_weights", labels=y).scales[0] == 3.0
     # class variances 2 and 8, pooled numerator (1*2 + 1*8) over n - k = 2
-    assert scale_statistic(col, "pooled_variance", y) == pytest.approx(np.sqrt(5.0))
+    assert fit_standardiser(col[:, None], "pooled_variance", labels=y).scales[0] == (
+        pytest.approx(np.sqrt(5.0)))
 
 
 def test_scale_statistic_pooled_needs_labels():
     for method in POOLED_METHODS:
         with pytest.raises(ValueError):
-            scale_statistic([1.0, 2.0, 3.0, 4.0], method)
+            fit_standardiser(np.array([[1.0], [2.0], [3.0], [4.0]]), method)
 
 
 def test_scale_statistic_degenerate_class():
     col = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="class 2"):
-        scale_statistic(col, "pooled_variance", [1, 1, 2])
+        fit_standardiser(col[:, None], "pooled_variance", labels=[1, 1, 2])
     # MAD and range pooling only need one observation per class
-    assert scale_statistic(col, "pooled_range_weights", [1, 1, 2]) >= 0.0
+    pooled = fit_standardiser(col[:, None], "pooled_range_weights", labels=[1, 1, 2])
+    assert pooled.scales[0] >= 0.0
 
 
 def test_scale_statistic_unknown_method():
     with pytest.raises(ValueError):
-        scale_statistic([1.0, 2.0], "zscore")
+        fit_standardiser(np.array([[1.0], [2.0]]), "zscore")
 
 
 def test_standardise_matrix_examples():
     X = np.array([[0.0], [2.0], [4.0]])
-    assert_array_equal(standardise_matrix(X, "none"), X)
-    assert_array_equal(standardise_matrix(X, "unit_variance"), [[0.0], [1.0], [2.0]])
+    assert_array_equal(fit_standardiser(X, "none").transform(X), X)
+    assert_array_equal(fit_standardiser(X, "unit_variance").transform(X), [[0.0], [1.0], [2.0]])
 
 
 def test_constant_column_goes_to_zero_with_warning():
     X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     with pytest.warns(UserWarning, match=r"column\(s\) 2"):
-        out = standardise_matrix(X, "range")
+        out = fit_standardiser(X, "range").transform(X)
     assert_array_equal(out[:, 1], 0.0)
     assert np.all(out[:, 0] != 0.0)
 
@@ -102,9 +102,9 @@ def test_zero_mad_with_positive_variance():
     # majority ties force MAD to 0 while the variance stays positive
     X = np.array([[0.0], [0.0], [0.0], [5.0], [0.0]])
     with pytest.warns(UserWarning):
-        out = standardise_matrix(X, "mad")
+        out = fit_standardiser(X, "mad").transform(X)
     assert_array_equal(out[:, 0], 0.0)
-    assert np.any(standardise_matrix(X, "unit_variance") != 0.0)
+    assert np.any(fit_standardiser(X, "unit_variance").transform(X) != 0.0)
 
 
 @pytest.mark.parametrize("method", LINEAR_METHODS)
@@ -114,9 +114,9 @@ def test_scale_equivariance(method):
     X = rng.standard_normal((20, 6))
     y = np.repeat([1, 2], 10)
     labels = y if method in POOLED_METHODS else None
-    base = standardise_matrix(X, method, labels)
+    base = fit_standardiser(X, method, labels=labels).transform(X)
     for c in (1e-6, 3.0, 1e6):
-        scaled = standardise_matrix(c * X, method, labels)
+        scaled = fit_standardiser(c * X, method, labels=labels).transform(c * X)
         assert_allclose(scaled, base, rtol=1e-12, atol=1e-12)
 
 
@@ -134,7 +134,7 @@ def test_pooled_variance_numerator_identity():
             lhs += (size - 1) * part.var(ddof=1)
             centered_sq += ((part - part.mean()) ** 2).sum()
         assert_allclose(lhs, centered_sq, rtol=1e-12)
-        pooled = scale_statistic(col, "pooled_variance", y)
+        pooled = fit_standardiser(col[:, None], "pooled_variance", labels=y).scales[0]
         assert_allclose(pooled, np.sqrt(centered_sq / (len(col) - 3)), rtol=1e-12)
 
 
@@ -204,7 +204,8 @@ def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
     assert_array_equal(np.isnan(boxplot.t_upper), [1, 1, 0, 1, 0, 1, 1])
     assert boxplot.t_lower[3] < 0.0 < boxplot.t_lower[1]
     assert_array_equal(boxplot.degenerate, [0, 0, 0, 0, 0, 1, 0])
-    assert scale_statistic(X[:, 6], "mad") == 0.0
+    with pytest.warns(UserWarning, match=r"column\(s\) 1"):
+        assert fit_standardiser(X[:, [6]], "mad").scales[0] == 0.0
 
     def fitted(A):
         with warnings.catch_warnings():
@@ -230,7 +231,7 @@ def test_an_overflowing_statistic_is_held_at_the_largest_float(method):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         std = fit_standardiser(X, method, labels=y)
-        assert scale_statistic(X[:, 0], method, y) == expected
+        assert fit_standardiser(X[:, [0]], method, labels=y).scales[0] == expected
     assert std.scales[0] == expected and 0.0 < std.scales[1] < 5.0
     loaded = Standardiser.from_json_dict(json.loads(json.dumps(std.to_json_dict())))
     assert loaded.transform(X).tobytes() == std.transform(X).tobytes()
@@ -245,4 +246,4 @@ def test_labels_are_checked_against_the_rows_whenever_given(method):
         with pytest.raises(ValueError, match=expected):
             fit_standardiser(X, method, labels=labels)
         with pytest.raises(ValueError, match=expected):
-            scale_statistic(X[:, 0], method, labels)
+            fit_standardiser(X[:, [0]], method, labels=labels)

@@ -10,6 +10,7 @@ text inside it reads exactly as ``float`` and ``int`` read it.
 
 import os
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -63,6 +64,16 @@ INTEGER_READERS = {
     "seed": (lambda text, tmp_path: _record(tmp_path, seed=text).seed,
              "line 2: could not parse %r as an integer"),
     "jobs": (_jobs, JOBS_ENV_VAR + " must be an integer, got %r"),
+}
+# reader of an integer in a file -> the file's text around the integer, and the
+# start of its error; Python's int() reads no more than
+# sys.get_int_max_str_digits() digits and said so without naming file or line
+LONG_INTEGER_FILES = {
+    "config seed": (lambda path: main(["experiment", "--config", str(path), "--out", "o.csv"]),
+                    '{"seed": %s}', "scaledist: error: {path}: "),
+    "condensed n": (read_condensed, '{"n": %s}\n1.0', "{path}: "),
+    "records replicate": (read_records_csv,
+                          RESULTS_HEADER + "\nsimple_normal,%s,5,none,1,pam,ari,0.5,", "line 2: "),
 }
 FLAGS = {
     "--seed": ["simulate", "--setup", "simple_normal", "--out-prefix", "x", "--seed"],
@@ -128,3 +139,19 @@ def test_integer_flags_read_the_grammar_as_python_does(flag, text):
 def test_records_refuse_a_non_finite_value_or_time(tmp_path, field, text):
     with pytest.raises(ValueError, match="^line 2: non-finite value %r$" % text):
         FLOAT_READERS[field][0](text, tmp_path)
+
+
+@pytest.mark.parametrize("reader", LONG_INTEGER_FILES)
+def test_an_integer_beyond_the_digit_limit_is_named_with_its_file_or_line(tmp_path, capsys,
+                                                                          reader):
+    read, text, prefix = LONG_INTEGER_FILES[reader]
+    digits = sys.get_int_max_str_digits() + 701
+    path = _file(tmp_path, text % ("1" * digits) + "\n")
+    message = prefix.format(path=path) + "integer of %d digits is beyond the %d-digit limit" % (
+        digits, sys.get_int_max_str_digits())
+    if reader == "config seed":
+        assert read(path) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+    else:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            read(path)
