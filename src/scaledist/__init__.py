@@ -19,8 +19,6 @@ from .standardise import (
     BoxplotParams,
     METHODS,
     Standardiser,
-    apply_boxplot,
-    fit_boxplot,
     fit_standardiser,
     quantile,
     solve_tail_exponent,
@@ -36,7 +34,7 @@ __all__ = [
     "ExperimentConfig", "run_experiment", "summarise",
     "Clustering", "Dendrogram", "cut_tree", "knn_classify", "linkage", "pam",
     "GeneratedDataset", "SetupSpec", "generate", "setup_catalog",
-    "BoxplotParams", "METHODS", "Standardiser", "apply_boxplot", "fit_boxplot",
-    "fit_standardiser", "quantile", "solve_tail_exponent",
+    "BoxplotParams", "METHODS", "Standardiser", "fit_standardiser", "quantile",
+    "solve_tail_exponent",
     "__version__",
 ]

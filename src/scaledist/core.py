@@ -380,7 +380,9 @@ def read_labels(path):
     for lineno, ln in enumerate(lines, start=1):
         try:
             values.append(_parse_number(ln, integer=True))
-        except ValueError:
+        except ValueError as exc:
+            if _INTEGER.fullmatch(ln.strip()):  # beyond the digit limit
+                raise ValueError("line %d: %s" % (lineno, exc)) from None
             raise ValueError(
                 "line %d: could not parse %r as an integer label" % (lineno, ln.strip())
             ) from None

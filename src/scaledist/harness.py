@@ -160,9 +160,7 @@ class ExperimentConfig:
         object.__setattr__(self, "orders", tuple(check_order(q) for q in self.orders))
         if not self.methods:
             raise ValueError("no methods requested")
-        for m in self.methods:
-            if m not in EXPERIMENT_METHODS:
-                raise ValueError("unknown method %r" % (m,))
+        _grid_cells(self.standardisations, self.orders, self.methods)  # names an unknown method
         pooled = [s for s in self.standardisations if s in POOLED_METHODS]
         wants_clustering = any(m in CLUSTER_METHODS for m in self.methods)
         if pooled and wants_clustering and not self.oracle_pooling:
@@ -225,7 +223,8 @@ def replicate_seeds(seed, replicates):
 
 
 def _grid_cells(standardisations, orders, methods):
-    """(standardisation tag, q, method, metric) of each record, in grid order."""
+    """(standardisation tag, q, method, metric) of each record, in grid order;
+    ValueError on a method outside ``EXPERIMENT_METHODS``."""
     cells = []
     for std_method in standardisations:
         cluster_tag = std_method + (":oracle" if std_method in POOLED_METHODS else "")
@@ -233,8 +232,10 @@ def _grid_cells(standardisations, orders, methods):
             for method in methods:
                 if method == "knn3":
                     cells.append((std_method, q, method, "misclassification"))
-                else:
+                elif method in CLUSTER_METHODS:
                     cells.append((cluster_tag, q, method, "ari"))
+                else:
+                    raise ValueError("unknown method %r" % (method,))
     return cells
 
 

@@ -52,7 +52,7 @@ class Dendrogram:
     def __post_init__(self):
         merges = _check_dtype(self.merges, "merges", kinds="iu").astype(np.int64, copy=False)
         heights = _check_dtype(self.heights, "heights").astype(np.float64, copy=False)
-        n = self.n_leaves
+        n = _check_integer(self.n_leaves, "n_leaves")
         if n < 2:
             raise ValueError("need at least 2 leaves")
         if merges.shape != (n - 1, 2) or heights.shape != (n - 1,):
@@ -64,6 +64,7 @@ class Dendrogram:
             raise ValueError("merge s must join two unmerged nodes below n + s, smaller id first")
         if not np.isfinite(heights).all():
             raise ValueError("heights must be finite")
+        object.__setattr__(self, "n_leaves", n)
         object.__setattr__(self, "merges", merges)
         object.__setattr__(self, "heights", heights)
 

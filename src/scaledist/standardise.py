@@ -14,9 +14,10 @@ boxplot transform needs) keeps all methods comparable: distances between rows
 are unaffected by per-column location.
 
 ``fit_standardiser`` is the one route to a fit, for every method; it returns
-a :class:`Standardiser` holding the fitted scales or :class:`BoxplotParams`.
-Both check their parameters at construction, whether built in Python or read
-from a parameter file, with the same messages.
+a :class:`Standardiser` holding the fitted scales or :class:`BoxplotParams`,
+and ``Standardiser.transform`` is the one route to apply them.  Both classes
+check their parameters at construction, whether built in Python or read from
+a parameter file, with the same messages.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ __all__ = [
     "quantile",
     "solve_tail_exponent",
     "BoxplotParams",
-    "fit_boxplot",
-    "apply_boxplot",
     "Standardiser",
     "fit_standardiser",
 ]
@@ -265,8 +264,9 @@ class BoxplotParams:
 
     The constructor checks values as a parameter file's are checked, with the
     same messages: a boolean dtype for ``degenerate`` and an integer or
-    floating one elsewhere, nothing converted; finite values, but for NaN
-    tail exponents; ``lqr``/``uqr`` > 0 on non-degenerate variables.
+    floating one elsewhere, each entry of a list or tuple as a file's entry,
+    nothing converted; finite values, but for NaN tail exponents;
+    ``lqr``/``uqr`` > 0 on non-degenerate variables.
     """
 
     median: np.ndarray = field(repr=False)
@@ -282,16 +282,19 @@ class BoxplotParams:
         # arrays of the stored dtype are kept, not copied
         finite = []
         for name, kinds in _BOXPLOT_KINDS.items():
-            arr = np.asarray(getattr(self, name))
+            values = getattr(self, name)
+            arr = np.asarray(values)
             if arr.ndim != 1 or arr.shape != np.shape(self.median) or not arr.size:
                 raise ValueError("parameter arrays must be 1-D with equal, non-zero length")
-            flags = kinds == ("bool",)
-            if arr.dtype.kind not in ("b" if flags else "iuf"):
+            dtypes = "b" if kinds == ("bool",) else "iuf"
+            listed = isinstance(values, (list, tuple))  # numpy casts a mixed list
+            if listed or arr.dtype.kind not in dtypes:
                 # named as a parameter file names it: the first entry of another kind
-                for j, value in enumerate(arr.tolist(), start=1):
+                for j, value in enumerate(values if listed else arr.tolist(), start=1):
                     _check_json_kinds({name: value}, {name: kinds[:1]}, "variable %d" % j)
-                raise ValueError("%r: unexpected dtype %s" % (name, arr.dtype))
-            arr = arr.astype(bool if flags else np.float64, copy=False)
+                if arr.dtype.kind not in dtypes:
+                    raise ValueError("%r: unexpected dtype %s" % (name, arr.dtype))
+            arr = arr.astype(bool if dtypes == "b" else np.float64, copy=False)
             object.__setattr__(self, name, arr)
             finite.append(np.isfinite(arr) | ("null" in kinds and np.isnan(arr)))
         bad = np.argwhere(~np.column_stack(finite))  # variable by variable, fields in order
@@ -334,7 +337,9 @@ class BoxplotParams:
             if not isinstance(v, dict):
                 raise ValueError("variable %d: expected a JSON object" % j)
             _check_json_kinds(v, _BOXPLOT_KINDS, "variable %d" % j, required=_BOXPLOT_KINDS)
-        return cls(**{key: [_from_json(v[key]) for v in variables] for key in _BOXPLOT_KINDS})
+        # entries checked above go in as arrays, which skip the entry loop
+        return cls(**{key: np.array([_from_json(v[key]) for v in variables])
+                      for key in _BOXPLOT_KINDS})
 
 
 def _degenerate_widths(lqr, uqr, degenerate):
@@ -362,17 +367,9 @@ def _scale_about_median(X, median, lqr, uqr):
     return np.clip(out, -_FLOAT_MAX, _FLOAT_MAX, out=out)
 
 
-def fit_boxplot(X):
-    """Fit the boxplot transform on training data, all variables at once.
-
-    Returns a :class:`BoxplotParams`.  A tail exponent is fitted only where a
-    scaled training value falls strictly outside [-2, 2]; every such tail is
-    solved in one array bisection.
-    """
-    return _fit_boxplot(check_data_matrix(X, min_rows=2))
-
-
-def _fit_boxplot(X):  # X checked
+def _fit_boxplot(X):
+    # X checked; a tail exponent is fitted only where a scaled training value
+    # falls strictly outside [-2, 2], and every tail in one array bisection
     q1, med, q3 = _quantiles(X, [0.25, 0.5, 0.75])
     with np.errstate(over="ignore"):  # a half-range beyond the float range is held
         lqr_raw = np.minimum(med - q1, _FLOAT_MAX)
@@ -403,25 +400,7 @@ def _fit_boxplot(X):  # X checked
     )
 
 
-def apply_boxplot(X, params, cap=False):
-    """Apply a fitted boxplot transform to data with the same variables.
-
-    The fitted median maps to 0 and the fitted quartiles to -0.5/+0.5.  Where
-    a tail exponent was fitted, values beyond the matching quartile are
-    compressed so the training extreme lands on -2/+2; the compression is
-    continuous with slope 1 at the quartile anchors and strictly increasing
-    everywhere.  Degenerate variables map to all zeros.
-
-    With ``cap=True`` (intended for data the transform was not fitted on) the
-    output is clipped to [-2, 2].
-    """
-    if not isinstance(params, BoxplotParams):
-        raise TypeError("params must be BoxplotParams")
-    X = check_data_matrix(X)
-    if X.shape[1] != params.n_vars:
-        raise ValueError(
-            "matrix has %d variables, parameters describe %d" % (X.shape[1], params.n_vars)
-        )
+def _apply_boxplot(X, params):  # X checked against params
     scaled = _scale_about_median(
         X, params.median, *_degenerate_widths(params.lqr, params.uqr, params.degenerate))
     out = scaled.copy()
@@ -434,8 +413,6 @@ def apply_boxplot(X, params, cap=False):
     if upper.any():
         out[upper] = 0.5 + _tail_gain(scaled[upper] + 0.5, t_up[upper])
     out[:, params.degenerate] = 0.0
-    if cap:
-        np.clip(out, -2.0, 2.0, out=out)
     return out
 
 
@@ -491,18 +468,26 @@ class Standardiser:
         self.boxplot = boxplot
 
     def transform(self, X, cap=False):
-        """Standardise X with the fitted parameters.
+        """Standardise X, a data matrix as wide as the fit, with the fitted
+        parameters.
 
-        ``cap`` only affects the boxplot method, where it clips the output to
-        [-2, 2]; linear scaling is unbounded by construction.
+        Linear methods divide each column by its scale, unbounded by
+        construction; a zero scale maps the column to zero.  The boxplot
+        method maps the fitted median to 0 and the fitted quartiles to
+        -0.5/+0.5.  Where a tail exponent was fitted, values beyond the
+        matching quartile are compressed so the training extreme lands on
+        -2/+2; the compression is continuous with slope 1 at the quartile
+        anchors and strictly increasing everywhere.  Degenerate variables map
+        to all zeros.  ``cap=True`` (intended for data the transform was not
+        fitted on) clips the boxplot output to [-2, 2]; linear methods ignore it.
         """
-        if self.method == "boxplot":
-            return apply_boxplot(X, self.boxplot, cap=cap)
         X = check_data_matrix(X)
-        if X.shape[1] != self.scales.shape[0]:
-            raise ValueError(
-                "matrix has %d variables, fit had %d" % (X.shape[1], self.scales.shape[0])
-            )
+        width = self.boxplot.n_vars if self.method == "boxplot" else self.scales.shape[0]
+        if X.shape[1] != width:
+            raise ValueError("matrix has %d variables, fit had %d" % (X.shape[1], width))
+        if self.method == "boxplot":
+            out = _apply_boxplot(X, self.boxplot)
+            return np.clip(out, -2.0, 2.0, out=out) if cap else out
         zero = self.scales == 0.0
         out = X / np.where(zero, 1.0, self.scales)[None, :]
         out[:, zero] = 0.0

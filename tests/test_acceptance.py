@@ -24,7 +24,7 @@ from scaledist.evaluate import adjusted_rand_index
 from scaledist.harness import ExperimentConfig, run_experiment, run_experiment_to_files
 from scaledist.learn import linkage, pam
 from scaledist.simgen import SetupSpec
-from scaledist.standardise import apply_boxplot, fit_boxplot, solve_tail_exponent
+from scaledist.standardise import fit_standardiser, solve_tail_exponent
 
 SEED = 20260816
 DESK_REPLICATES = 25
@@ -71,8 +71,9 @@ def test_criterion_1_boxplot_transformation_suite():
         else:
             x = rng.standard_t(2, size=n) * scale + shift
         X = x.reshape(-1, 1)
-        params = fit_boxplot(X)
-        out = apply_boxplot(X, params)[:, 0]
+        std = fit_standardiser(X, "boxplot")
+        params = std.boxplot
+        out = std.transform(X)[:, 0]
 
         # quartiles land on -0.5 / 0 / +0.5 within 1e-12
         anchors = np.array([
@@ -80,7 +81,7 @@ def test_criterion_1_boxplot_transformation_suite():
             params.median[0],
             params.median[0] + params.uqr[0],
         ]).reshape(-1, 1)
-        pin_err = float(np.abs(apply_boxplot(anchors, params)[:, 0] - [-0.5, 0.0, 0.5]).max())
+        pin_err = float(np.abs(std.transform(anchors)[:, 0] - [-0.5, 0.0, 0.5]).max())
         worst_pin = max(worst_pin, pin_err)
         if pin_err > 1e-12:
             failures.append("variable %d: quartile pinning error %.3g" % (index, pin_err))
@@ -120,7 +121,7 @@ def test_criterion_1_boxplot_transformation_suite():
             raw = params.median[0] + 2.0 * half * np.array(
                 [anchor - eps, anchor, anchor + eps]
             )
-            lo, mid, hi = apply_boxplot(raw.reshape(-1, 1), params)[:, 0]
+            lo, mid, hi = std.transform(raw.reshape(-1, 1))[:, 0]
             if abs((mid - lo) / eps - 1.0) > 1e-4 or abs((hi - mid) / eps - 1.0) > 1e-4:
                 failures.append("variable %d: %s join slope off by >1e-4" % (index, side))
         if failures:
@@ -139,11 +140,12 @@ def test_criterion_1_boxplot_transformation_suite():
     # and via the full fit path on constructed variables
     for m_scaled in rng.uniform(-4.48, -2.0 - 1e-9, size=50):
         X = np.array([m_scaled, -0.5, 0.0, 0.5, 1.0]).reshape(-1, 1)
-        params = fit_boxplot(X)
+        std = fit_standardiser(X, "boxplot")
+        params = std.boxplot
         if np.isnan(params.t_lower[0]):
             failures.append("fit missed a lower tail at scaled min %.3f" % m_scaled)
             break
-        out = apply_boxplot(X, params)[:, 0]
+        out = std.transform(X)[:, 0]
         if out[0] < -2.0 or abs(out[0] + 2.0) > 1e-10:
             failures.append("training minimum mapped to %.12f, not -2" % out[0])
             break

@@ -15,8 +15,6 @@ from scaledist.standardise import (
     BoxplotParams,
     Standardiser,
     _solve_tail_exponents,
-    apply_boxplot,
-    fit_boxplot,
     fit_standardiser,
     solve_tail_exponent,
 )
@@ -82,8 +80,8 @@ def test_solver_negative_branch():
 
 
 def test_array_solver_takes_the_one_at_a_time_steps_bit_for_bit():
-    # fit_boxplot solves every tail in one array bisection; each element must
-    # stop exactly where the scalar loop would, on both branches
+    # the boxplot fit solves every tail in one array bisection; each element
+    # must stop exactly where the scalar loop would, on both branches
     rng = np.random.default_rng(404)
     M = np.concatenate([
         np.exp(rng.uniform(1e-9, math.log(1e6), size=150)),
@@ -98,33 +96,36 @@ def test_array_solver_takes_the_one_at_a_time_steps_bit_for_bit():
 
 def test_fit_identity_variable():
     X = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]).reshape(-1, 1)
-    params = fit_boxplot(X)
+    std = fit_standardiser(X, "boxplot")
+    params = std.boxplot
     assert params.median[0] == 0.0
     assert params.lqr[0] == 0.5
     assert params.uqr[0] == 0.5
     assert np.isnan(params.t_lower[0])
     assert np.isnan(params.t_upper[0])
-    assert_array_equal(apply_boxplot(X, params), X)
+    assert_array_equal(std.transform(X), X)
 
 
 def test_scaled_minimum_exactly_minus_two_gets_no_exponent():
     # the tail condition is strict, -2 itself stays linear
     X = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]).reshape(-1, 1)
-    params = fit_boxplot(X)
+    std = fit_standardiser(X, "boxplot")
+    params = std.boxplot
     assert np.isnan(params.t_lower[0])
     assert np.isnan(params.t_upper[0])
-    out = apply_boxplot(X, params)
+    out = std.transform(X)
     assert out[0, 0] == -2.0
     assert out[-1, 0] == 2.0
 
 
 def test_fit_with_scaled_minimum_minus_nine_and_a_half():
     X = np.array([-9.5, -0.5, 0.0, 0.5, 1.0]).reshape(-1, 1)
-    params = fit_boxplot(X)
+    std = fit_standardiser(X, "boxplot")
+    params = std.boxplot
     # M = 0.5 - (-9.5) = 10
     assert params.t_lower[0] == pytest.approx(T_FOR_M10, abs=1e-9)
     assert np.isnan(params.t_upper[0])
-    out = apply_boxplot(X, params)
+    out = std.transform(X)
     assert out[0, 0] == pytest.approx(-2.0, abs=1e-10)
     assert out[0, 0] >= -2.0
 
@@ -134,7 +135,8 @@ def test_quartile_values_map_to_anchors_exactly():
     for _ in range(100):
         n = int(rng.integers(5, 60))
         x = rng.standard_normal(n) * 10 + rng.uniform(-5, 5)
-        params = fit_boxplot(x.reshape(-1, 1))
+        std = fit_standardiser(x.reshape(-1, 1), "boxplot")
+        params = std.boxplot
         anchors = np.array(
             [
                 params.median[0] - params.lqr[0],
@@ -142,7 +144,7 @@ def test_quartile_values_map_to_anchors_exactly():
                 params.median[0] + params.uqr[0],
             ]
         ).reshape(-1, 1)
-        out = apply_boxplot(anchors, params)
+        out = std.transform(anchors)
         assert_array_equal(out[:, 0], [-0.5, 0.0, 0.5])
 
 
@@ -153,8 +155,8 @@ def test_transform_is_strictly_increasing():
         x = np.sort(rng.standard_t(2, size=n) * 5)
         if np.unique(x).size < n:
             continue
-        params = fit_boxplot(x.reshape(-1, 1))
-        out = apply_boxplot(x.reshape(-1, 1), params)[:, 0]
+        std = fit_standardiser(x.reshape(-1, 1), "boxplot")
+        out = std.transform(x.reshape(-1, 1))[:, 0]
         assert np.all(np.diff(out) > 0.0)
 
 
@@ -164,8 +166,9 @@ def test_training_output_contained_and_extremes_hit_two():
         n = int(rng.integers(12, 100))
         x = rng.standard_t(2, size=n) * rng.uniform(0.5, 20)
         X = x.reshape(-1, 1)
-        params = fit_boxplot(X)
-        out = apply_boxplot(X, params)[:, 0]
+        std = fit_standardiser(X, "boxplot")
+        params = std.boxplot
+        out = std.transform(X)[:, 0]
         assert out.min() >= -2.0 and out.max() <= 2.0
         if not np.isnan(params.t_lower[0]):
             assert out.min() == pytest.approx(-2.0, abs=1e-10)
@@ -176,12 +179,13 @@ def test_training_output_contained_and_extremes_hit_two():
 def test_tail_joins_are_continuous_with_unit_slope():
     # check value and first derivative at the +-0.5 joins by finite differences
     X = np.array([-30.0, -0.5, 0.0, 0.5, 40.0]).reshape(-1, 1)
-    params = fit_boxplot(X)
+    std = fit_standardiser(X, "boxplot")
+    params = std.boxplot
     assert not np.isnan(params.t_lower[0]) and not np.isnan(params.t_upper[0])
     eps = 1e-6
     for anchor in (-0.5, 0.5):
         grid = np.array([anchor - eps, anchor, anchor + eps]).reshape(-1, 1)
-        lo, mid, hi = apply_boxplot(grid, params)[:, 0]
+        lo, mid, hi = std.transform(grid)[:, 0]
         assert mid == anchor
         assert (mid - lo) / eps == pytest.approx(1.0, abs=1e-4)
         assert (hi - mid) / eps == pytest.approx(1.0, abs=1e-4)
@@ -189,13 +193,13 @@ def test_tail_joins_are_continuous_with_unit_slope():
 
 def test_cap_clamps_new_data():
     train = np.array([-9.5, -0.5, 0.0, 0.5, 1.0]).reshape(-1, 1)
-    params = fit_boxplot(train)
+    std = fit_standardiser(train, "boxplot")
     test = np.array([-50.0, 0.25, 30.0]).reshape(-1, 1)
-    capped = apply_boxplot(test, params, cap=True)[:, 0]
+    capped = std.transform(test, cap=True)[:, 0]
     assert capped[0] == -2.0
     assert capped[2] == 2.0
     assert capped[1] == 0.25
-    uncapped = apply_boxplot(test, params)[:, 0]
+    uncapped = std.transform(test)[:, 0]
     assert uncapped[0] < -2.0  # beyond the training minimum, tail keeps going
     assert uncapped[2] > 2.0  # no upper exponent was fitted, stays linear
 
@@ -203,9 +207,10 @@ def test_cap_clamps_new_data():
 def test_uncapped_lower_tail_is_bounded_for_positive_exponent():
     # positive t gives a finite lower asymptote -0.5 - 1/t <= -2
     train = np.array([-9.5, -0.5, 0.0, 0.5, 1.0]).reshape(-1, 1)
-    params = fit_boxplot(train)
+    std = fit_standardiser(train, "boxplot")
+    params = std.boxplot
     t = params.t_lower[0]
-    probe = apply_boxplot(np.array([[-1e12]]), params)[0, 0]
+    probe = std.transform(np.array([[-1e12]]))[0, 0]
     assert probe < -2.0
     assert probe > -0.5 - 1.0 / t - 1e-9
 
@@ -218,11 +223,12 @@ def test_degenerate_variables():
             np.arange(6, dtype=float),  # healthy
         ]
     )
-    params = fit_boxplot(X)
+    std = fit_standardiser(X, "boxplot")
+    params = std.boxplot
     assert bool(params.degenerate[0])
     assert not bool(params.degenerate[1])
     assert not bool(params.degenerate[2])
-    out = apply_boxplot(X, params)
+    out = std.transform(X)
     assert_array_equal(out[:, 0], 0.0)
     assert np.all(np.isfinite(out))
     assert np.all(np.diff(out[:, 2]) > 0)
@@ -293,7 +299,7 @@ def test_values_near_the_float_limit_fit_to_finite_parameters(tmp_path, column):
 
 def test_parameter_file_keys_are_the_fields_in_order():
     assert list(_BOXPLOT_KINDS) == [f.name for f in dataclasses.fields(BoxplotParams)]
-    fitted = fit_boxplot(np.arange(12, dtype=float).reshape(-1, 2))
+    fitted = fit_standardiser(np.arange(12, dtype=float).reshape(-1, 2), "boxplot").boxplot
     assert [list(v) for v in fitted.to_json_dict()["variables"]] == [list(_BOXPLOT_KINDS)] * 2
 
 
@@ -303,12 +309,13 @@ def test_params_from_json_rejects_garbage():
 
 
 # one variable with both tails fitted: every field is a finite number
-_ONE_VARIABLE = fit_boxplot(np.array([[-30.0], [1.0], [2.0], [3.0], [40.0]]))
+_ONE_VARIABLE = fit_standardiser(np.array([[-30.0], [1.0], [2.0], [3.0], [40.0]]),
+                                 "boxplot").boxplot
 
 
 @pytest.mark.parametrize(
     "key, value, expected",
-    [  # built in Python, each was kept: a NaN median ended apply_boxplot in a
+    [  # built in Python, each was kept: a NaN median ended the transform in a
         # RecursionError, lqr -1 scaled like 1, an infinite exponent saved a
         # file that did not load, and the rest were converted
         ("median", math.nan, "variable 1: non-finite 'median'"),
@@ -330,6 +337,15 @@ def test_parameters_built_in_python_are_refused_as_their_file_is(tmp_path, key, 
     path.write_text(json.dumps(saved))
     with pytest.raises(ValueError, match="^%s$" % re.escape(expected)):
         Standardiser.load(path)
+
+
+def test_a_list_mixing_booleans_and_numbers_is_refused():
+    # numpy cast [True, 1.0] to [1.0, 1.0] before the dtype check saw it
+    fields = {name: getattr(_ONE_VARIABLE, name).tolist() * 2 for name in _BOXPLOT_KINDS}
+    for mixed in ([True, 1.0], (True, 1.0)):
+        with pytest.raises(ValueError, match="^variable 1 'median' must be a number, got true$"):
+            BoxplotParams(**dict(fields, median=mixed))
+    assert BoxplotParams(**dict(fields, median=(1, 1.0))).median.tolist() == [1.0, 1.0]
 
 
 def test_a_standardiser_takes_exactly_its_methods_parameter():
@@ -357,19 +373,19 @@ def test_boxplot_scale_equivariance():
     # c * X fits to c-scaled parameters, transformed values are unchanged
     rng = np.random.default_rng(808)
     X = rng.standard_t(2, size=(50, 4)) * [1.0, 5.0, 0.2, 50.0]
-    base_fit = fit_boxplot(X)
-    base = apply_boxplot(X, base_fit)
+    base_fit = fit_standardiser(X, "boxplot")
+    base = base_fit.transform(X)
     probe = rng.standard_normal((10, 4)) * 20
-    base_probe = apply_boxplot(probe, base_fit, cap=True)
+    base_probe = base_fit.transform(probe, cap=True)
     for c in (1e-3, 7.0, 1e5):
-        fit_c = fit_boxplot(c * X)
-        assert_allclose(apply_boxplot(c * X, fit_c), base, rtol=0, atol=1e-12)
+        fit_c = fit_standardiser(c * X, "boxplot")
+        assert_allclose(fit_c.transform(c * X), base, rtol=0, atol=1e-12)
         assert_allclose(
-            apply_boxplot(c * probe, fit_c, cap=True), base_probe, rtol=0, atol=1e-12
+            fit_c.transform(c * probe, cap=True), base_probe, rtol=0, atol=1e-12
         )
 
 
 def test_apply_rejects_wrong_width():
-    params = fit_boxplot(np.arange(10, dtype=float).reshape(-1, 2))
+    std = fit_standardiser(np.arange(10, dtype=float).reshape(-1, 2), "boxplot")
     with pytest.raises(ValueError):
-        apply_boxplot(np.zeros((3, 5)), params)
+        std.transform(np.zeros((3, 5)))

@@ -232,6 +232,15 @@ def test_a_label_beyond_int64_is_an_error_naming_its_line(tmp_path, text, lineno
         read_labels(path)
 
 
+def test_a_label_beyond_the_digit_limit_is_named_briefly(tmp_path):
+    # was "line 3: could not parse '111...1' as an integer label", 5047 characters
+    path = tmp_path / "y.labels"
+    path.write_text("1\n2\n" + "1" * 5001 + "\n")
+    with pytest.raises(ValueError, match="^line 3: integer of 5001 digits is beyond") as info:
+        read_labels(path)
+    assert len(str(info.value)) < 200
+
+
 def test_an_unsigned_label_beyond_int64_is_named_as_given():
     # the int64 cast wrapped it: "labels must be numbered from 1, got
     # -9223372036854775808"

@@ -303,6 +303,15 @@ def test_replicate_equals_manual_composition():
     assert by_method["knn3"].value == misclassification_rate(predictions, ds.y_test)
 
 
+@pytest.mark.parametrize("methods", [("kmeans", "knn3"), ("kmeans",)])
+def test_replicate_refuses_an_unknown_method(methods):
+    # ("kmeans", "knn3") gave a kmeans record holding knn3's misclassification
+    # rate, and ("kmeans",) ended in an UnboundLocalError
+    spec = setup_catalog()["ntn_05"].with_size(p=10, n_per_class=5)
+    with pytest.raises(ValueError, match="^unknown method 'kmeans'$"):
+        run_replicate(spec, "ntn_05", 0, 1, ("none",), (1.0,), methods)
+
+
 def test_replicate_records_do_not_depend_on_other_orders():
     # distances are built for all orders at once; each order's records must
     # come out as if it had been requested alone

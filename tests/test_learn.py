@@ -355,6 +355,9 @@ def test_dendrogram_takes_integer_merges_and_finite_heights(merges, heights, exp
 def test_dendrogram_validation():
     with pytest.raises(ValueError):
         Dendrogram(3, np.zeros((1, 2), dtype=np.int64), np.array([1.0]))
+    with pytest.raises(ValueError, match=r"^n_leaves must be an integer, got 2\.0$"):
+        Dendrogram(2.0, [[0, 1]], [1.0])  # was stored as 2.0
+    assert type(Dendrogram(np.int64(2), [[0, 1]], [1.0]).n_leaves) is int
     # merging a node twice, a node not made yet, a negative id, larger id first
     for merges in ([[0, 1], [0, 1]], [[0, 3], [1, 2]], [[-1, 0], [1, 3]], [[1, 0], [2, 3]]):
         with pytest.raises(ValueError, match="unmerged nodes"):

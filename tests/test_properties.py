@@ -25,8 +25,6 @@ from scaledist.standardise import (
     METHODS,
     BoxplotParams,
     Standardiser,
-    apply_boxplot,
-    fit_boxplot,
     fit_standardiser,
 )
 
@@ -62,7 +60,7 @@ def test_parameter_file_round_trip_keeps_text_and_transform_bits(X, method):
 @settings(max_examples=60, deadline=None)
 @given(X=_matrices(st.integers(2, 12), st.integers(1, 4)))
 def test_boxplot_training_output_stays_in_the_band_and_keeps_order(X):
-    out = apply_boxplot(X, fit_boxplot(X))
+    out = fit_standardiser(X, "boxplot").transform(X)
     assert out.min() >= -2.0 and out.max() <= 2.0
     for j in range(X.shape[1]):
         order = np.argsort(X[:, j], kind="stable")

@@ -13,7 +13,6 @@ from scaledist.standardise import (
     METHODS,
     POOLED_METHODS,
     Standardiser,
-    fit_boxplot,
     fit_standardiser,
     quantile,
 )
@@ -199,7 +198,7 @@ def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
         np.r_[-4.0, -3.0, -2.0, -1.0, np.zeros(6)],  # zero MAD, lower half only
     ])
     y = np.tile([1, 2, 3], 4)[:10]
-    boxplot = fit_boxplot(X)
+    boxplot = fit_standardiser(X, "boxplot").boxplot
     assert_array_equal(np.isnan(boxplot.t_lower), [1, 0, 1, 0, 0, 1, 1])
     assert_array_equal(np.isnan(boxplot.t_upper), [1, 1, 0, 1, 0, 1, 1])
     assert boxplot.t_lower[3] < 0.0 < boxplot.t_lower[1]
