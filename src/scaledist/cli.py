@@ -96,8 +96,6 @@ def _build_parser():
                    help="comma list out of %s" % ",".join(harness.EXPERIMENT_METHODS))
     p.add_argument("--oracle-pooling", action="store_true", default=None,
                    help="allow pooled standardisation for clustering (label-leaking)")
-    p.add_argument("--timing", action="store_true", default=None,
-                   help="fill the seconds column (breaks bytewise reproducibility)")
     p.add_argument("--jobs", type=integer, help="worker processes (default: $%s or CPU count)"
                    % harness.JOBS_ENV_VAR)
     p.add_argument("--out", required=True, help="results CSV path")
@@ -115,7 +113,7 @@ def _write_labels(labels, out):
     # predictions need not cover every class, so they are not checked
     text = core._labels_text(labels)
     if out:
-        core._write_files({out: text})
+        core._write_files([(out, text)])
     else:
         sys.stdout.write(text)
 
@@ -135,8 +133,8 @@ def _cmd_standardise(args):
     X = core.read_matrix_csv(args.input)
     std = Standardiser.load(args.params) if args.params is not None else _fit(X, args)
     # both files are written together, or neither
-    texts = {} if args.save_params is None else {args.save_params: std._json_text()}
-    texts[args.output] = core._matrix_text(std.transform(X, cap=args.cap))
+    texts = [] if args.save_params is None else [(args.save_params, std._json_text())]
+    texts.append((args.output, core._matrix_text(std.transform(X, cap=args.cap))))
     core._write_files(texts)
 
 

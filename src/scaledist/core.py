@@ -114,15 +114,6 @@ class CondensedDistanceMatrix:
         D.T[lower] = self.entries
         return D
 
-    @classmethod
-    def from_square(cls, D):
-        """Condense a symmetric square array (upper/lower assumed consistent)."""
-        D = np.asarray(D, dtype=np.float64)
-        if D.ndim != 2 or D.shape[0] != D.shape[1]:
-            raise ValueError("expected a square matrix, got shape %r" % (D.shape,))
-        n = D.shape[0]
-        return cls(n, D[_strict_lower(n)])
-
 
 def _strict_lower(n):
     # condensed order is the row-major order of the strict lower triangle:
@@ -244,23 +235,29 @@ def _format(x):
 
 
 def _write_files(texts):
-    # write each path's text to a sibling temporary, and rename the temporaries
-    # over their paths only once all are written: a failure leaves no path
-    # touched and no temporary behind, and an OSError names the path
-    for path in texts:
+    # write the text of each (path, text) pair to a sibling temporary, and
+    # rename the temporaries over their paths only once all are written: a
+    # failure leaves no path touched and no temporary behind, an OSError names
+    # the path, and two pairs naming one file are refused before any write
+    seen = set()
+    for path, _ in texts:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError("%s: two outputs name this file" % path)
+        seen.add(real)
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    temps = {path: "%s.tmp.%d" % (path, os.getpid()) for path in texts}
+    temps = [(path, "%s.tmp.%d" % (path, os.getpid()), text) for path, text in texts]
     try:
-        for path, text in texts.items():
-            with open(temps[path], "w") as fh:
+        for path, tmp, text in temps:
+            with open(tmp, "w") as fh:
                 fh.write(text)
-        for path, tmp in temps.items():
+        for path, tmp, _ in temps:
             os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
-        for tmp in temps.values():
+        for _, tmp, _ in temps:
             if os.path.exists(tmp):
                 os.remove(tmp)
 
@@ -367,7 +364,7 @@ def _matrix_text(X):
 
 def write_matrix_csv(path, X):
     """Write a data matrix as CSV at full precision (values round-trip exactly)."""
-    _write_files({path: _matrix_text(X)})
+    _write_files([(path, _matrix_text(X))])
 
 
 def read_labels(path):
@@ -398,7 +395,7 @@ def _labels_text(y):
 
 
 def write_labels(path, y):
-    _write_files({path: _labels_text(check_labels(y)[0])})
+    _write_files([(path, _labels_text(check_labels(y)[0]))])
 
 
 def write_condensed(path, D):
@@ -411,7 +408,7 @@ def write_condensed(path, D):
         raise TypeError("expected a CondensedDistanceMatrix")
     parts = [json.dumps({"n": D.n})]
     parts.extend(_format(v) for v in D.entries)
-    _write_files({path: "\n".join(parts) + "\n"})
+    _write_files([(path, "\n".join(parts) + "\n")])
 
 
 def read_condensed(path):

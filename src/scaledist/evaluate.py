@@ -2,35 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .core import check_labels
+from .core import _check_dtype, check_labels
 
-__all__ = ["ContingencyTable", "contingency_table", "adjusted_rand_index", "misclassification_rate"]
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Cross-counts of two partitions of the same objects."""
-
-    counts: np.ndarray = field(repr=False)
-    row_totals: np.ndarray = field(repr=False)
-    col_totals: np.ndarray = field(repr=False)
-    n: int = 0
-
-
-def contingency_table(u, v):
-    u, ku = check_labels(u)
-    v, kv = check_labels(v, n_expected=u.shape[0])
-    counts = np.bincount((u - 1) * kv + (v - 1), minlength=ku * kv).reshape(ku, kv)
-    return ContingencyTable(
-        counts=counts,
-        row_totals=counts.sum(axis=1),
-        col_totals=counts.sum(axis=0),
-        n=int(u.shape[0]),
-    )
+__all__ = ["adjusted_rand_index", "misclassification_rate"]
 
 
 def _pairs(counts):
@@ -49,29 +25,38 @@ def adjusted_rand_index(u, v):
     single-cluster), returns 1.0 if the partitions are identical as set
     partitions and 0.0 otherwise.
     """
-    table = contingency_table(u, v)
-    n = table.n
+    u, ku = check_labels(u)
+    v, kv = check_labels(v, n_expected=u.shape[0])
+    n = u.shape[0]
     if n < 2:
         raise ValueError("need at least 2 objects")
-    together = _pairs(table.counts)
-    a = _pairs(table.row_totals)
-    b = _pairs(table.col_totals)
+    # cross-counts of the two partitions
+    counts = np.bincount((u - 1) * kv + (v - 1), minlength=ku * kv).reshape(ku, kv)
+    together = _pairs(counts)
+    a = _pairs(counts.sum(axis=1))
+    b = _pairs(counts.sum(axis=0))
     total = n * (n - 1) // 2
     num = 2 * total * together - 2 * a * b
     den = total * (a + b) - 2 * a * b
     if den == 0:
-        one_per_row = np.all((table.counts > 0).sum(axis=1) == 1)
-        one_per_col = np.all((table.counts > 0).sum(axis=0) == 1)
+        one_per_row = np.all((counts > 0).sum(axis=1) == 1)
+        one_per_col = np.all((counts > 0).sum(axis=0) == 1)
         return 1.0 if (one_per_row and one_per_col) else 0.0
     return num / den
 
 
 def misclassification_rate(predicted, truth):
-    """Fraction of objects whose predicted label differs from the true one."""
+    """Fraction of objects whose predicted label differs from the true one.
+
+    Both vectors must hold integers; unlike :func:`check_labels`, neither
+    needs to cover every class.
+    """
     p = np.asarray(predicted)
     t = np.asarray(truth)
     if p.ndim != 1 or t.ndim != 1 or p.shape != t.shape:
         raise ValueError("expected two equal-length 1-D label vectors")
-    if p.shape[0] == 0:
+    if p.shape[0] == 0:  # checked first: an empty list is a float array
         raise ValueError("label vectors are empty")
+    for labels in (p, t):
+        _check_dtype(labels, "labels", kinds="iu")
     return float(np.mean(p != t))

@@ -18,17 +18,13 @@ Reproducibility: replicate r uses word r of
 (also written to the output, so single replicates can be regenerated with the
 ``simulate`` subcommand).  Replicates are independent and may run in parallel
 (SCALEDIST_JOBS processes, or the machine's CPU count); the records and all
-default outputs are byte-identical for any job count.  Wall-clock timings are
-kept in memory but written to the CSV only when timing is enabled, precisely
-because they are the one field that cannot be reproducible.
+default outputs are byte-identical for any job count.  Cells are not
+timed: a record holds only reproducible scores.
 
 Distances are built once per standardisation, for all orders together: the
 training pairwise distances when a clustering method is requested, the
-test-to-training cross distances when knn3 is.  A record's ``seconds``
-covers the learner call and its scoring only; for pam and the linkages that
-includes the learner's own expansion of the condensed distances to a square
-(no square is shared between learners).  Distance construction, shared by
-all orders and methods of a standardisation, is in no cell.
+test-to-training cross distances when knn3 is.  Each clustering learner
+expands the condensed distances to its own square; none is shared.
 """
 
 from __future__ import annotations
@@ -37,9 +33,8 @@ import functools
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,10 +76,10 @@ JOBS_ENV_VAR = "SCALEDIST_JOBS"
 class ResultRecord:
     """One scored run: a (setup, replicate, standardisation, q, method) cell.
 
-    ``seconds`` is the wall time of the learner call and its scoring only,
-    with the learner's own expansion of the condensed distances to a square;
-    the distances, built beforehand for every order and method of the
-    standardisation, are counted in no cell.
+    ``seconds`` is NaN from the harness.  It is kept only so that results
+    files with a filled ``seconds`` column read back and rewrite exactly, and
+    it takes no part in equality: records compare by their reproducible
+    fields alone.
     """
 
     setup: str
@@ -95,7 +90,7 @@ class ResultRecord:
     method: str
     metric: str
     value: float
-    seconds: float
+    seconds: float = field(default=math.nan, compare=False)
 
 
 # JSON kinds of each config value, in field order
@@ -103,7 +98,7 @@ _CONFIG_KINDS = {
     "setup": ("string", "object"), "replicates": ("integer",), "seed": ("integer",),
     "standardisations": ("list",), "orders": ("list",), "methods": ("list",),
     "p": ("integer", "null"), "n_per_class": ("integer", "null"),
-    "oracle_pooling": ("bool",), "timing": ("bool",),
+    "oracle_pooling": ("bool",),
 }
 
 
@@ -134,7 +129,6 @@ class ExperimentConfig:
     p: int | None = None
     n_per_class: int | None = None
     oracle_pooling: bool = False
-    timing: bool = False
 
     def __post_init__(self):
         # list axes become tuples; an axis that is not a list or tuple is left
@@ -240,8 +234,8 @@ def _grid_cells(standardisations, orders, methods):
 
 
 def _label_scores(setup_label, replicate, seed, cells, scores):
-    return [ResultRecord(setup_label, replicate, seed, *cell, value, seconds)
-            for cell, (value, seconds) in zip(cells, scores)]
+    return [ResultRecord(setup_label, replicate, seed, *cell, value)
+            for cell, value in zip(cells, scores)]
 
 
 def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
@@ -251,7 +245,7 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
     Pure function of its arguments; returns the records in grid order
     (standardisation, then q, then method).  Distances are built per
     standardisation for all orders at once; each clustering learner expands
-    its own square, timed in its cell's ``seconds``, and none is shared.
+    its own square, and none is shared.  Records leave ``seconds`` NaN.
     ``oracle_pooling`` is accepted but unused; :meth:`ExperimentConfig.validate`
     makes the check it stands for.
     """
@@ -261,9 +255,9 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
 
 
 def _score_replicate(spec, seed, standardisations, orders, methods):
-    """(value, seconds) of each cell of one replicate, in grid order.
+    """The score of each cell of one replicate, in grid order.
 
-    The unit of parallel work: a worker returns these bare pairs, and
+    The unit of parallel work: a worker returns these bare floats, and
     :func:`run_experiment` labels them as records.
     """
     data = generate(spec, seed)
@@ -272,7 +266,7 @@ def _score_replicate(spec, seed, standardisations, orders, methods):
 
 
 def _score_standardisation(data, std_method, orders, methods):
-    """(value, seconds) of one standardisation's cells, in grid order; its
+    """The scores of one standardisation's cells, in grid order; its
     matrices and distances are freed on return, before the next fit."""
     k_classes = int(data.y_train.max())
     std = fit_standardiser(data.x_train, std_method, labels=data.y_train)
@@ -285,7 +279,6 @@ def _score_standardisation(data, std_method, orders, methods):
     scores = []
     for i in range(len(orders)):
         for method in methods:
-            started = time.perf_counter()
             if method == "pam":
                 labels = pam(train_ds[i], k_classes).labels
                 value = adjusted_rand_index(labels, data.y_train)
@@ -295,7 +288,7 @@ def _score_standardisation(data, std_method, orders, methods):
             else:  # knn3
                 predicted = knn_classify(test_ds[i], data.y_train, 3)
                 value = misclassification_rate(predicted, data.y_test)
-            scores.append((float(value), time.perf_counter() - started))
+            scores.append(float(value))
     return scores
 
 
@@ -343,17 +336,16 @@ def run_experiment(config, jobs=None):
             for record in _label_scores(setup_label, r, seeds[r], cells, scores)]
 
 
-def write_records_csv(path, records, timing=False):
+def write_records_csv(path, records):
     """Write records under the fixed header.
 
-    The seconds field is left empty unless ``timing`` is set: wall time is the
-    one field that would break bytewise reproducibility of otherwise identical
-    runs.
+    The seconds field is written only for a record whose ``seconds`` is not
+    NaN, so harness records leave it empty.
     """
-    _write_files({path: _records_text(records, timing)})
+    _write_files([(path, _records_text(records))])
 
 
-def _records_text(records, timing):
+def _records_text(records):
     lines = [RESULTS_HEADER]
     for r in records:
         lines.append(
@@ -367,7 +359,7 @@ def _records_text(records, timing):
                 r.method,
                 r.metric,
                 repr(float(r.value)),
-                repr(float(r.seconds)) if timing else "",
+                "" if math.isnan(r.seconds) else repr(float(r.seconds)),
             )
         )
     return "\n".join(lines) + "\n"
@@ -442,9 +434,9 @@ def run_experiment_to_files(config, out_csv, summary_json=None, jobs=None):
     renamed into place together, so a failure leaves no partial output files.
     """
     records = run_experiment(config, jobs=jobs)
-    texts = {out_csv: _records_text(records, config.timing)}
+    texts = [(out_csv, _records_text(records))]
     if summary_json is not None:
         summary = {"config": config.to_json_dict(), "groups": summarise(records)}
-        texts[summary_json] = json.dumps(summary, indent=1) + "\n"
+        texts.append((summary_json, json.dumps(summary, indent=1) + "\n"))
     _write_files(texts)
     return records

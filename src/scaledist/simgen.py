@@ -255,12 +255,12 @@ def write_dataset(dataset, prefix):
             key: np.asarray(val).tolist() for key, val in dataset.variable_meta.items()
         },
     }
-    texts = {
-        prefix + ".train.csv": _matrix_text(dataset.x_train),
-        prefix + ".train.labels": _labels_text(check_labels(dataset.y_train)[0]),
-        prefix + ".test.csv": _matrix_text(dataset.x_test),
-        prefix + ".test.labels": _labels_text(check_labels(dataset.y_test)[0]),
-        prefix + ".meta.json": json.dumps(meta) + "\n",
-    }
+    texts = [
+        (prefix + ".train.csv", _matrix_text(dataset.x_train)),
+        (prefix + ".train.labels", _labels_text(check_labels(dataset.y_train)[0])),
+        (prefix + ".test.csv", _matrix_text(dataset.x_test)),
+        (prefix + ".test.labels", _labels_text(check_labels(dataset.y_test)[0])),
+        (prefix + ".meta.json", json.dumps(meta) + "\n"),
+    ]
     _write_files(texts)
-    return list(texts)
+    return [path for path, _ in texts]

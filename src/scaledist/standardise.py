@@ -517,7 +517,7 @@ class Standardiser:
         return json.dumps(self.to_json_dict(), indent=1) + "\n"
 
     def save(self, path):
-        _write_files({path: self._json_text()})
+        _write_files([(path, self._json_text())])
 
     @classmethod
     def load(cls, path):

@@ -356,13 +356,12 @@ def test_experiment_refuses_a_json_number_too_large_for_a_float(tmp_path, capsys
         ("--p", "5", "p", 5),
         ("--n-per-class", "4", "n_per_class", 4),
         ("--oracle-pooling", None, "oracle_pooling", True),
-        ("--timing", None, "timing", True),
     ],
 )
 def test_each_experiment_flag_overrides_its_config_key(tmp_path, flag, value, key, expected):
     config = {"setup": "simple_normal", "replicates": 1, "seed": 5,
               "standardisations": ["none"], "orders": [1], "methods": ["knn3"],
-              "p": 4, "n_per_class": 3, "oracle_pooling": False, "timing": False}
+              "p": 4, "n_per_class": 3, "oracle_pooling": False}
     path, out, summary = tmp_path / "cfg.json", tmp_path / "r.csv", tmp_path / "s.json"
     path.write_text(json.dumps(config))
     argv = [flag] if value is None else [flag, value]
@@ -401,7 +400,6 @@ def _rejected_on_both_routes(tmp_path, capsys, config, expected):
         ("orders", "12", "'orders' must be a list"),  # was read as orders 1 and 2
         ("standardisations", "mad", "'standardisations' must be a list"),
         ("oracle_pooling", "false", "'oracle_pooling' must be true or false"),
-        ("timing", 1, "'timing' must be true or false"),
         ("replicates", 1.7, "'replicates' must be an integer"),  # was truncated to 1
         ("seed", True, "'seed' must be an integer"),
         ("seed", 1.7, "'seed' must be an integer"),  # ran as seed 1 from Python
@@ -649,6 +647,46 @@ def test_a_boxplot_fit_whose_median_overflowed_reloads_through_params(tmp_path, 
     assert read_matrix_csv(tmp_path / "fitted.csv")[:, 0].tolist() == [-0.5, -0.5, 0.5, 0.5]
     assert run("standardise", "--params", tmp_path / "p.json", data, tmp_path / "again.csv") == 0
     assert (tmp_path / "again.csv").read_text() == (tmp_path / "fitted.csv").read_text()
+
+
+def test_experiment_refuses_timing_from_a_config_and_from_the_command_line(tmp_path, capsys):
+    # the seconds column is no longer filled, so there is no timing to ask for
+    out, config = tmp_path / "r.csv", tmp_path / "cfg.json"
+    base = {"setup": "simple_normal", "p": 4, "n_per_class": 3, "replicates": 1,
+            "methods": ["knn3"]}
+    config.write_text(json.dumps(dict(base, timing=True)))
+    capsys.readouterr()
+    assert run("experiment", "--config", config, "--jobs", 1, "--out", out) == 1
+    assert _error_line(capsys) == "scaledist: error: unknown config key(s): timing"
+    config.write_text(json.dumps(base))
+    with pytest.raises(SystemExit) as err:
+        run("experiment", "--config", config, "--timing", "--jobs", 1, "--out", out)
+    assert err.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("scaledist: ")]
+    assert errors == ["scaledist: error: unrecognized arguments: --timing"]
+    assert not out.exists()
+
+
+def test_experiment_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    # the summary JSON was the only thing left in the file
+    out, same = tmp_path / "r.csv", "%s/./r.csv" % tmp_path
+    capsys.readouterr()
+    assert run("experiment", "--setup", "simple_normal", "--p", 4, "--n-per-class", 3,
+               "--replicates", 1, "--methods", "knn3", "--jobs", 1,
+               "--out", out, "--summary", same) == 1
+    assert _error_line(capsys) == "scaledist: error: %s: two outputs name this file" % same
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_standardise_refuses_one_file_for_params_and_output(tmp_path, capsys):
+    # the fitted parameters were overwritten by the output matrix
+    data, _, _ = _saved_params(tmp_path, "mad")
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert run("standardise", "--method", "mad", "--save-params", out, data, out) == 1
+    assert _error_line(capsys) == "scaledist: error: %s: two outputs name this file" % out
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_experiment_writes_neither_file_when_the_summary_fails(tmp_path, capsys):

@@ -75,10 +75,10 @@ def test_condensed_matrix_get_and_square_round_trip():
         square = 0.5 * (square + square.T)
         square[0, n - 1] = square[n - 1, 0] = -0.0  # the sign of zero must survive
         np.fill_diagonal(square, 0.0)
-        D = CondensedDistanceMatrix.from_square(square)
-        assert D.n == n
         # compared as bit patterns, in condensed order: (0,1), (0,2), (1,2), ...
         condensed = np.array([square[i, j] for j in range(n) for i in range(j)])
+        D = CondensedDistanceMatrix(n, condensed)
+        assert D.n == n
         assert_array_equal(D.entries.view(np.int64), condensed.view(np.int64))
         for i in range(n):
             for j in range(n):
@@ -332,9 +332,9 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
     target = tmp_path / "taken"
     target.mkdir()  # os.replace cannot put a file over a directory
     with pytest.raises(IsADirectoryError):
-        _write_files({target: "1.0\n"})
+        _write_files([(target, "1.0\n")])
     with pytest.raises(UnicodeEncodeError):
-        _write_files({tmp_path / "out.txt": "\ud800"})  # fails inside the write
+        _write_files([(tmp_path / "out.txt", "\ud800")])  # fails inside the write
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
@@ -342,18 +342,30 @@ def test_write_files_renames_all_or_none_and_names_the_path(tmp_path):
     kept, absent = tmp_path / "kept.txt", tmp_path / "absent" / "b.txt"
     kept.write_text("old\n")
     with pytest.raises(FileNotFoundError) as err:
-        _write_files({kept: "new\n", absent: "b\n"})
+        _write_files([(kept, "new\n"), (absent, "b\n")])
     assert err.value.filename == str(absent)  # not its temporary
     taken = tmp_path / "taken"
     taken.mkdir()
     with pytest.raises(IsADirectoryError) as err:
-        _write_files({kept: "new\n", taken: "x\n"})
+        _write_files([(kept, "new\n"), (taken, "x\n")])
     assert err.value.filename == str(taken)
     assert kept.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "taken"]
-    _write_files({kept: "new\n", tmp_path / "c.txt": "c\n"})
+    _write_files([(kept, "new\n"), (tmp_path / "c.txt", "c\n")])
     assert kept.read_text() == "new\n" and (tmp_path / "c.txt").read_text() == "c\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "kept.txt", "taken"]
+
+
+def test_write_files_refuses_two_texts_for_one_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old\n")
+    (tmp_path / "sub").mkdir()
+    for other in (kept, "kept.txt", "sub/../kept.txt"):
+        with pytest.raises(ValueError, match="^%s: two outputs name this file$" % re.escape(str(other))):
+            _write_files([(kept, "a\n"), (tmp_path / "new.txt", "b\n"), (other, "c\n")])
+    assert kept.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "sub"]
 
 
 def test_the_runtime_needs_numpy_only():

@@ -7,6 +7,10 @@ few seconds to the suite.
 import dataclasses
 import json
 import math
+import pathlib
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -143,18 +147,17 @@ _RECORDS = st.lists(st.builds(
     method=st.sampled_from(["pam", "knn3"]),
     metric=st.sampled_from(["ari", "misclassification"]),
     value=st.sampled_from(_EDGES) | _FLOATS,
-    seconds=st.floats(0.0, allow_infinity=False),
+    seconds=st.just(math.nan) | st.floats(0.0, allow_infinity=False),
 ), min_size=1, max_size=6)
 
 
 @_FILES
-@given(records=_RECORDS, timing=st.booleans())
-def test_records_csv_round_trips_every_bit(tmp_path, records, timing):
-    write_records_csv(tmp_path / "r.csv", records, timing=timing)
+@given(records=_RECORDS)
+def test_records_csv_round_trips_every_bit(tmp_path, records):
+    write_records_csv(tmp_path / "r.csv", records)
     back = read_records_csv(tmp_path / "r.csv")
-    # repr tells -0.0 from 0.0 and shows each float exactly
-    if not timing:
-        records = [dataclasses.replace(r, seconds=math.nan) for r in records]
+    # repr tells -0.0 from 0.0, shows each float exactly and shows seconds,
+    # which record equality leaves out
     assert [repr(r) for r in back] == [repr(r) for r in records]
 
 
@@ -190,3 +193,25 @@ def test_accepted_boxplot_params_survive_save_and_load_bit_for_bit(tmp_path, par
     for f in dataclasses.fields(BoxplotParams):
         want, got = getattr(params, f.name), getattr(back, f.name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_failing_property_does_not_end_the_run(tmp_path):
+    # explaining a failing example makes hypothesis import libcst, which warns;
+    # under the repo's warnings-as-errors that was an INTERNALERROR, and every
+    # later test went unrun
+    (tmp_path / "test_throwaway.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, max_examples=5)
+        @given(st.integers())
+        def test_fails(x):
+            assert x != x
+
+        def test_passes():
+            pass
+    """))
+    ini = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini), "-p", "no:cacheprovider", "-q",
+         "test_throwaway.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "1 failed, 1 passed" in result.stdout, result.stdout + result.stderr
