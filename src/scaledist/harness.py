@@ -33,7 +33,6 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -327,6 +326,9 @@ def run_experiment(config, jobs=None):
     if jobs == 1 or config.replicates == 1:
         batches = [score(seed) for seed in seeds]
     else:
+        # imported here: the process pool's modules would add to every start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         # workers return bare scores and the records are labelled here, so
         # they share one object per grid value instead of unpickled copies
         with ProcessPoolExecutor(max_workers=min(jobs, config.replicates)) as pool:

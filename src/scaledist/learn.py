@@ -89,6 +89,9 @@ def pam(D, k):
     central first, and the result with the lowest total distance-to-nearest-
     medoid is kept.  A later start replaces the kept result only when its
     objective is strictly lower, so on ties the most central start wins.
+    The swap walk from a medoid set is deterministic, so a start whose walk
+    reaches a set an earlier start's walk visited stops there, with the
+    result that walk reached.
 
     Each build starts from its first medoid and greedily adds the object
     with the largest cost reduction.  The swap phase repeatedly applies the
@@ -116,8 +119,9 @@ def pam(D, k):
         raise ValueError("k must satisfy 2 <= k < n=%d, got %d" % (n, k))
 
     chosen, objective = None, np.inf
+    ends = {}  # every medoid set a swap walk visited -> the set that walk ended at
     for first in np.argsort(W.sum(axis=1), kind="stable")[:_PAM_STARTS]:
-        medoids = _build_swap(W, k, int(first))
+        medoids = _build_swap(W, k, int(first), ends)
         cost = float(W[medoids].min(axis=0).sum())
         if cost < objective:
             chosen, objective = medoids, cost
@@ -128,8 +132,13 @@ def pam(D, k):
     return Clustering(labels=labels, medoids=chosen, objective=objective)
 
 
-def _build_swap(W, k, first):
-    """One build + swap from medoid ``first``; returns the medoids, ascending."""
+def _build_swap(W, k, first, ends):
+    """One build + swap from medoid ``first``; returns the medoids, ascending.
+
+    The swap walk from a medoid set is deterministic, so a walk that reaches
+    a set in ``ends`` stops there with that set's end.  Every set this walk
+    visits is added to ``ends``.
+    """
     n = W.shape[0]
     medoids = [first]
     near = W[first].copy()
@@ -145,7 +154,13 @@ def _build_swap(W, k, first):
     chosen = np.array(sorted(medoids), dtype=np.int64)
     columns = np.arange(n)
     deltas = np.empty((k, n))
+    visited = []
     while True:
+        key = chosen.tobytes()
+        if key in ends:
+            chosen = ends[key]
+            break
+        visited.append(key)
         rows = W[chosen]
         nearest = rows.argmin(axis=0)
         d1 = rows[nearest, columns]
@@ -158,10 +173,12 @@ def _build_swap(W, k, first):
         deltas[:, chosen] = np.inf
         flat = int(np.argmin(deltas))  # first minimum: lowest medoid, then candidate
         if deltas.flat[flat] >= 0.0:
-            return chosen
+            break
         i, h = divmod(flat, n)
         chosen[i] = h
         chosen.sort()
+    ends.update(dict.fromkeys(visited, chosen))
+    return chosen
 
 
 # Below this many live nodes a linkage matrix gets room for every merge left
@@ -216,7 +233,9 @@ def linkage(D, method):
     W = _padded(square, slots)
     np.fill_diagonal(W, np.inf)
     ids = list(range(n))  # ids[s]: the node in slot s, None once merged away
-    sizes = [1] * n
+    sizes = [1.0] * n
+    # sb * W[b] of an average update; no compaction gives more slots than this
+    product = np.empty(max(slots, 2 * _LINKAGE_SMALL))
     merges, heights = [], []
     # an overflowing average update leaves inf, which the check below reports
     with np.errstate(over="ignore"):
@@ -241,8 +260,10 @@ def linkage(D, method):
             sa, sb = sizes[a], sizes[b]
             if method == "complete":
                 row = np.maximum(W[a], W[b], out=W[slot])
-            else:
-                row = np.divide(sa * W[a] + sb * W[b], sa + sb, out=W[slot])
+            else:  # (sa * W[a] + sb * W[b]) / (sa + sb), built in the new slot
+                row = np.multiply(W[a], sa, out=W[slot])
+                row += np.multiply(W[b], sb, out=product[:slots])
+                row /= sa + sb
             W[:, slot] = row
             W[a] = W[b] = np.inf
             W[:, a] = np.inf
@@ -289,6 +310,10 @@ def knn_classify(cross_distances, train_labels, k):
     index; vote ties go to the class with the smaller summed distance over its
     voting neighbours, then to the smaller class label.
 
+    Each row's neighbours are selected, not sorted in full: every entry at or
+    below the row's k-th smallest distance (``np.partition``) is a candidate,
+    and only the candidates are put in (distance, index) order, a stable sort.
+
     Returns
     -------
     np.ndarray of int64 predicted labels, one per test object.
@@ -303,7 +328,13 @@ def knn_classify(cross_distances, train_labels, k):
     if not 1 <= k <= Dx.shape[1]:
         raise ValueError("k must satisfy 1 <= k <= n_train=%d, got %d" % (Dx.shape[1], k))
     n_test = Dx.shape[0]
-    neighbours = np.argsort(Dx, axis=1, kind="stable")[:, :k]
+    kth = np.partition(Dx, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(Dx <= kth[:, None])  # row-major: indices ascend per row
+    order = np.lexsort((Dx[rows, cols], rows))  # stable: index order among equals
+    # each row holds >= k candidates; its first k in that order are its neighbours
+    counts = np.bincount(rows, minlength=n_test)
+    starts = np.cumsum(counts) - counts
+    neighbours = cols[order][starts[:, None] + np.arange(k)]
     voters = y[neighbours]
     # votes[a, c]: neighbours of test row a in class c, from one bincount
     offset = np.arange(n_test)[:, None] * (n_classes + 1)

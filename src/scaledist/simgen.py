@@ -221,10 +221,14 @@ def generate(spec, seed):
                 mean_diff[j] = spec.mean_diff
             sd1[j] = rng.uniform(lo, hi)
             sd2[j] = rng.uniform(lo, hi)
-        for target in (x_train, x_test):
-            z = rng.standard_t(2, 2 * m) if is_t2[j] else rng.standard_normal(2 * m)
-            target[:m, j] = sd1[j] * z[:m]
-            target[m:, j] = mean_diff[j] + sd2[j] * z[m:]
+        # one draw of 4m gives the same values as the documented two of 2m
+        z = rng.standard_t(2, 4 * m) if is_t2[j] else rng.standard_normal(4 * m)
+        x_train[:, j] = z[:2 * m]
+        x_test[:, j] = z[2 * m:]
+    for target in (x_train, x_test):
+        target[:m] *= sd1
+        target[m:] *= sd2
+        target[m:] += mean_diff
     y = np.repeat(np.array([1, 2], dtype=np.int64), m)
     meta = {
         "is_noise": is_noise,

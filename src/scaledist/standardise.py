@@ -350,16 +350,17 @@ def _degenerate_widths(lqr, uqr, degenerate):
 
 def _scale_about_median(X, median, lqr, uqr):
     # centre on the median, divide the lower half by 2*LQR and the upper by
-    # 2*UQR; exact zeros stay zero so the median maps to 0 exactly.  A ratio
-    # beyond the float range (a half-range tiny next to the value) is held at
-    # the largest float, where the tail map has long reached its limit.  A
-    # column whose centred values or doubled half-ranges overflow is scaled
-    # again with every input halved, which leaves the ratios unchanged.
+    # 2*UQR.  A zero difference is made +0.0 before the division (only a -0.0
+    # entry at a +0.0 median gives -0.0), so the median maps to +0.0 exactly,
+    # while a negative ratio that underflows stays -0.0.  A ratio beyond the
+    # float range (a half-range tiny next to the value) is held at the largest
+    # float, where the tail map has long reached its limit.  A column whose
+    # centred values or doubled half-ranges overflow is scaled again with
+    # every input halved, which leaves the ratios unchanged.
     with np.errstate(invalid="ignore", over="ignore"):
         xm = X - median[None, :]
-        lower = xm / (2.0 * lqr[None, :])
-        upper = xm / (2.0 * uqr[None, :])
-    out = np.where(xm < 0.0, lower, np.where(xm > 0.0, upper, 0.0))
+        xm += 0.0
+        out = xm / np.where(xm < 0.0, 2.0 * lqr[None, :], 2.0 * uqr[None, :])
     wide = ~np.isfinite(xm).all(axis=0) | (np.maximum(lqr, uqr) > _FLOAT_MAX / 2)
     if wide.any():
         out[:, wide] = _scale_about_median(X[:, wide] / 2, median[wide] / 2,

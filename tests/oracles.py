@@ -187,6 +187,67 @@ def pam_brute_force(D, k):
     return best_obj, best
 
 
+def _medoid_cost(D, medoids):
+    return float(D[:, sorted(medoids)].min(axis=1).sum())
+
+
+def pam_from_three_starts(D, k):
+    """Build plus best-improvement swap from each of the three most central
+    objects, each start on its own, keeping the first strictly lowest cost.
+
+    Centrality is the row sum of D, ties to the lower index.  The build adds
+    the object with the largest cost reduction (ties to the lower index);
+    each swap step scans medoids in ascending order, then candidates in
+    ascending order, and applies the first exchange with the most negative
+    change of cost.  Labels number the medoids 1..k in ascending order; an
+    object joins its nearest medoid, the lowest-numbered on ties, and a
+    medoid its own cluster.  Costs are summed by numpy, so on distances
+    whose sums are exact (multiples of a power of two) they match any other
+    summation order.  Returns (labels, medoids, objective, ends), ends being
+    the medoids each start's walk ended at, most central start first.
+    """
+    n = D.shape[0]
+    starts = sorted(range(n), key=lambda i: (float(D[i].sum()), i))[:3]
+    ends = []
+    best = None
+    for first in starts:
+        medoids = [first]
+        while len(medoids) < k:
+            base = _medoid_cost(D, medoids)
+            gains = [(base - _medoid_cost(D, medoids + [c]), c)
+                     for c in range(n) if c not in medoids]
+            top = max(g for g, _ in gains)
+            medoids.append(min(c for g, c in gains if g == top))
+        medoids.sort()
+        while True:
+            current = _medoid_cost(D, medoids)
+            step = None
+            for i in range(k):
+                for h in range(n):
+                    if h in medoids:
+                        continue
+                    delta = _medoid_cost(D, medoids[:i] + [h] + medoids[i + 1:]) - current
+                    if step is None or delta < step[0]:
+                        step = (delta, i, h)
+            if step[0] >= 0.0:
+                break
+            medoids[step[1]] = step[2]
+            medoids.sort()
+        ends.append(tuple(medoids))
+        cost = _medoid_cost(D, medoids)
+        if best is None or cost < best[1]:
+            best = (medoids, cost)
+    medoids, objective = best
+    labels = []
+    for o in range(n):
+        if o in medoids:
+            labels.append(medoids.index(o) + 1)
+        else:
+            dists = [D[o, m] for m in medoids]
+            labels.append(dists.index(min(dists)) + 1)
+    return np.array(labels), np.array(medoids), objective, ends
+
+
 def improving_swap_exists(D, medoids, objective, tol=1e-12):
     """Exhaustive scan: does any single medoid/non-medoid swap beat objective?"""
     n = D.shape[0]
@@ -200,6 +261,42 @@ def improving_swap_exists(D, medoids, objective, tol=1e-12):
             if obj < objective - tol:
                 return True
     return False
+
+
+def generate_by_variable(spec, seed):
+    """The generator's draws variable by variable: per variable the flags
+    and parameters in the documented order, then two draws of
+    2 * n_per_class base values, training then test, each scaled as it is
+    written into its column.  Returns (x_train, x_test, variable_meta)."""
+    p, m = spec.p, spec.n_per_class
+    x_train = np.empty((2 * m, p))
+    x_test = np.empty((2 * m, p))
+    keys = ("is_noise", "is_t2", "mean_diff", "sd_class1", "sd_class2")
+    meta = {key: [] for key in keys}
+    lo, hi = spec.sd_range
+    for j, stream in enumerate(np.random.SeedSequence(seed).spawn(p)):
+        rng = np.random.default_rng(stream)
+        is_t2 = rng.random() < spec.t2_fraction
+        is_noise = rng.random() < spec.noise_fraction
+        if is_noise:
+            mean_diff = 0.0
+            sd1 = sd2 = rng.uniform(lo, hi)
+        else:
+            if isinstance(spec.mean_diff, tuple):
+                mean_diff = rng.uniform(*spec.mean_diff)
+            else:
+                mean_diff = spec.mean_diff
+            sd1 = rng.uniform(lo, hi)
+            sd2 = rng.uniform(lo, hi)
+        for target in (x_train, x_test):
+            z = rng.standard_t(2, 2 * m) if is_t2 else rng.standard_normal(2 * m)
+            target[:m, j] = sd1 * z[:m]
+            target[m:, j] = mean_diff + sd2 * z[m:]
+        for key, value in zip(keys, (is_noise, is_t2, mean_diff, sd1, sd2)):
+            meta[key].append(value)
+    meta = {key: np.array(values, dtype=bool if key.startswith("is_") else float)
+            for key, values in meta.items()}
+    return x_train, x_test, meta
 
 
 def ari_by_fractions(u, v):

@@ -10,6 +10,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import solve_tail_by_bisection, solve_tail_stepwise
+from scaledist.cli import main
+from scaledist.core import write_matrix_csv
 from scaledist.standardise import (
     _BOXPLOT_KINDS,
     BoxplotParams,
@@ -202,6 +204,24 @@ def test_cap_clamps_new_data():
     uncapped = std.transform(test)[:, 0]
     assert uncapped[0] < -2.0  # beyond the training minimum, tail keeps going
     assert uncapped[2] > 2.0  # no upper exponent was fitted, stays linear
+
+
+def test_a_negative_zero_at_a_zero_median_maps_to_positive_zero(tmp_path):
+    # -0.0 minus the median +0.0 is -0.0; the output there is +0.0 all the same
+    train = np.array([-4.0, -0.0, 1.0, 0.0, 3.0]).reshape(-1, 1)
+    std = fit_standardiser(train, "boxplot")
+    assert std.boxplot.median[0] == 0.0 and not np.signbit(std.boxplot.median[0])
+    out = std.transform(train)[:, 0]
+    capped = std.transform(np.array([[-0.0], [0.0]]), cap=True)[:, 0]
+    assert out[1] == capped[0] == 0.0
+    assert not np.signbit(out[1]) and not np.signbit(capped).any()
+    data, written = tmp_path / "x.csv", tmp_path / "out.csv"
+    write_matrix_csv(data, train)
+    assert main(["standardise", "--method", "boxplot", str(data), str(written)]) == 0
+    assert written.read_text().splitlines()[1] == "0.0"
+    # a negative difference whose ratio underflows keeps its sign: -0.0
+    tiny = np.array([-1e300, -1e300, -5e-324, 0.0, 1.0, 2.0]).reshape(-1, 1)
+    assert np.signbit(fit_standardiser(tiny, "boxplot").transform(tiny)[2, 0])
 
 
 def test_uncapped_lower_tail_is_bounded_for_positive_exponent():

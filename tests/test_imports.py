@@ -1,6 +1,7 @@
-"""Static guards: every name a module of the package imports is used, every
-private module-level name is used somewhere in the package, and the public
-names modules take from one another are the ones their ``__all__`` lists.
+"""Import guards: every name a module of the package imports is used, every
+private module-level name is used somewhere in the package, the public
+names modules take from one another are the ones their ``__all__`` lists,
+and importing the package leaves the process pool's modules unloaded.
 
 No linter is a dependency, so this parses each module with ``ast``.  A name
 bound by an import must be read somewhere in the module or be listed in its
@@ -9,7 +10,10 @@ somewhere in the package outside its own definition.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -147,3 +151,14 @@ def test_the_guard_sees_an_unlisted_import_and_an_unbound_export():
         ("b", "a.H", "imported but not in a.__all__"),
         ("b", "a.g", "imported but not in a.__all__"),
     ]
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    # the pool is imported where run_experiment uses it, not on every start-up
+    env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, scaledist; print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

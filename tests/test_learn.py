@@ -11,6 +11,7 @@ from oracles import (
     naive_linkage,
     nearest_neighbour_labels,
     pam_brute_force,
+    pam_from_three_starts,
 )
 from scaledist.core import CondensedDistanceMatrix
 from scaledist.distance import pairwise
@@ -101,6 +102,26 @@ def test_pam_escapes_a_single_start_local_optimum():
     result = pam(D, 3)
     assert result.objective == pytest.approx(opt, abs=1e-12)
     assert tuple(result.medoids) == best
+
+
+def test_pam_matches_three_independent_starts_bit_for_bit_on_tie_heavy_grids():
+    # distances on a grid of halves: sums are exact in any order, and equal
+    # gains, swap deltas and costs are common, so every tie rule is decided;
+    # starts whose walks end at one set exercise the shared walk
+    rng = np.random.default_rng(23)
+    shared = 0
+    for _ in range(300):
+        n = int(rng.integers(5, 31))
+        k = int(rng.integers(2, 5))
+        D = CondensedDistanceMatrix(
+            n, rng.integers(0, int(rng.integers(2, 7)), n * (n - 1) // 2) / 2)
+        labels, medoids, objective, ends = pam_from_three_starts(D.to_square(), k)
+        result = pam(D, k)
+        assert_array_equal(result.labels, labels)
+        assert_array_equal(result.medoids, medoids)
+        assert result.objective == objective
+        shared += len(set(ends)) < len(ends)
+    assert shared > 100
 
 
 def test_pam_objective_consistent_with_labels():
@@ -299,13 +320,13 @@ def test_knn_matches_per_row_oracle_on_tie_heavy_grids():
     # neighbour and many vote ties, all sums exact
     rng = np.random.default_rng(19)
     clear = by_sum = by_label = 0
-    for _ in range(300):
+    for _ in range(400):
         n_classes = int(rng.integers(2, 5))
-        n_train = int(rng.integers(n_classes + 5, 30))
+        n_train = int(rng.integers(n_classes + 5, 121 if rng.random() < 0.3 else 30))
         y = rng.permutation(np.concatenate(
             [np.arange(1, n_classes + 1), rng.integers(1, n_classes + 1, n_train - n_classes)]))
         Dx = rng.integers(0, int(rng.integers(2, 5)), size=(int(rng.integers(1, 41)), n_train)) / 2
-        k = int(rng.integers(1, 8))
+        k = n_train if rng.random() < 0.1 else int(rng.integers(1, 8))
         mine = knn_classify(Dx, y, k)
         assert_array_equal(mine, naive_knn(Dx, y, k))
         assert mine.dtype == np.int64

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from oracles import generate_by_variable
 from scaledist.core import read_labels, read_matrix_csv
 from scaledist.simgen import (
     GeneratedDataset,
@@ -107,6 +108,20 @@ def test_generate_is_deterministic():
         assert_array_equal(a.variable_meta[key], b.variable_meta[key])
     c = generate(spec, seed=1235)
     assert not np.array_equal(a.x_train, c.x_train)
+
+
+@pytest.mark.parametrize("p, n_per_class", [(1, 2), (37, 3), (200, 20), (2000, 50)])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_generate_matches_the_variable_by_variable_draws_bit_for_bit(p, n_per_class, seed):
+    for spec in setup_catalog().values():
+        spec = spec.with_size(p=p, n_per_class=n_per_class)
+        ds = generate(spec, seed)
+        x_train, x_test, meta = generate_by_variable(spec, seed)
+        assert list(ds.variable_meta) == list(meta)
+        for mine, theirs in [(ds.x_train, x_train), (ds.x_test, x_test),
+                             *((ds.variable_meta[key], meta[key]) for key in meta)]:
+            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+            assert mine.tobytes() == theirs.tobytes()
 
 
 def test_generate_seed_domain():
