@@ -15,14 +15,7 @@ from .evaluate import adjusted_rand_index, misclassification_rate
 from .harness import ExperimentConfig, run_experiment, summarise
 from .learn import Clustering, Dendrogram, cut_tree, knn_classify, linkage, pam
 from .simgen import GeneratedDataset, SetupSpec, generate, setup_catalog
-from .standardise import (
-    BoxplotParams,
-    METHODS,
-    Standardiser,
-    fit_standardiser,
-    quantile,
-    solve_tail_exponent,
-)
+from .standardise import METHODS, BoxplotParams, Standardiser, fit_standardiser
 
 __version__ = "0.1.0"
 
@@ -34,7 +27,6 @@ __all__ = [
     "ExperimentConfig", "run_experiment", "summarise",
     "Clustering", "Dendrogram", "cut_tree", "knn_classify", "linkage", "pam",
     "GeneratedDataset", "SetupSpec", "generate", "setup_catalog",
-    "BoxplotParams", "METHODS", "Standardiser", "fit_standardiser", "quantile",
-    "solve_tail_exponent",
+    "BoxplotParams", "METHODS", "Standardiser", "fit_standardiser",
     "__version__",
 ]

@@ -84,7 +84,9 @@ def _build_parser():
 
     p = sub.add_parser("experiment", help="run a simulation experiment grid")
     p.add_argument("--config", help="JSON config; command-line flags override it")
-    p.add_argument("--setup", help="setup name or 'custom' fields in --config")
+    p.add_argument("--setup", help="setup name (%s); a custom setup is a JSON object "
+                                   "under \"setup\" in --config"
+                                   % ", ".join(simgen.setup_catalog()))
     p.add_argument("--p", type=integer)
     p.add_argument("--n-per-class", type=integer)
     p.add_argument("--replicates", type=integer)

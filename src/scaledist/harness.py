@@ -207,10 +207,16 @@ class ExperimentConfig:
 def replicate_seeds(seed, replicates):
     """Data seed for each replicate: the uint64 state words of the master seed.
 
-    ``seed`` is a non-negative integer (a numpy integer too); ValueError on
-    anything else, integral floats included.
+    ``seed`` is a non-negative integer and ``replicates`` an integer >= 0
+    (numpy integers too); ValueError on anything else, booleans and integral
+    floats included.
     """
     seed = _check_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    replicates = _check_integer(replicates, "replicates")
+    if replicates < 0:
+        raise ValueError("replicates must be >= 0")
     state = np.random.SeedSequence(seed).generate_state(replicates, np.uint64)
     return [int(s) for s in state]
 
@@ -342,7 +348,9 @@ def write_records_csv(path, records):
     """Write records under the fixed header.
 
     The seconds field is written only for a record whose ``seconds`` is not
-    NaN, so harness records leave it empty.
+    NaN, so harness records leave it empty.  ValueError naming the first
+    record whose line would not read back as an equal record, before anything
+    is written.
     """
     _write_files([(path, _records_text(records))])
 
@@ -350,21 +358,45 @@ def write_records_csv(path, records):
 def _records_text(records):
     lines = [RESULTS_HEADER]
     for r in records:
-        lines.append(
-            "%s,%d,%d,%s,%s,%s,%s,%s,%s"
-            % (
-                r.setup,
-                r.replicate,
-                r.seed,
-                r.standardisation,
-                format_order(r.q),
-                r.method,
-                r.metric,
-                repr(float(r.value)),
-                "" if math.isnan(r.seconds) else repr(float(r.seconds)),
-            )
+        line = "%s,%d,%d,%s,%s,%s,%s,%s,%s" % (
+            r.setup,
+            r.replicate,
+            r.seed,
+            r.standardisation,
+            format_order(r.q),
+            r.method,
+            r.metric,
+            repr(float(r.value)),
+            "" if math.isnan(r.seconds) else repr(float(r.seconds)),
         )
+        try:
+            back = _parse_record(line)
+        except ValueError as exc:
+            raise ValueError("cannot write %r: %s" % (r, exc)) from None
+        if back != r:
+            raise ValueError("cannot write %r: it would read back as %r" % (r, back))
+        lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _parse_record(line):
+    """The record one line of a results CSV holds; ValueError if it holds none."""
+    if line and line.splitlines() != [line]:  # as _read_lines splits a file
+        raise ValueError("a line break inside a field")
+    cells = line.split(",")
+    if len(cells) != 9:
+        raise ValueError("%d fields, expected 9" % len(cells))
+    return ResultRecord(
+        setup=cells[0],
+        replicate=_parse_number(cells[1], integer=True),
+        seed=_parse_number(cells[2], integer=True),
+        standardisation=cells[3],
+        q=parse_order(cells[4]),
+        method=cells[5],
+        metric=cells[6],
+        value=_parse_finite(cells[7]),
+        seconds=_parse_finite(cells[8]) if cells[8] != "" else math.nan,
+    )
 
 
 def read_records_csv(path):
@@ -374,23 +406,8 @@ def read_records_csv(path):
         raise ValueError("%s: missing results header %r" % (path, RESULTS_HEADER))
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 9:
-            raise ValueError("line %d: %d fields, expected 9" % (lineno, len(cells)))
         try:
-            records.append(
-                ResultRecord(
-                    setup=cells[0],
-                    replicate=_parse_number(cells[1], integer=True),
-                    seed=_parse_number(cells[2], integer=True),
-                    standardisation=cells[3],
-                    q=parse_order(cells[4]),
-                    method=cells[5],
-                    metric=cells[6],
-                    value=_parse_finite(cells[7]),
-                    seconds=_parse_finite(cells[8]) if cells[8] != "" else math.nan,
-                )
-            )
+            records.append(_parse_record(line))
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None
     return records

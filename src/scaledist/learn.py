@@ -283,6 +283,8 @@ def cut_tree(dendrogram, k):
     -------
     np.ndarray of int64 labels, one per leaf.
     """
+    if not isinstance(dendrogram, Dendrogram):
+        raise TypeError("expected a Dendrogram")
     k = _check_integer(k, "k")
     n = dendrogram.n_leaves
     if not 1 <= k <= n:

@@ -37,8 +37,6 @@ __all__ = [
     "LINEAR_METHODS",
     "POOLED_METHODS",
     "METHODS",
-    "quantile",
-    "solve_tail_exponent",
     "BoxplotParams",
     "Standardiser",
     "fit_standardiser",
@@ -55,30 +53,6 @@ POOLED_METHODS = (
 LINEAR_METHODS = ("unit_variance", "mad", "range") + POOLED_METHODS
 
 METHODS = ("none",) + LINEAR_METHODS + ("boxplot",)
-
-
-def quantile(values, prob):
-    """Quantile by linear interpolation of order statistics.
-
-    With the sample sorted as v_1 <= ... <= v_n, the quantile at probability
-    p interpolates between the order statistics bracketing position
-    h = (n - 1) * p + 1.
-
-    Parameters
-    ----------
-    values : array_like, 1-D, non-empty, finite
-        Checked as the one column of a data matrix.
-    prob : float in [0, 1]
-
-    Returns
-    -------
-    float
-    """
-    if np.ndim(values) != 1:
-        raise ValueError("values must be 1-D")
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError("prob must be in [0, 1], got %r" % (prob,))
-    return float(_quantiles(check_data_matrix(np.reshape(values, (-1, 1))), prob)[0])
 
 
 def _quantiles(A, probs):
@@ -122,8 +96,6 @@ def _statistics(X, method, classes):
         return _median(_abs_dev(X))
     if method == "range":
         return np.ptp(X, axis=0)
-    if method not in POOLED_METHODS:
-        raise ValueError("unknown scale method %r" % (method,))
     if classes is None:
         raise ValueError("method %r requires class labels" % (method,))
     y, k = classes
@@ -176,6 +148,10 @@ def _tail_gain(base, t):
 def _solve_tail_exponents(M):
     """Tail exponent for every extent in the array M (finite, > 1).
 
+    Solves (1 - M**(-t)) / t = 1.5 (limit log(M) at t = 0) for the unique t;
+    the left side is strictly decreasing in t.  A training value beyond the
+    +-2 band has extent M > 2.5.
+
     Each extent doubles its bracket, then bisects until the midpoint repeats
     an end or hits the target, and gets the bracket's ``hi``.  Masks stop each
     one where it would stop alone, so the results do not depend on what else
@@ -205,23 +181,6 @@ def _solve_tail_exponents(M):
         hi = np.where(todo & (gm <= _TAIL_TARGET), mid, hi)  # an exact hit stops at hi = mid
         todo &= gm != _TAIL_TARGET
     return hi
-
-
-def solve_tail_exponent(M):
-    """Exponent t of the tail map for a variable whose extreme sits at M.
-
-    Solves (1 - M**(-t)) / t = 1.5 (limit log(M) at t = 0) for the unique t;
-    the left side is strictly decreasing in t, so an expanding bracket plus
-    bisection converges.  M > 1 is required; when a value beyond the +-2 band
-    exists, M > 2.5 by construction.  The returned exponent is taken from the
-    inner side of the final bracket (biased ~5.7e-14 in the equation value) so
-    that the fitted map, re-evaluated in floating point, cannot push the
-    training extreme outside [-2, 2].
-    """
-    M = float(M)
-    if not np.isfinite(M) or M <= 1.0:
-        raise ValueError("tail extent M must be finite and > 1, got %r" % (M,))
-    return float(_solve_tail_exponents(np.array([M]))[0])
 
 
 # JSON kinds of each per-variable key of a boxplot parameter file, in field
@@ -547,6 +506,8 @@ def fit_standardiser(X, method, labels=None):
     and ``fit_standardiser(col[:, None], m, labels=y).scales[0]`` is the scale
     statistic of one variable.
     """
+    if method not in METHODS:
+        raise ValueError("unknown standardisation method %r" % (method,))
     X = check_data_matrix(X, min_rows=2)
     classes = None if labels is None else check_labels(labels, n_expected=X.shape[0])
     if method == "boxplot":

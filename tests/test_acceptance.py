@@ -24,7 +24,7 @@ from scaledist.evaluate import adjusted_rand_index
 from scaledist.harness import ExperimentConfig, run_experiment, run_experiment_to_files
 from scaledist.learn import linkage, pam
 from scaledist.simgen import SetupSpec
-from scaledist.standardise import fit_standardiser, solve_tail_exponent
+from scaledist.standardise import _solve_tail_exponents, fit_standardiser
 
 SEED = 20260816
 DESK_REPLICATES = 25
@@ -128,9 +128,9 @@ def test_criterion_1_boxplot_transformation_suite():
             break
 
     # negative-exponent branch: scaled minima in (-4.48, -2) mean M in (2.5, 4.98)
-    for M in rng.uniform(2.5 + 1e-9, 4.98, size=300):
-        t = solve_tail_exponent(float(M))
-        res = abs(_tail_residual(float(M), t))
+    M_draws = rng.uniform(2.5 + 1e-9, 4.98, size=300)
+    for M, t in zip(M_draws.tolist(), _solve_tail_exponents(M_draws).tolist()):
+        res = abs(_tail_residual(M, t))
         if res > 1e-10:
             failures.append("negative branch M=%.4f residual %.3g" % (M, res))
             break

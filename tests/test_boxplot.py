@@ -18,7 +18,6 @@ from scaledist.standardise import (
     Standardiser,
     _solve_tail_exponents,
     fit_standardiser,
-    solve_tail_exponent,
 )
 
 # roots of (1 - M^-t)/t = 1.5, frozen from an independent bisection
@@ -34,50 +33,44 @@ def tail_residual(M, t):
 
 
 def test_solver_frozen_values():
-    assert solve_tail_exponent(10.0) == pytest.approx(T_FOR_M10, abs=1e-9)
-    assert solve_tail_exponent(3.0) == pytest.approx(T_FOR_M3, abs=1e-9)
-    assert solve_tail_exponent(2.5) == pytest.approx(-1.0, abs=1e-9)
-    assert abs(solve_tail_exponent(M_CRITICAL)) < 1e-10
+    t10, t3, t25, t_critical = _solve_tail_exponents(np.array([10.0, 3.0, 2.5, M_CRITICAL]))
+    assert t10 == pytest.approx(T_FOR_M10, abs=1e-9)
+    assert t3 == pytest.approx(T_FOR_M3, abs=1e-9)
+    assert t25 == pytest.approx(-1.0, abs=1e-9)
+    assert abs(t_critical) < 1e-10
 
 
 def test_solver_sign_follows_log_m():
-    assert solve_tail_exponent(100.0) > 0.0
-    assert solve_tail_exponent(M_CRITICAL + 0.01) > 0.0
-    assert solve_tail_exponent(M_CRITICAL - 0.01) < 0.0
-    assert solve_tail_exponent(2.6) < 0.0
-
-
-def test_solver_rejects_domain():
-    with pytest.raises(ValueError):
-        solve_tail_exponent(1.0)
-    with pytest.raises(ValueError):
-        solve_tail_exponent(0.5)
+    t = _solve_tail_exponents(np.array([100.0, M_CRITICAL + 0.01, M_CRITICAL - 0.01, 2.6]))
+    assert t[0] > 0.0
+    assert t[1] > 0.0
+    assert t[2] < 0.0
+    assert t[3] < 0.0
 
 
 def test_solver_matches_bisection_oracle():
     rng = np.random.default_rng(101)
-    log_m = rng.uniform(math.log(1.0 + 1e-6), math.log(1e6), size=300)
-    for M in np.exp(log_m):
-        t = solve_tail_exponent(float(M))
-        t_ref = solve_tail_by_bisection(float(M))
+    M = np.exp(rng.uniform(math.log(1.0 + 1e-6), math.log(1e6), size=300))
+    for m, t in zip(M.tolist(), _solve_tail_exponents(M).tolist()):
+        t_ref = solve_tail_by_bisection(m)
         assert abs(t - t_ref) <= 1e-8 * max(1.0, abs(t_ref))
-        assert abs(tail_residual(float(M), t)) <= 1e-10
+        assert abs(tail_residual(m, t)) <= 1e-10
 
 
 def test_solver_residual_small_over_random_domain():
     rng = np.random.default_rng(202)
-    for M in np.exp(rng.uniform(1e-9, math.log(1e6), size=1000)):
-        t = solve_tail_exponent(float(M))
-        assert abs(tail_residual(float(M), t)) <= 1e-10
+    M = np.exp(rng.uniform(1e-9, math.log(1e6), size=1000))
+    for m, t in zip(M.tolist(), _solve_tail_exponents(M).tolist()):
+        assert abs(tail_residual(m, t)) <= 1e-10
 
 
 def test_solver_negative_branch():
     # M below e^1.5 has no positive root; the continuous extension is used
     rng = np.random.default_rng(303)
-    for M in rng.uniform(2.5, 4.98, size=200):
-        t = solve_tail_exponent(float(M))
-        assert abs(tail_residual(float(M), t)) <= 1e-10
-        if M < M_CRITICAL:
+    M = rng.uniform(2.5, 4.98, size=200)
+    for m, t in zip(M.tolist(), _solve_tail_exponents(M).tolist()):
+        assert abs(tail_residual(m, t)) <= 1e-10
+        if m < M_CRITICAL:
             assert t < 0.0
 
 

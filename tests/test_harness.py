@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,19 @@ def test_replicate_seeds_are_stable_and_distinct():
     for seed in (123.7, 123.0):  # 123.7 gave seed 123's replicates
         with pytest.raises(ValueError, match="seed"):
             replicate_seeds(seed, 50)
+    assert replicate_seeds(123, np.int64(50)) == a
+    assert replicate_seeds(123, 0) == []
+
+
+@pytest.mark.parametrize("seed, replicates, message", [
+    (1, 2.5, "replicates must be an integer, got 2.5"),  # numpy's "expected a sequence"
+    (1, True, "replicates must be an integer, got True"),  # ran as 1
+    (1, -1, "replicates must be >= 0"),  # numpy's "negative dimensions"
+    (-1, 2, "seed must be non-negative"),  # numpy's "expected non-negative integer"
+])
+def test_replicate_seeds_checks_its_inputs(seed, replicates, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        replicate_seeds(seed, replicates)
 
 
 def test_summarise_examples():
@@ -218,6 +232,25 @@ def test_records_csv_round_trip(tmp_path):
     write_records_csv(path, [dataclasses.replace(records[0], seconds=0.25)])
     assert path.read_text().splitlines()[1].endswith(",0.25")
     assert read_records_csv(path)[0].seconds == 0.25
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"replicate": 1.7}, "would read back as .*replicate=1,"),  # written as 1
+    ({"seed": 2.5}, "would read back as .*seed=2,"),  # written as 2
+    ({"q": 0.5}, "aggregation order must be >= 1"),
+    ({"method": "a,b"}, "10 fields, expected 9"),
+    ({"setup": "a\nb"}, "a line break inside a field"),
+    ({"value": math.inf}, "non-finite value 'inf'"),
+    ({"seconds": math.inf}, "non-finite value 'inf'"),
+], ids=["replicate", "seed", "q", "comma", "newline", "value", "seconds"])
+def test_records_csv_writes_only_what_reads_back(tmp_path, change, message):
+    # each of these was written, and then either truncated or refused by the reader
+    good = ResultRecord("s", 0, 7, "none", 1.0, "pam", "ari", 0.5)
+    bad = dataclasses.replace(good, **change)
+    path = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=r"^cannot write ResultRecord\(.*%s" % message):
+        write_records_csv(path, [good, bad])
+    assert not path.exists()
 
 
 def test_results_are_independent_of_job_count(tmp_path):

@@ -162,3 +162,25 @@ def test_importing_the_package_leaves_the_process_pool_unloaded():
         env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_the_public_surface_is_pinned():
+    # a name joins or leaves the public surface only by changing this list
+    import scaledist
+    from scaledist import standardise
+
+    assert scaledist.__all__ == [
+        "CondensedDistanceMatrix", "condensed_index", "read_condensed", "read_matrix_csv",
+        "write_condensed", "write_matrix_csv",
+        "cross", "cross_orders", "minkowski", "pairwise", "pairwise_orders",
+        "adjusted_rand_index", "misclassification_rate",
+        "ExperimentConfig", "run_experiment", "summarise",
+        "Clustering", "Dendrogram", "cut_tree", "knn_classify", "linkage", "pam",
+        "GeneratedDataset", "SetupSpec", "generate", "setup_catalog",
+        "BoxplotParams", "METHODS", "Standardiser", "fit_standardiser",
+        "__version__",
+    ]
+    assert standardise.__all__ == [
+        "LINEAR_METHODS", "POOLED_METHODS", "METHODS",
+        "BoxplotParams", "Standardiser", "fit_standardiser",
+    ]

@@ -244,6 +244,9 @@ def test_cut_tree_examples():
         cut_tree(dend, 0)
     with pytest.raises(ValueError):
         cut_tree(dend, 4)
+    for tree in ("x", None, D):  # "x" and None raised AttributeError
+        with pytest.raises(TypeError, match="^expected a Dendrogram$"):
+            cut_tree(tree, 2)
 
 
 def test_cut_tree_numbers_clusters_by_smallest_member():
