@@ -10,7 +10,7 @@ from .core import (
     write_condensed,
     write_matrix_csv,
 )
-from .distance import cross, cross_orders, minkowski, pairwise, pairwise_orders
+from .distance import cross, cross_orders, pairwise, pairwise_orders
 from .evaluate import adjusted_rand_index, misclassification_rate
 from .harness import ExperimentConfig, run_experiment, summarise
 from .learn import Clustering, Dendrogram, cut_tree, knn_classify, linkage, pam
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CondensedDistanceMatrix", "condensed_index", "read_condensed", "read_matrix_csv",
     "write_condensed", "write_matrix_csv",
-    "cross", "cross_orders", "minkowski", "pairwise", "pairwise_orders",
+    "cross", "cross_orders", "pairwise", "pairwise_orders",
     "adjusted_rand_index", "misclassification_rate",
     "ExperimentConfig", "run_experiment", "summarise",
     "Clustering", "Dendrogram", "cut_tree", "knn_classify", "linkage", "pam",

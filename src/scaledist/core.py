@@ -57,7 +57,11 @@ def condensed_index(i, j, n):
     Returns
     -------
     int
+
+    Python and numpy integers are taken; anything else, booleans and
+    integral floats included, is a ValueError.
     """
+    i, j, n = _check_integer(i, "i"), _check_integer(j, "j"), _check_integer(n, "n")
     if i == j:
         raise ValueError("condensed storage holds no diagonal: i == j == %d" % i)
     if not (0 <= i < n and 0 <= j < n):
@@ -99,7 +103,9 @@ class CondensedDistanceMatrix:
         object.__setattr__(self, "entries", entries)
 
     def get(self, i, j):
-        """Distance between objects i and j (0.0 on the diagonal)."""
+        """Distance between objects i and j (0.0 on the diagonal); i and j
+        are integers, as :func:`condensed_index` takes them."""
+        i, j = _check_integer(i, "i"), _check_integer(j, "j")
         if i == j:
             if not 0 <= i < self.n:
                 raise ValueError("index %d out of range for n=%d" % (i, self.n))

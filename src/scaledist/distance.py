@@ -32,8 +32,8 @@ Each order's value depends only on its pair of rows and q: never on which
 other orders were requested alongside, on how rows are grouped into blocks,
 on the input's layout or alignment, nor on the BLAS thread count.
 ``pairwise_orders`` and ``cross_orders`` validate once and return one result
-per order; ``pairwise``, ``cross`` and ``minkowski`` are their single-order
-forms.
+per order; ``pairwise`` and ``cross`` are their single-order forms.  The
+distance between two vectors x and y is ``cross([x], [y], q)[0, 0]``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "check_order",
     "parse_order",
     "format_order",
-    "minkowski",
     "pairwise",
     "cross",
     "pairwise_orders",
@@ -231,26 +230,6 @@ def cross_orders(X_left, X_right, orders):
     n_right, p = B.shape
     flat = _blocked_orders(((a, B) for a in A), A.shape[0] * n_right, p, orders)
     return tuple(f.reshape(-1, n_right) for f in flat)
-
-
-def minkowski(x, y, q):
-    """Minkowski distance of order q between two vectors.
-
-    Parameters
-    ----------
-    x, y : array_like, 1-D, equal length, non-empty, finite
-    q : float >= 1 or inf
-
-    Returns
-    -------
-    float
-
-    Each vector is one row of a :func:`cross_orders` call, which checks
-    them as it checks matrices.
-    """
-    if np.ndim(x) != 1 or np.ndim(y) != 1:
-        raise ValueError("expected 1-D vectors")
-    return float(cross_orders([x], [y], (q,))[0][0, 0])
 
 
 def pairwise(X, q):

@@ -143,17 +143,8 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not self.standardisations:
-            raise ValueError("no standardisation methods requested")
-        for s in self.standardisations:
-            if s not in METHODS:
-                raise ValueError("unknown standardisation method %r" % (s,))
-        if not self.orders:
-            raise ValueError("no aggregation orders requested")
+        _grid_cells(self.standardisations, self.orders, self.methods)
         object.__setattr__(self, "orders", tuple(check_order(q) for q in self.orders))
-        if not self.methods:
-            raise ValueError("no methods requested")
-        _grid_cells(self.standardisations, self.orders, self.methods)  # names an unknown method
         pooled = [s for s in self.standardisations if s in POOLED_METHODS]
         wants_clustering = any(m in CLUSTER_METHODS for m in self.methods)
         if pooled and wants_clustering and not self.oracle_pooling:
@@ -221,9 +212,37 @@ def replicate_seeds(seed, replicates):
     return [int(s) for s in state]
 
 
+def _grid_axis(values, name, what, known=None):
+    # one grid axis as checked: orders through check_order, names against
+    # ``known``; ValueError naming the first value refused or listed twice
+    if not isinstance(values, (list, tuple)):
+        raise ValueError("%s must be a list or tuple, got %r" % (name, values))
+    if not values:
+        raise ValueError("no %ss requested" % what)
+    checked = []
+    for v in values:
+        if known is None:
+            v = check_order(v)
+        elif v not in known:
+            raise ValueError("unknown %s %r" % (what, v))
+        if v in checked:
+            raise ValueError("%s %s is listed twice"
+                             % (what, repr(v) if known else format_order(v)))
+        checked.append(v)
+    return checked
+
+
 def _grid_cells(standardisations, orders, methods):
-    """(standardisation tag, q, method, metric) of each record, in grid order;
-    ValueError on a method outside ``EXPERIMENT_METHODS``."""
+    """(standardisation tag, q, method, metric) of each record, in grid order.
+
+    The one check of a grid, made before any data is drawn: each axis is a
+    non-empty list or tuple of known names or orders, each listed once
+    (orders compared as checked floats, so 1 and 1.0 are one order).
+    """
+    standardisations = _grid_axis(standardisations, "standardisations",
+                                  "standardisation method", METHODS)
+    orders = _grid_axis(orders, "orders", "aggregation order")
+    methods = _grid_axis(methods, "methods", "method", EXPERIMENT_METHODS)
     cells = []
     for std_method in standardisations:
         cluster_tag = std_method + (":oracle" if std_method in POOLED_METHODS else "")
@@ -231,10 +250,8 @@ def _grid_cells(standardisations, orders, methods):
             for method in methods:
                 if method == "knn3":
                     cells.append((std_method, q, method, "misclassification"))
-                elif method in CLUSTER_METHODS:
-                    cells.append((cluster_tag, q, method, "ari"))
                 else:
-                    raise ValueError("unknown method %r" % (method,))
+                    cells.append((cluster_tag, q, method, "ari"))
     return cells
 
 
@@ -250,7 +267,8 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
     Pure function of its arguments; returns the records in grid order
     (standardisation, then q, then method).  Distances are built per
     standardisation for all orders at once; each clustering learner expands
-    its own square, and none is shared.  Records leave ``seconds`` NaN.
+    its own square, and none is shared.  Records leave ``seconds`` NaN.  The
+    grid is checked before any data is drawn.
     ``oracle_pooling`` is accepted but unused; :meth:`ExperimentConfig.validate`
     makes the check it stands for.
     """
@@ -358,20 +376,20 @@ def write_records_csv(path, records):
 def _records_text(records):
     lines = [RESULTS_HEADER]
     for r in records:
-        line = "%s,%d,%d,%s,%s,%s,%s,%s,%s" % (
-            r.setup,
-            r.replicate,
-            r.seed,
-            r.standardisation,
-            format_order(r.q),
-            r.method,
-            r.metric,
-            repr(float(r.value)),
-            "" if math.isnan(r.seconds) else repr(float(r.seconds)),
-        )
         try:
+            line = "%s,%d,%d,%s,%s,%s,%s,%s,%s" % (
+                r.setup,
+                r.replicate,
+                r.seed,
+                r.standardisation,
+                format_order(r.q),
+                r.method,
+                r.metric,
+                repr(float(r.value)),
+                "" if math.isnan(r.seconds) else repr(float(r.seconds)),
+            )
             back = _parse_record(line)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError("cannot write %r: %s" % (r, exc)) from None
         if back != r:
             raise ValueError("cannot write %r: it would read back as %r" % (r, back))

@@ -402,30 +402,23 @@ def _checked_scales(method, scales):
 class Standardiser:
     """A fitted standardisation, applicable to training and later test data.
 
-    Linear methods store the per-column scales fitted on training data; the
-    boxplot method stores its :class:`BoxplotParams`.  ``transform`` never
-    looks at anything but the stored parameters, so test data cannot leak
-    into the fit.  Each method takes exactly its own parameter: ``boxplot``
-    a :class:`BoxplotParams`, every other method ``scales``, a non-empty 1-D
-    list of finite numbers >= 0, each exactly 1 for ``none``.
+    ``params`` holds the method's fitted parameters: a :class:`BoxplotParams`
+    for ``boxplot``, and for every other method the per-column scales, a
+    non-empty 1-D list of finite numbers >= 0, each exactly 1 for ``none``.
+    They are kept as ``scales`` or ``boxplot``, the other being None.
+    ``transform`` never looks at anything but the stored parameters, so test
+    data cannot leak into the fit.
     """
 
-    def __init__(self, method, scales=None, boxplot=None):
+    def __init__(self, method, params):
         if method not in METHODS:
             raise ValueError("unknown standardisation method %r" % (method,))
-        if method == "boxplot":
-            if scales is not None:
-                raise ValueError("method 'boxplot' takes no scales")
-            if not isinstance(boxplot, BoxplotParams):
-                raise TypeError("method 'boxplot' needs BoxplotParams, got %s"
-                                % type(boxplot).__name__)
-        elif boxplot is not None:
-            raise ValueError("method %r takes no boxplot parameters" % (method,))
-        elif scales is None:
-            raise ValueError("method %r needs fitted scales" % (method,))
+        if method == "boxplot" and not isinstance(params, BoxplotParams):
+            raise TypeError("method 'boxplot' needs BoxplotParams, got %s"
+                            % type(params).__name__)
         self.method = method
-        self.scales = None if scales is None else _checked_scales(method, scales)
-        self.boxplot = boxplot
+        self.scales = None if method == "boxplot" else _checked_scales(method, params)
+        self.boxplot = params if method == "boxplot" else None
 
     def transform(self, X, cap=False):
         """Standardise X, a data matrix as wide as the fit, with the fitted
@@ -470,8 +463,8 @@ class Standardiser:
         _check_json_kinds(data, {"method": ("string",), key: ("list",)}, "parameter file",
                           required=(key,))
         if method == "boxplot":
-            return cls(method, boxplot=BoxplotParams.from_json_dict(data))
-        return cls(method, scales=data["scales"])
+            return cls(method, BoxplotParams.from_json_dict(data))
+        return cls(method, data["scales"])
 
     def _json_text(self):
         return json.dumps(self.to_json_dict(), indent=1) + "\n"
@@ -511,7 +504,7 @@ def fit_standardiser(X, method, labels=None):
     X = check_data_matrix(X, min_rows=2)
     classes = None if labels is None else check_labels(labels, n_expected=X.shape[0])
     if method == "boxplot":
-        return Standardiser(method, boxplot=_fit_boxplot(X))
+        return Standardiser(method, _fit_boxplot(X))
     scales = _column_scales(X, method, classes)
     zero = np.flatnonzero(scales == 0.0)
     if zero.size:
@@ -521,4 +514,4 @@ def fit_standardiser(X, method, labels=None):
             UserWarning,
             stacklevel=2,
         )
-    return Standardiser(method, scales=scales)
+    return Standardiser(method, scales)

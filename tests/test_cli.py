@@ -339,9 +339,13 @@ def test_experiment_refuses_a_json_number_too_large_for_a_float(tmp_path, capsys
     assert capsys.readouterr().err.splitlines() == [
         "scaledist: error: %s: number 1e999 is too large for a float" % config]
     assert not out.exists()
-    config.write_text(base + '[Infinity, "inf"]}')  # both still mean inf
-    assert run("experiment", "--config", config, "--out", out) == 0
-    assert [r.q for r in read_records_csv(out)] == [math.inf, math.inf]
+    for orders in ("[Infinity]}", '["inf"]}'):  # both still mean inf
+        config.write_text(base + orders)
+        assert run("experiment", "--config", config, "--out", out) == 0
+        assert [r.q for r in read_records_csv(out)] == [math.inf]
+    config.write_text(base + '[Infinity, "inf"]}')  # so together they list inf twice
+    assert run("experiment", "--config", config, "--out", out) == 1
+    assert _error_line(capsys) == "scaledist: error: aggregation order inf is listed twice"
 
 
 @pytest.mark.parametrize(
@@ -471,6 +475,20 @@ def test_experiment_failure_leaves_no_partial_file(tmp_path, capsys):
                "--out", out) == 1
     assert not out.exists()
     assert "scaledist: error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--q", "1,1.0", "aggregation order 1 is listed twice"),
+    ("--standardise", "mad,none,mad", "standardisation method 'mad' is listed twice"),
+    ("--methods", "pam,pam", "method 'pam' is listed twice"),
+])
+def test_experiment_refuses_a_grid_value_listed_twice(tmp_path, capsys, flag, value, message):
+    # --q 1,1.0 scored every cell twice: 8 records from 4 replicates
+    out = tmp_path / "r.csv"
+    assert run("experiment", "--setup", "ntn_05", "--p", 30, "--n-per-class", 5,
+               "--replicates", 4, "--methods", "pam", flag, value, "--out", out) == 1
+    assert _error_line(capsys) == "scaledist: error: " + message
+    assert not out.exists()
 
 
 def test_cli_composition_reproduces_experiment_records(tmp_path):

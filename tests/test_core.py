@@ -66,6 +66,16 @@ def test_condensed_index_rejects_bad_pairs():
         condensed_index(-1, 2, 4)
     # swapped order is accepted and treated symmetrically
     assert condensed_index(3, 0, 4) == condensed_index(0, 3, 4)
+    # indices are integers: these gave 1.5, 2 and numpy's IndexError
+    for args, name in (((0.5, 2, 3), "i"), ((True, 2, 3), "i"), ((0, 2.0, 3), "j"),
+                       ((0, 1, 3.0), "n")):
+        with pytest.raises(ValueError, match="^%s must be an integer, got " % name):
+            condensed_index(*args)
+    D = CondensedDistanceMatrix(3, [1.0, 2.0, 3.0])
+    for i, j, name in ((0.0, 2, "i"), (1, 1.0, "j"), (1.0, 1, "i"), (False, 1, "i")):
+        with pytest.raises(ValueError, match="^%s must be an integer, got " % name):
+            D.get(i, j)
+    assert D.get(np.int64(2), np.uint8(0)) == 2.0 and D.get(np.int32(1), 1) == 0.0
 
 
 def test_condensed_matrix_get_and_square_round_trip():

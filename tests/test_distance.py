@@ -22,7 +22,6 @@ from scaledist.distance import (
     cross,
     cross_orders,
     format_order,
-    minkowski,
     pairwise,
     pairwise_orders,
     parse_order,
@@ -31,13 +30,18 @@ from scaledist.distance import (
 ORDERS = (1.0, 2.0, 3.0, 4.0, math.inf)
 
 
+def pair_distance(x, y, q):
+    # the distance between two vectors, as one entry of cross
+    return float(cross([x], [y], q)[0, 0])
+
+
 def test_minkowski_examples():
     a = np.array([0.0, 0.0])
     b = np.array([3.0, 4.0])
-    assert minkowski(a, b, 1) == 7.0
-    assert minkowski(a, b, 2) == 5.0
-    assert minkowski(a, b, math.inf) == 4.0
-    assert minkowski(a, b, 3) == pytest.approx(91.0 ** (1.0 / 3.0), rel=1e-15)
+    assert pair_distance(a, b, 1) == 7.0
+    assert pair_distance(a, b, 2) == 5.0
+    assert pair_distance(a, b, math.inf) == 4.0
+    assert pair_distance(a, b, 3) == pytest.approx(91.0 ** (1.0 / 3.0), rel=1e-15)
 
 
 def test_minkowski_identity_and_symmetry():
@@ -45,19 +49,19 @@ def test_minkowski_identity_and_symmetry():
     x = rng.standard_normal(12)
     y = rng.standard_normal(12)
     for q in ORDERS:
-        assert minkowski(x, x, q) == 0.0
-        assert minkowski(x, y, q) == minkowski(y, x, q)
+        assert pair_distance(x, x, q) == 0.0
+        assert pair_distance(x, y, q) == pair_distance(y, x, q)
 
 
 def test_minkowski_input_validation():
     with pytest.raises(ValueError):
-        minkowski([1.0, 2.0], [1.0], 2)
+        pair_distance([1.0, 2.0], [1.0], 2)
     with pytest.raises(ValueError):
-        minkowski([], [], 2)
+        pair_distance([], [], 2)
     with pytest.raises(ValueError):
-        minkowski([np.nan], [0.0], 2)
+        pair_distance([np.nan], [0.0], 2)
     with pytest.raises(ValueError):
-        minkowski([1.0], [0.0], 0.5)
+        pair_distance([1.0], [0.0], 0.5)
 
 
 def test_order_parsing_and_formatting():
@@ -130,9 +134,9 @@ def test_triangle_inequality():
     for q in ORDERS:
         for _ in range(2000):
             i, j, k = rng.integers(0, X.shape[0], size=3)
-            dij = minkowski(X[i], X[j], q)
-            djk = minkowski(X[j], X[k], q)
-            dik = minkowski(X[i], X[k], q)
+            dij = pair_distance(X[i], X[j], q)
+            djk = pair_distance(X[j], X[k], q)
+            dik = pair_distance(X[i], X[k], q)
             assert dik <= dij + djk + 1e-9
 
 
@@ -142,10 +146,10 @@ def test_monotone_in_q_with_infinity_bounds():
     for _ in range(200):
         x = rng.standard_normal(p) * 5
         y = rng.standard_normal(p) * 5
-        d_inf = minkowski(x, y, math.inf)
+        d_inf = pair_distance(x, y, math.inf)
         prev = None
         for q in (1.0, 2.0, 3.0, 4.0, 8.0):
-            d = minkowski(x, y, q)
+            d = pair_distance(x, y, q)
             if prev is not None:
                 assert d <= prev + 1e-12
             assert d_inf <= d + 1e-12
@@ -157,18 +161,18 @@ def test_overflow_safety():
     # naive power sums overflow at 1e150 for q >= 3; the rescaled form must not
     x = np.array([1e150, 2e150, 0.0])
     y = np.array([0.0, 0.0, 0.0])
-    d3 = minkowski(x, y, 3)
+    d3 = pair_distance(x, y, 3)
     assert math.isfinite(d3)
     assert d3 == pytest.approx((1.0 + 8.0) ** (1.0 / 3.0) * 1e150, rel=1e-10)
-    d4 = minkowski(x, y, 4)
+    d4 = pair_distance(x, y, 4)
     assert d4 == pytest.approx((1.0 + 16.0) ** (0.25) * 1e150, rel=1e-10)
     D = pairwise(np.vstack([x, y]), 4)
     assert np.isfinite(D.entries).all()
 
 
 def test_zero_vectors_and_tiny_values():
-    assert minkowski([0.0, 0.0], [0.0, 0.0], 3) == 0.0
-    assert minkowski([1e-300], [0.0], 4) == pytest.approx(1e-300, rel=1e-12, abs=0)
+    assert pair_distance([0.0, 0.0], [0.0, 0.0], 3) == 0.0
+    assert pair_distance([1e-300], [0.0], 4) == pytest.approx(1e-300, rel=1e-12, abs=0)
 
 
 def test_column_sign_flip_invariance():
@@ -283,8 +287,8 @@ def test_each_pair_gets_its_bits_alone_whatever_the_call(monkeypatch, p):
     X[3] *= 1e150  # rescaled pairs next to direct ones
     T = rng.standard_normal((4, p))
     orders = ORDERS + (2.5,)
-    alone = {q: (np.array([minkowski(X[j], X[i], q) for j in range(1, 7) for i in range(j)]),
-                 np.array([[minkowski(t, x, q) for x in X] for t in T]))
+    alone = {q: (np.array([pair_distance(X[j], X[i], q) for j in range(1, 7) for i in range(j)]),
+                 np.array([[pair_distance(t, x, q) for x in X] for t in T]))
              for q in orders}
     requests = [(q,) for q in orders] + [orders, orders[::-1]]
     for block_diffs in (1, 3 * p, 5 * p + 1, 1 << 15):
@@ -381,5 +385,5 @@ def test_homogeneity_and_oracle_with_rows_of_extreme_magnitude(X, s, q, data):
 def test_tiny_differences_keep_their_size():
     # m**q underflows to zero here; the rescaled sum must not
     for q in ORDERS + (2.5,):
-        assert minkowski([1e-300, 0.0], [0.0, 0.0], q) == 1e-300
+        assert pair_distance([1e-300, 0.0], [0.0, 0.0], q) == 1e-300
         assert pairwise(np.array([[3e-200], [0.0]]), q).entries[0] == 3e-200

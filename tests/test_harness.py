@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import os
 import pickle
 import re
 
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from scaledist import harness
 from scaledist.evaluate import adjusted_rand_index, misclassification_rate
 from scaledist.harness import (
     _CONFIG_KINDS,
@@ -242,9 +242,17 @@ def test_records_csv_round_trip(tmp_path):
     ({"setup": "a\nb"}, "a line break inside a field"),
     ({"value": math.inf}, "non-finite value 'inf'"),
     ({"seconds": math.inf}, "non-finite value 'inf'"),
-], ids=["replicate", "seed", "q", "comma", "newline", "value", "seconds"])
+    ({"replicate": "1"}, "%d format: a real number is required, not str"),
+    ({"value": None}, "must be a string or a real number, not 'NoneType'"),
+    ({"q": None}, "must be a string or a real number, not 'NoneType'"),
+    ({"seconds": None}, "must be real number, not NoneType"),
+    ({"value": "abc"}, "could not convert string to float: 'abc'"),
+], ids=["replicate", "seed", "q", "comma", "newline", "value", "seconds",
+        "replicate-str", "value-none", "q-none", "seconds-none", "value-str"])
 def test_records_csv_writes_only_what_reads_back(tmp_path, change, message):
-    # each of these was written, and then either truncated or refused by the reader
+    # each of these was written, and then either truncated or refused by the
+    # reader; the last five escaped as a TypeError or a ValueError that named
+    # no record
     good = ResultRecord("s", 0, 7, "none", 1.0, "pam", "ari", 0.5)
     bad = dataclasses.replace(good, **change)
     path = tmp_path / "r.csv"
@@ -345,6 +353,51 @@ def test_replicate_refuses_an_unknown_method(methods):
     spec = setup_catalog()["ntn_05"].with_size(p=10, n_per_class=5)
     with pytest.raises(ValueError, match="^unknown method 'kmeans'$"):
         run_replicate(spec, "ntn_05", 0, 1, ("none",), (1.0,), methods)
+
+
+_BAD_GRIDS = [  # (standardisations, orders, methods), message
+    (((), (1.0,), ("pam",)), "no standardisation methods requested"),
+    ((("none",), [], ("pam",)), "no aggregation orders requested"),
+    ((("none",), (1.0,), ()), "no methods requested"),
+    ((("mad", "nope"), (1.0,), ("pam",)), "unknown standardisation method 'nope'"),
+    ((("none",), (1.0,), ("pam", "kmeans")), "unknown method 'kmeans'"),
+    ((("none",), (1.0, 0.5), ("pam",)), "aggregation order must be >= 1 or inf, got 0.5"),
+    ((("none",), (1, 1.0), ("pam",)), "aggregation order 1 is listed twice"),
+    ((("none",), [math.inf, 2.0, math.inf], ("pam",)), "aggregation order inf is listed twice"),
+    ((("mad", "none", "mad"), (1.0,), ("knn3",)), "standardisation method 'mad' is listed twice"),
+    ((("none",), (1.0,), ("pam", "knn3", "pam")), "method 'pam' is listed twice"),
+]
+
+
+def _never_generate(spec, seed):
+    raise AssertionError("data drawn for a grid that should have been refused")
+
+
+@pytest.mark.parametrize("grid, message", _BAD_GRIDS)
+def test_the_grid_is_checked_once_before_any_data_is_drawn(monkeypatch, grid, message):
+    # a value listed twice was scored twice, and the rest failed in
+    # run_replicate only after the data was drawn
+    standardisations, orders, methods = grid
+    config = small_config(standardisations=standardisations, orders=orders, methods=methods)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        config.validate()
+    monkeypatch.setattr(harness, "generate", _never_generate)
+    spec = setup_catalog()["ntn_05"].with_size(p=10, n_per_class=5)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        run_replicate(spec, "ntn_05", 0, 1, *grid)
+
+
+@pytest.mark.parametrize("grid, message", [
+    (("mad", [1.0], ["pam"]), "standardisations must be a list or tuple, got 'mad'"),
+    ((["mad"], 1.0, ["pam"]), "orders must be a list or tuple, got 1.0"),
+    ((["mad"], [1.0], "pam"), "methods must be a list or tuple, got 'pam'"),
+])
+def test_replicate_refuses_a_grid_axis_that_is_not_a_list(monkeypatch, grid, message):
+    # a string axis was read letter by letter, after the data was drawn
+    monkeypatch.setattr(harness, "generate", _never_generate)
+    spec = setup_catalog()["ntn_05"].with_size(p=10, n_per_class=5)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        run_replicate(spec, "ntn_05", 0, 1, *grid)
 
 
 def test_replicate_records_do_not_depend_on_other_orders():

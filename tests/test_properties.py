@@ -188,7 +188,7 @@ def _boxplot_params(draw):
 @_FILES
 @given(params=_boxplot_params())
 def test_accepted_boxplot_params_survive_save_and_load_bit_for_bit(tmp_path, params):
-    Standardiser("boxplot", boxplot=params).save(tmp_path / "p.json")
+    Standardiser("boxplot", params).save(tmp_path / "p.json")
     back = Standardiser.load(tmp_path / "p.json").boxplot
     for f in dataclasses.fields(BoxplotParams):
         want, got = getattr(params, f.name), getattr(back, f.name)

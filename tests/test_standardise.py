@@ -82,7 +82,7 @@ def test_scale_statistic_unknown_method():
     calls = [
         lambda: fit_standardiser(np.array([[1.0], [2.0]]), "nope"),
         lambda: fit_standardiser(np.array([[1.0]]), "nope"),  # checked before the data
-        lambda: Standardiser("nope", scales=[1.0]),
+        lambda: Standardiser("nope", [1.0]),
         lambda: ExperimentConfig("simple_normal", standardisations=("nope",)).validate(),
         lambda: run_replicate(spec, "ntn_05", 0, 1, ("nope",), (1.0,), ("pam",)),
     ]
@@ -176,7 +176,7 @@ def test_transform_rejects_wrong_width():
 def test_constructor_refuses_bad_scales(method, scales, expected):
     for given in (scales, np.array(scales)):
         with pytest.raises(ValueError) as err:
-            Standardiser(method, scales=given)
+            Standardiser(method, given)
         assert expected in str(err.value)
 
 
