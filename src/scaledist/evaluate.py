@@ -9,11 +9,6 @@ from .core import _check_dtype, check_labels
 __all__ = ["adjusted_rand_index", "misclassification_rate"]
 
 
-def _pairs(counts):
-    # number of object pairs lying together: sum of c*(c-1)/2, exact integers
-    return sum(c * (c - 1) // 2 for c in counts.ravel().tolist())
-
-
 def adjusted_rand_index(u, v):
     """Chance-adjusted agreement of two partitions.
 
@@ -25,24 +20,49 @@ def adjusted_rand_index(u, v):
     single-cluster), returns 1.0 if the partitions are identical as set
     partitions and 0.0 otherwise.
     """
-    u, ku = check_labels(u)
+    u, _ = check_labels(u)
     v, kv = check_labels(v, n_expected=u.shape[0])
-    n = u.shape[0]
-    if n < 2:
+    if u.shape[0] < 2:
         raise ValueError("need at least 2 objects")
-    # cross-counts of the two partitions
-    counts = np.bincount((u - 1) * kv + (v - 1), minlength=ku * kv).reshape(ku, kv)
-    together = _pairs(counts)
-    a = _pairs(counts.sum(axis=1))
-    b = _pairs(counts.sum(axis=0))
+    return _ari_rows(u[None, :], v, kv)[0]
+
+
+def _ari_rows(U, v, kv):
+    """The adjusted Rand index of each row of ``U`` against ``v``.
+
+    ``U`` is an (m, n) int64 array whose rows are partitions labelled from 1
+    (a row may use fewer labels than another); ``v`` holds checked labels
+    1..kv and n >= 2.  The cross-counts of every row come from one
+    ``np.bincount``, each row's codes offset by its row, and the pair counts
+    stay exact int64 sums; each row's ratio is formed in Python integers.
+    """
+    m, n = U.shape
+    ku = int(U.max())
+    codes = (U - 1) * kv + (v - 1) + np.arange(m)[:, None] * (ku * kv)
+    counts = np.bincount(codes.ravel(), minlength=m * ku * kv).reshape(m, ku, kv)
+    # pairs of objects together in both, in each row's clusters, in v's classes
+    together = _pairs(counts, axis=(1, 2))
+    a = _pairs(counts.sum(axis=2), axis=1)
+    b = int(_pairs(np.bincount(v), axis=0))
     total = n * (n - 1) // 2
-    num = 2 * total * together - 2 * a * b
-    den = total * (a + b) - 2 * a * b
-    if den == 0:
-        one_per_row = np.all((counts > 0).sum(axis=1) == 1)
-        one_per_col = np.all((counts > 0).sum(axis=0) == 1)
-        return 1.0 if (one_per_row and one_per_col) else 0.0
-    return num / den
+    scores = []
+    for i, (t, ai) in enumerate(zip(together.tolist(), a.tolist())):
+        num = 2 * total * t - 2 * ai * b
+        den = total * (ai + b) - 2 * ai * b
+        if den == 0:
+            # labels a row leaves unused give empty rows of its counts
+            present = counts[i] > 0
+            one_per_row = np.all(present.sum(axis=1) <= 1)
+            one_per_col = np.all(present.sum(axis=0) <= 1)
+            scores.append(1.0 if (one_per_row and one_per_col) else 0.0)
+        else:
+            scores.append(num / den)
+    return scores
+
+
+def _pairs(counts, axis):
+    # number of object pairs lying together: sum of c*(c-1)/2, exact integers
+    return (counts * (counts - 1) // 2).sum(axis=axis)
 
 
 def misclassification_rate(predicted, truth):

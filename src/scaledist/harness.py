@@ -25,6 +25,12 @@ Distances are built once per standardisation, for all orders together: the
 training pairwise distances when a clustering method is requested, the
 test-to-training cross distances when knn3 is.  Each clustering learner
 expands the condensed distances to its own square; none is shared.
+
+The training labels are checked once per replicate, and every cell uses them
+as checked.  A standardisation's clustering cells (each clustering method at
+each order) share one contingency count: their partitions are stacked and
+scored against the true classes together, each ARI bit-identical to
+:func:`adjusted_rand_index` of that cell alone.
 """
 
 from __future__ import annotations
@@ -39,10 +45,11 @@ import numpy as np
 
 from .core import (
     _check_integer, _check_json_kinds, _parse_finite, _parse_number, _read_lines, _write_files,
+    check_labels,
 )
 from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
-from .evaluate import adjusted_rand_index, misclassification_rate
-from .learn import LINKAGE_METHODS, cut_tree, knn_classify, linkage, pam
+from .evaluate import _ari_rows, misclassification_rate
+from .learn import LINKAGE_METHODS, _knn_classify, cut_tree, linkage, pam
 from .simgen import SetupSpec, _catalog_setup, generate
 from .standardise import METHODS, POOLED_METHODS, fit_standardiser
 
@@ -281,17 +288,22 @@ def _score_replicate(spec, seed, standardisations, orders, methods):
     """The score of each cell of one replicate, in grid order.
 
     The unit of parallel work: a worker returns these bare floats, and
-    :func:`run_experiment` labels them as records.
+    :func:`run_experiment` labels them as records.  The training labels are
+    checked once here, for every cell.
     """
     data = generate(spec, seed)
+    y_train, k_classes = check_labels(data.y_train)
     return [score for std_method in standardisations
-            for score in _score_standardisation(data, std_method, orders, methods)]
+            for score in _score_standardisation(data, y_train, k_classes, std_method,
+                                                orders, methods)]
 
 
-def _score_standardisation(data, std_method, orders, methods):
+def _score_standardisation(data, y_train, k_classes, std_method, orders, methods):
     """The scores of one standardisation's cells, in grid order; its
-    matrices and distances are freed on return, before the next fit."""
-    k_classes = int(data.y_train.max())
+    matrices and distances are freed on return, before the next fit.
+
+    Every clustering cell's partition is scored against ``y_train`` in one
+    stacked contingency count, after all of them are built."""
     std = fit_standardiser(data.x_train, std_method, labels=data.y_train)
     x_train = std.transform(data.x_train)
     x_test = std.transform(data.x_test, cap=True)
@@ -299,19 +311,21 @@ def _score_standardisation(data, std_method, orders, methods):
         train_ds = pairwise_orders(x_train, orders)
     if "knn3" in methods:
         test_ds = cross_orders(x_test, x_train, orders)
-    scores = []
+    scores, partitions = [], []
     for i in range(len(orders)):
         for method in methods:
+            if method == "knn3":
+                predicted = _knn_classify(test_ds[i], y_train, k_classes, 3)
+                scores.append(misclassification_rate(predicted, data.y_test))
+                continue
             if method == "pam":
-                labels = pam(train_ds[i], k_classes).labels
-                value = adjusted_rand_index(labels, data.y_train)
-            elif method in LINKAGE_METHODS:
-                labels = cut_tree(linkage(train_ds[i], method), k_classes)
-                value = adjusted_rand_index(labels, data.y_train)
-            else:  # knn3
-                predicted = knn_classify(test_ds[i], data.y_train, 3)
-                value = misclassification_rate(predicted, data.y_test)
-            scores.append(float(value))
+                partitions.append(pam(train_ds[i], k_classes).labels)
+            else:
+                partitions.append(cut_tree(linkage(train_ds[i], method), k_classes))
+            scores.append(None)  # its ARI, filled in below
+    if partitions:
+        aris = iter(_ari_rows(np.array(partitions), y_train, k_classes))
+        scores = [next(aris) if score is None else score for score in scores]
     return scores
 
 

@@ -234,8 +234,6 @@ def linkage(D, method):
     np.fill_diagonal(W, np.inf)
     ids = list(range(n))  # ids[s]: the node in slot s, None once merged away
     sizes = [1.0] * n
-    # sb * W[b] of an average update; no compaction gives more slots than this
-    product = np.empty(max(slots, 2 * _LINKAGE_SMALL))
     merges, heights = [], []
     # an overflowing average update leaves inf, which the check below reports
     with np.errstate(over="ignore"):
@@ -262,7 +260,7 @@ def linkage(D, method):
                 row = np.maximum(W[a], W[b], out=W[slot])
             else:  # (sa * W[a] + sb * W[b]) / (sa + sb), built in the new slot
                 row = np.multiply(W[a], sa, out=W[slot])
-                row += np.multiply(W[b], sb, out=product[:slots])
+                row += np.multiply(W[b], sb, out=W[b])  # row b is retired below
                 row /= sa + sb
             W[:, slot] = row
             W[a] = W[b] = np.inf
@@ -324,9 +322,16 @@ def knn_classify(cross_distances, train_labels, k):
     Dx = _check_dtype(cross_distances, "distances").astype(np.float64, copy=False)
     if Dx.ndim != 2:
         raise ValueError("expected a 2-D cross-distance matrix")
+    y, n_classes = check_labels(train_labels, n_expected=Dx.shape[1])
+    return _knn_classify(Dx, y, n_classes, k)
+
+
+def _knn_classify(Dx, y, n_classes, k):
+    """:func:`knn_classify` on a 2-D float64 ``Dx``, checked labels ``y`` of
+    ``n_classes`` classes, one per column, and an integer ``k``.  The
+    distances and the range of ``k`` are checked here."""
     if not np.all(np.isfinite(Dx)) or np.any(Dx < 0):
         raise ValueError("distances must be finite and non-negative")
-    y, n_classes = check_labels(train_labels, n_expected=Dx.shape[1])
     if not 1 <= k <= Dx.shape[1]:
         raise ValueError("k must satisfy 1 <= k <= n_train=%d, got %d" % (Dx.shape[1], k))
     n_test = Dx.shape[0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import ari_by_fractions
-from scaledist.evaluate import adjusted_rand_index, misclassification_rate
+from scaledist.evaluate import _ari_rows, adjusted_rand_index, misclassification_rate
 
 
 def test_ari_of_uneven_cross_counts():
@@ -38,6 +38,31 @@ def test_ari_matches_exact_rational_oracle():
         u[: min(ku, n)] = np.arange(1, min(ku, n) + 1)
         v[: min(kv, n)] = np.arange(1, min(kv, n) + 1)
         assert adjusted_rand_index(u, v) == ari_by_fractions(u, v)
+
+
+def _some_labels(rng, n, k):
+    # labels 1..k, every class present
+    labels = rng.integers(1, k + 1, size=n)
+    labels[:k] = rng.permutation(k) + 1
+    return labels
+
+
+def test_stacked_ari_core_equals_ari_row_by_row():
+    # rows using fewer labels than the stack's largest, plus an all-singleton
+    # and a one-cluster row in every stack; v is one cluster in a third of the
+    # trials and all singletons in another, so both degenerate cases run
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        n = int(rng.integers(2, 30))
+        kv = (1, n, int(rng.integers(1, min(n, 5) + 1)))[trial % 3]
+        v = _some_labels(rng, n, kv)
+        rows = [_some_labels(rng, n, int(rng.integers(1, min(n, 6) + 1)))
+                for _ in range(int(rng.integers(0, 5)))]
+        rows += [np.arange(1, n + 1), np.ones(n, dtype=np.int64)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        got = _ari_rows(np.array(rows), v, kv)
+        want = [adjusted_rand_index(u, v) for u in rows]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_ari_symmetry():

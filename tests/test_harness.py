@@ -323,27 +323,36 @@ def test_standardisation_parameters_come_from_training_data_only():
 
 
 def test_replicate_equals_manual_composition():
-    # one grid cell recomputed by hand from the library primitives
+    # every cell of a full grid recomputed by hand from the public functions:
+    # all ten standardisations (pooled ones fitted with the labels, as oracle
+    # pooling does), four orders and all four methods
     from scaledist.distance import cross, pairwise
-    from scaledist.learn import knn_classify, pam
-    from scaledist.standardise import fit_standardiser
+    from scaledist.learn import cut_tree, knn_classify, linkage, pam
+    from scaledist.standardise import METHODS, POOLED_METHODS, fit_standardiser
 
     spec = setup_catalog()["simple_normal"].with_size(p=25, n_per_class=10)
     seed = int(replicate_seeds(99, 3)[1])
-    records = run_replicate(
-        spec, "simple_normal", 1, seed, ("mad",), (1.0,), ("pam", "knn3")
-    )
-    by_method = {r.method: r for r in records}
+    orders = (1.0, 2.0, 2.5, math.inf)
+    records = run_replicate(spec, "simple_normal", 1, seed, METHODS, orders, EXPERIMENT_METHODS)
 
     ds = generate(spec, seed=seed)
-    fitted = fit_standardiser(ds.x_train, "mad")
-    train = fitted.transform(ds.x_train)
-    test = fitted.transform(ds.x_test, cap=True)
-    D = pairwise(train, 1.0)
-    clustering = pam(D, 2)
-    assert by_method["pam"].value == adjusted_rand_index(clustering.labels, ds.y_train)
-    predictions = knn_classify(cross(test, train, 1.0), ds.y_train, 3)
-    assert by_method["knn3"].value == misclassification_rate(predictions, ds.y_test)
+    k = int(ds.y_train.max())
+    expected = []
+    for std_method in METHODS:
+        fitted = fit_standardiser(ds.x_train, std_method, labels=ds.y_train)
+        train = fitted.transform(ds.x_train)
+        test = fitted.transform(ds.x_test, cap=True)
+        tag = std_method + (":oracle" if std_method in POOLED_METHODS else "")
+        for q in orders:
+            D = pairwise(train, q)
+            expected.append((tag, q, "pam", adjusted_rand_index(pam(D, k).labels, ds.y_train)))
+            for method in ("complete", "average"):
+                labels = cut_tree(linkage(D, method), k)
+                expected.append((tag, q, method, adjusted_rand_index(labels, ds.y_train)))
+            predictions = knn_classify(cross(test, train, q), ds.y_train, 3)
+            expected.append((std_method, q, "knn3",
+                             misclassification_rate(predictions, ds.y_test)))
+    assert [(r.standardisation, r.q, r.method, r.value) for r in records] == expected
 
 
 @pytest.mark.parametrize("methods", [("kmeans", "knn3"), ("kmeans",)])

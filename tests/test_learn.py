@@ -1,5 +1,7 @@
 """PAM, agglomerative linkage, tree cutting and kNN classification."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -344,12 +346,27 @@ def test_knn_matches_per_row_oracle_on_tie_heavy_grids():
 
 
 def test_knn_validates_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 3 labels, got 2$"):
         knn_classify(np.ones((2, 3)), np.array([1, 2]), 1)
-    with pytest.raises(ValueError):
-        knn_classify(np.ones((2, 3)), np.array([1, 2, 1]), 4)
-    with pytest.raises(ValueError):
-        knn_classify(np.ones((2, 3)), np.array([1, 2, 1]), 0)
+    for k in (4, 0):
+        with pytest.raises(ValueError, match=r"^k must satisfy 1 <= k <= n_train=3, got %d$" % k):
+            knn_classify(np.ones((2, 3)), np.array([1, 2, 1]), k)
+
+
+@pytest.mark.parametrize("cross, labels, expected", [
+    ([[0.0, np.nan, 1.0]], [1, 2, 1], "distances must be finite and non-negative"),
+    ([[0.0, np.inf, 1.0]], [1, 2, 1], "distances must be finite and non-negative"),
+    ([[0.0, -np.inf, 1.0]], [1, 2, 1], "distances must be finite and non-negative"),
+    ([[0.0, -0.5, 1.0]], [1, 2, 1], "distances must be finite and non-negative"),
+    ([[0.0, 1.0, 2.0]], [0, 1, 2], "labels must be numbered from 1, got 0"),
+    ([[0.0, 1.0, 2.0]], [1, 3, 1], "class 2 has no members"),
+    ([[0.0, 1.0, 2.0]], [1.0, 2.0, 1.0], "labels must be integers"),
+    ([[0.0, 1.0, 2.0]], [[1, 2, 1]], "labels must be 1-D"),
+    ([[0.0, 1.0, 2.0]], [1, 2, 1, 2], "expected 3 labels, got 4"),
+])
+def test_knn_refuses_bad_distances_and_labels(cross, labels, expected):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(expected)):
+        knn_classify(cross, labels, 1)
 
 
 @pytest.mark.parametrize("cross", [[["1.0", "2.0"]], [[True, False]]])
