@@ -180,7 +180,6 @@ def _cmd_experiment(args):
                 if getattr(args, key) is not None)
     if "setup" not in data:
         raise ValueError("no setup given (use --setup or --config)")
-    # run_experiment validates the config before anything is computed
     config = harness.ExperimentConfig.from_json_dict(data)
     harness.run_experiment_to_files(config, args.out, summary_json=args.summary,
                                     jobs=args.jobs)
@@ -207,8 +206,9 @@ def main(argv=None):
         warnings.showwarning = _show_warning
         try:
             _COMMANDS[args.command](args)
-        except (ValueError, TypeError, OSError) as exc:
-            print("scaledist: error: %s" % exc, file=sys.stderr)
+        except (ValueError, TypeError, OSError, MemoryError) as exc:
+            # numpy's MemoryError names the allocation it refused; a bare one is named
+            print("scaledist: error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
             return 1
     return 0
 

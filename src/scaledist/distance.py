@@ -108,7 +108,7 @@ def format_order(q):
     q = float(q)
     if math.isinf(q):
         return "inf"
-    if q == int(q):
+    if q.is_integer():
         return str(int(q))
     return repr(q)
 

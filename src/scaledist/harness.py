@@ -110,20 +110,19 @@ _CONFIG_KINDS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one experiment grid.
+    """Full description of one experiment grid, checked when it is made.
 
     ``setup`` is a catalog name or a custom :class:`SetupSpec`; ``p`` and
     ``n_per_class`` override the setup's size when given.  ``orders`` holds
     the Minkowski orders (math.inf allowed).  The grid axes are lists or
     tuples (kept as tuples).
 
-    Construction only makes the axes tuples.  :meth:`validate` checks a config
-    built in Python as :meth:`from_json_dict` checks one read from JSON: its
-    :meth:`to_json_dict` image must pass the same type table, so a count
-    must be a Python int (not a float, a bool or a numpy integer, which the
-    summary JSON could not hold) and a flag must be True or False.  Each
-    order must be a real number (not a string or a bool), which validate()
-    stores as a float.
+    A config built in Python is checked as :meth:`from_json_dict` checks one
+    read from JSON: its :meth:`to_json_dict` image must pass the same type
+    table, so a count must be a Python int (not a float, a bool or a numpy
+    integer, which the summary JSON could not hold) and a flag must be True
+    or False.  Each order must be a real number (not a string or a bool),
+    and is kept as a float.  ValueError names the first bad value.
     """
 
     setup: str | SetupSpec
@@ -137,14 +136,9 @@ class ExperimentConfig:
     oracle_pooling: bool = False
 
     def __post_init__(self):
-        # list axes become tuples; an axis that is not a list or tuple is left
-        # for validate() to name
         for name in ("standardisations", "orders", "methods"):
             if isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def validate(self):
-        """Return the config, or raise one ValueError naming the first bad value."""
         _check_json_kinds(self.to_json_dict(), _CONFIG_KINDS, "config")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
@@ -160,6 +154,9 @@ class ExperimentConfig:
                 "requires oracle_pooling" % ", ".join(pooled)
             )
         self.resolve_spec()
+
+    def validate(self):
+        """Return the config: construction has checked it."""
         return self
 
     def resolve_spec(self):
@@ -168,14 +165,13 @@ class ExperimentConfig:
         return spec.with_size(p=self.p, n_per_class=self.n_per_class)
 
     def to_json_dict(self):
-        # safe on an unchecked config: validate() checks this image
         data = {}
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, SetupSpec):
                 value = value.to_json_dict()
             elif isinstance(value, tuple):
-                # an order that is not a float yet goes in as given, for validate()
+                # an order that is not a float yet goes in as given, for __post_init__ to name
                 value = [format_order(v) if f.name == "orders" and isinstance(v, float) else v
                          for v in value]
             data[f.name] = value
@@ -215,7 +211,10 @@ def replicate_seeds(seed, replicates):
     replicates = _check_integer(replicates, "replicates")
     if replicates < 0:
         raise ValueError("replicates must be >= 0")
-    state = np.random.SeedSequence(seed).generate_state(replicates, np.uint64)
+    try:
+        state = np.random.SeedSequence(seed).generate_state(replicates, np.uint64)
+    except (ValueError, MemoryError) as exc:  # numpy refused the seed array
+        raise ValueError("replicates %d is too many: %s" % (replicates, exc)) from None
     return [int(s) for s in state]
 
 
@@ -276,7 +275,7 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
     standardisation for all orders at once; each clustering learner expands
     its own square, and none is shared.  Records leave ``seconds`` NaN.  The
     grid is checked before any data is drawn.
-    ``oracle_pooling`` is accepted but unused; :meth:`ExperimentConfig.validate`
+    ``oracle_pooling`` is accepted but unused; :class:`ExperimentConfig`
     makes the check it stands for.
     """
     return _label_scores(setup_label, replicate, seed,
@@ -354,7 +353,6 @@ def run_experiment(config, jobs=None):
     CPU count.  Replicates are scored in separate processes when jobs > 1;
     the output does not depend on the job count.
     """
-    config.validate()
     jobs = _resolve_jobs(jobs)
     spec = config.resolve_spec()
     setup_label = config.setup if isinstance(config.setup, str) else spec.name

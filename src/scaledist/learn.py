@@ -29,11 +29,11 @@ LINKAGE_METHODS = ("complete", "average")
 
 @dataclass(frozen=True)
 class Clustering:
-    """A flat clustering: labels 1..k, optionally medoids and a PAM objective."""
+    """A flat clustering: labels 1..k, its medoids and its PAM objective."""
 
     labels: np.ndarray = field(repr=False)
-    medoids: np.ndarray | None = None
-    objective: float | None = None
+    medoids: np.ndarray
+    objective: float
 
 
 @dataclass(frozen=True)

@@ -198,9 +198,11 @@ def generate(spec, seed):
     seed = _check_seed(seed)
     p = spec.p
     m = spec.n_per_class
-    streams = np.random.SeedSequence(seed).spawn(p)
+    # the matrices first: numpy refuses an impossible size at once, while
+    # spawning p streams would take memory one at a time
     x_train = np.empty((2 * m, p))
     x_test = np.empty((2 * m, p))
+    streams = np.random.SeedSequence(seed).spawn(p)
     is_noise = np.empty(p, dtype=bool)
     is_t2 = np.empty(p, dtype=bool)
     mean_diff = np.empty(p)

@@ -3,12 +3,18 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from scaledist import simgen
 from scaledist.cli import main
 from scaledist.core import read_condensed, read_labels, read_matrix_csv, write_matrix_csv
 from scaledist.distance import cross, pairwise
@@ -734,3 +740,48 @@ def test_simulate_writes_nothing_when_a_target_is_a_directory(tmp_path, capsys):
                "--out-prefix", prefix) == 1
     assert _error_line(capsys).endswith("Is a directory: '%s.meta.json'" % prefix)
     assert [p.name for p in tmp_path.iterdir()] == ["s.meta.json"]
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"),
+    (MemoryError(), "MemoryError"),
+])
+def test_a_memory_error_is_one_error_line(monkeypatch, tmp_path, capsys, error, message):
+    # numpy's _ArrayMemoryError for an oversized flag ended in a traceback
+    def out_of_memory(spec, seed):
+        raise error
+
+    monkeypatch.setattr(simgen, "generate", out_of_memory)
+    assert run("simulate", "--setup", "ntn_05", "--seed", 1, "--out-prefix", tmp_path / "s") == 1
+    assert _error_line(capsys) == "scaledist: error: " + message
+    assert list(tmp_path.iterdir()) == []
+
+
+def _limit_address_space():
+    # 2 GiB: a regression that spawns a stream per variable fails, not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_simulate_refuses_an_impossible_p_before_spawning_its_streams(tmp_path):
+    # generate spawned p seed sequences before allocating, so memory grew
+    # without bound until the process was killed
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "scaledist.cli", "simulate", "--setup", "ntn_05", "--seed", "1",
+         "--p", "2305843009213693952", "--out-prefix", str(tmp_path / "s")],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+    assert result.returncode == 1
+    assert result.stderr.startswith("scaledist: error: array is too big")
+    assert len(result.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_names_replicates_too_many_for_a_seed_array(tmp_path, capsys):
+    # numpy's "Maximum allowed dimension exceeded" named no flag
+    assert run("experiment", "--setup", "ntn_05", "--p", 5, "--n-per-class", 2,
+               "--methods", "knn3", "--replicates", 4611686018427387904,
+               "--out", tmp_path / "r.csv") == 1
+    assert _error_line(capsys).startswith(
+        "scaledist: error: replicates 4611686018427387904 is too many: ")
+    assert list(tmp_path.iterdir()) == []

@@ -82,24 +82,31 @@ def test_clustering_scored_on_training_data_by_ari():
 
 
 def test_config_validation():
-    # configs validate when used, not at construction; validate() is what
-    # run_experiment calls first
+    # a config is checked when it is made: by the constructor, which
+    # from_json_dict and dataclasses.replace also go through
     with pytest.raises(ValueError):
-        small_config(replicates=0).validate()
+        small_config(replicates=0)
     with pytest.raises(ValueError):
-        small_config(standardisations=()).validate()
+        small_config(standardisations=())
     with pytest.raises(ValueError):
-        small_config(methods=("kmeans",)).validate()
+        small_config(methods=("kmeans",))
     with pytest.raises(ValueError):
-        small_config(orders=(0.5,)).validate()
+        small_config(orders=(0.5,))
     for orders in (("1", "inf"), (True,), (1.0, "2")):  # were run as 1.0, inf and 2.0
         with pytest.raises(ValueError, match="aggregation order must be a number"):
-            small_config(orders=orders).validate()
+            small_config(orders=orders)
     with pytest.raises(ValueError, match="too large for a float"):  # was an OverflowError
-        small_config(orders=(10 ** 400,)).validate()
+        small_config(orders=(10 ** 400,))
+    # NaN from Python named as from JSON; it was "cannot convert float NaN to integer"
+    for nan in (math.nan, np.float64("nan")):
+        with pytest.raises(ValueError, match="^aggregation order must be >= 1 or inf, got nan$"):
+            small_config(orders=(nan,))
     with pytest.raises(ValueError):
-        small_config(setup="no_such_setup").validate()
-    assert small_config().validate() is not None
+        small_config(setup="no_such_setup")
+    config = small_config()
+    with pytest.raises(ValueError, match="^replicates must be >= 1$"):
+        dataclasses.replace(config, replicates=0)
+    assert config.validate() is config
 
 
 def test_config_orders_become_floats_from_python_and_json():
@@ -109,7 +116,7 @@ def test_config_orders_become_floats_from_python_and_json():
         (ExperimentConfig.from_json_dict({"setup": "simple_normal", "orders": ["1", "inf", 3]}),
          (1.0, math.inf, 3.0)),
     ]:
-        assert config.validate().orders == orders
+        assert config.orders == orders
         assert all(type(q) is float for q in config.orders)
 
 
@@ -136,9 +143,9 @@ def test_job_count_must_be_an_integer(jobs):
 
 def test_pooled_clustering_needs_oracle_flag():
     with pytest.raises(ValueError, match="oracle_pooling"):
-        small_config(standardisations=("pooled_variance",), methods=("pam",)).validate()
+        small_config(standardisations=("pooled_variance",), methods=("pam",))
     # classification alone is fine, labels are legitimately available
-    small_config(standardisations=("pooled_variance",), methods=("knn3",)).validate()
+    small_config(standardisations=("pooled_variance",), methods=("knn3",))
     # and with the flag, clustering rows are tagged
     cfg = small_config(
         standardisations=("pooled_variance",), methods=("pam",),
@@ -295,12 +302,15 @@ def test_summary_json(tmp_path):
         assert set(group) >= {"standardisation", "q", "method", "metric", "mean", "se"}
 
 
-def test_no_partial_outputs_on_failure(tmp_path):
-    cfg = small_config(setup="no_such_setup")
-    path = tmp_path / "r.csv"
-    with pytest.raises(ValueError):
-        run_experiment_to_files(cfg, path, jobs=1)
-    assert not path.exists()
+def test_no_partial_outputs_on_failure(monkeypatch, tmp_path):
+    def fail_to_generate(spec, seed):
+        raise ValueError("no data")
+
+    monkeypatch.setattr(harness, "generate", fail_to_generate)
+    path, summary = tmp_path / "r.csv", tmp_path / "s.json"
+    with pytest.raises(ValueError, match="^no data$"):
+        run_experiment_to_files(small_config(), path, summary, jobs=1)
+    assert not path.exists() and not summary.exists()
 
 
 def test_standardisation_parameters_come_from_training_data_only():
@@ -387,9 +397,8 @@ def test_the_grid_is_checked_once_before_any_data_is_drawn(monkeypatch, grid, me
     # a value listed twice was scored twice, and the rest failed in
     # run_replicate only after the data was drawn
     standardisations, orders, methods = grid
-    config = small_config(standardisations=standardisations, orders=orders, methods=methods)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-        config.validate()
+        small_config(standardisations=standardisations, orders=orders, methods=methods)
     monkeypatch.setattr(harness, "generate", _never_generate)
     spec = setup_catalog()["ntn_05"].with_size(p=10, n_per_class=5)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

@@ -83,7 +83,7 @@ def test_scale_statistic_unknown_method():
         lambda: fit_standardiser(np.array([[1.0], [2.0]]), "nope"),
         lambda: fit_standardiser(np.array([[1.0]]), "nope"),  # checked before the data
         lambda: Standardiser("nope", [1.0]),
-        lambda: ExperimentConfig("simple_normal", standardisations=("nope",)).validate(),
+        lambda: ExperimentConfig("simple_normal", standardisations=("nope",)),
         lambda: run_replicate(spec, "ntn_05", 0, 1, ("nope",), (1.0,), ("pam",)),
     ]
     for call in calls:
