@@ -24,13 +24,17 @@ j against rows 0..j-1, for cross distances one left row against every right
 row), and writes their differences into a (rows, p) buffer of about
 ``_BLOCK_DIFFS`` values that is allocated once per call, together with the
 buffer for d2 and, only when an order other than 1 to 4 or inf is requested,
-one for d**q.  A segment may be split across two blocks.  In segment order
-the pairs are the condensed vector and the row-major cross matrix, so each
-block's distances fill one contiguous slice of the result.
+one for d**q.  Each buffer starts on a 64-byte boundary: malloc promises only
+16 bytes, and on AVX-512 cores numpy's stores into an output that starts mid
+cache line run at about half speed, which slowed the passes that write d and
+d2 up to twofold.  A segment may be split across two blocks.  In segment
+order the pairs are the condensed vector and the row-major cross matrix, so
+each block's distances fill one contiguous slice of the result.
 
 Each order's value depends only on its pair of rows and q: never on which
 other orders were requested alongside, on how rows are grouped into blocks,
-on the input's layout or alignment, nor on the BLAS thread count.
+on the input's layout or alignment, on the BLAS thread count, nor on where
+the work buffers start.
 ``pairwise_orders`` and ``cross_orders`` validate once and return one result
 per order; ``pairwise`` and ``cross`` are their single-order forms.  The
 distance between two vectors x and y is ``cross([x], [y], q)[0, 0]``.
@@ -62,7 +66,8 @@ _HUGE = np.finfo(np.float64).max
 _SMALL = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # _blocked_orders forms at most this many absolute differences per block (or
 # one row of p when p is larger); two or three float64 buffers of this size
-# are reused
+# are reused, each starting on a 64-byte boundary so that numpy's SIMD stores
+# into them run at full speed
 _BLOCK_DIFFS = 1 << 15
 _TOO_LARGE = "aggregation order is too large for a float; use inf"
 
@@ -165,6 +170,15 @@ def _reduce_orders(d, orders, d2, prod):
     return out
 
 
+def _aligned_empty(rows, p):
+    # a C-contiguous (rows, p) float64 buffer whose first element starts on a
+    # 64-byte boundary (see the module docstring); a slice of its first rows
+    # starts there too
+    buf = np.empty(rows * p + 7)
+    start = (-(buf.ctypes.data // 8)) % 8
+    return buf[start:start + rows * p].reshape(rows, p)
+
+
 def _blocked_orders(segments, n_pairs, p, orders):
     """Distances of every order for ``n_pairs`` pairs listed as segments.
 
@@ -172,9 +186,9 @@ def _blocked_orders(segments, n_pairs, p, orders):
     order.  Returns one flat array of length ``n_pairs`` per order.
     """
     rows = min(n_pairs, max(1, _BLOCK_DIFFS // p))
-    d, d2 = np.empty((rows, p)), np.empty((rows, p))
+    d, d2 = _aligned_empty(rows, p), _aligned_empty(rows, p)
     generic = any(q not in (1.0, 2.0, 3.0, 4.0) and not math.isinf(q) for q in orders)
-    prod = np.empty((rows, p)) if generic else None
+    prod = _aligned_empty(rows, p) if generic else None
     out = [np.empty(n_pairs) for _ in orders]
     done = filled = 0
     with np.errstate(over="ignore", under="ignore"):

@@ -268,20 +268,85 @@ def test_results_do_not_depend_on_memory_layout():
         assert_array_equal(D.entries, pairwise(X, q).entries)
 
 
-def _misaligned(A):
-    # a copy whose rows start 8 bytes off the 16-byte alignment of np.empty
-    B = np.empty(A.size + 1)[1:].reshape(A.shape)
-    B[...] = A
-    assert B.ctypes.data % 16 == 8
+# byte offsets past a 64-byte boundary: mid cache line, and off the 16-byte
+# alignment of np.empty
+_OFFSETS = (8, 16, 24, 32, 48)
+
+
+def _empty_at(shape, offset):
+    # an uninitialised C-contiguous float64 array whose first element starts
+    # offset bytes past a 64-byte boundary
+    size = math.prod(shape)
+    buf = np.empty(size + 7)
+    start = (offset - buf.ctypes.data) % 64 // 8
+    B = buf[start:start + size].reshape(shape)
+    assert B.ctypes.data % 64 == offset
     return B
+
+
+def _misaligned(A, offset):
+    B = _empty_at(A.shape, offset)
+    B[...] = A
+    return B
+
+
+@pytest.mark.parametrize("p", [127, 200, 500])
+def test_work_buffers_start_on_a_cache_line(monkeypatch, p):
+    # every block's d, d2 and d**q start on a 64-byte boundary, with many rows
+    # per block and with one row per block (a block size below p)
+    reduce_orders, seen = distance._reduce_orders, []
+
+    def spy(d, orders, d2, prod):
+        seen.append((d.shape[0], [b.ctypes.data % 64 for b in (d, d2, prod)]))
+        return reduce_orders(d, orders, d2, prod)
+
+    monkeypatch.setattr(distance, "_reduce_orders", spy)
+    rng = np.random.default_rng(p)
+    X, T = rng.standard_normal((6, p)), rng.standard_normal((3, p))
+    orders = (1.0, 2.0, 2.5)  # 2.5 needs the d**q buffer
+    # rows per block: 15 pairwise and 18 cross pairs, one block per row or
+    # one block per call
+    for block_diffs, rows in ((p - 1, [1] * (15 + 18)), (_BLOCK_DIFFS, [15, 18])):
+        monkeypatch.setattr(distance, "_BLOCK_DIFFS", block_diffs)
+        seen.clear()
+        pairwise_orders(X, orders)
+        cross_orders(T, X, orders)
+        assert [r for r, _ in seen] == rows
+        assert all(starts == [0, 0, 0] for _, starts in seen)
+
+
+def test_replicate_records_do_not_depend_on_where_the_work_buffers_start(monkeypatch):
+    from scaledist.harness import EXPERIMENT_METHODS, run_replicate
+    from scaledist.simgen import setup_catalog
+    from scaledist.standardise import METHODS
+
+    spec = setup_catalog()["ntn_05"].with_size(p=129, n_per_class=8)
+    orders = (1.0, 2.0, 2.5, math.inf)
+
+    def values():
+        records = run_replicate(spec, "ntn_05", 0, 5, METHODS, orders, EXPERIMENT_METHODS)
+        return records, [float(r.value).hex() for r in records]
+
+    aligned = values()
+    assert len(aligned[0]) == len(METHODS) * len(orders) * len(EXPERIMENT_METHODS)
+    for offset in _OFFSETS:
+        made = []
+
+        def empty_at(rows, p, offset=offset):
+            made.append((rows, p))
+            return _empty_at((rows, p), offset)
+
+        monkeypatch.setattr(distance, "_aligned_empty", empty_at)
+        assert values() == aligned
+        assert made
 
 
 @pytest.mark.parametrize("p", [127, 129, 500])
 def test_each_pair_gets_its_bits_alone_whatever_the_call(monkeypatch, p):
     # widths that reach the SIMD loops, with odd widths putting the rows of a
     # block at every alignment: every order of every pair must equal the value
-    # the pair gets alone, whatever the block size, the input's alignment and
-    # the other orders requested
+    # the pair gets alone, whatever the block size, the input's alignment (at
+    # each offset in a cache line) and the other orders requested
     rng = np.random.default_rng(p)
     X = rng.standard_normal((7, p))
     X[3] *= 1e150  # rescaled pairs next to direct ones
@@ -293,7 +358,7 @@ def test_each_pair_gets_its_bits_alone_whatever_the_call(monkeypatch, p):
     requests = [(q,) for q in orders] + [orders, orders[::-1]]
     for block_diffs in (1, 3 * p, 5 * p + 1, 1 << 15):
         monkeypatch.setattr(distance, "_BLOCK_DIFFS", block_diffs)
-        for A, B in ((X, T), (_misaligned(X), _misaligned(T))):
+        for A, B in [(X, T)] + [(_misaligned(X, b), _misaligned(T, b)) for b in _OFFSETS]:
             for requested in requests:
                 for q, D, C in zip(requested, pairwise_orders(A, requested),
                                    cross_orders(B, A, requested)):
