@@ -4,32 +4,43 @@ For order q >= 1 the distance between rows x and y is
 (sum_l |x_l - y_l|**q) ** (1/q); q = inf takes the largest coordinate
 difference.
 
-One kernel serves every entry point.  It takes a block of absolute
-differences d and reduces it for each requested order, so |x - y| is formed
-once however many orders are asked for.  Each power sum is one ``np.einsum``
-pass over the rows, never given ``optimize=``, so BLAS and its thread count
-play no part: ``ij->i`` over d for q = 1 and over the shared square d2 = d*d
-for q = 2, ``ij,ij->i`` over (d2, d) for q = 3 and (d2, d2) for q = 4, and
-``ij->i`` over d**q for any other finite order.  d2 is formed once per block
-when order 2, 3 or 4 is requested.  Only the pairs whose largest difference
-m could overflow the power sum (p * m**q above the float range) or lose it
-to underflow (m**q within a factor 2**52 of the smallest normal float) are
-rescaled, with the same sums: for those, m * (sum (|x - y| / m)**q) ** (1/q).
-So coordinate differences from about 1e150 down to subnormal sizes keep full
-relative precision for any finite q.
+One kernel serves every entry point.  It lists the pairs as segments, one
+row against a run of rows (for pairwise distances row j against rows
+0..j-1, for cross distances one left row against every right row), and
+fills blocks of about ``_BLOCK_DIFFS`` absolute differences d, so |x - y| is
+formed once however many orders are asked for.  A segment may be split
+across two blocks.  In segment order the pairs are the condensed vector and
+the row-major cross matrix, so each block fills one contiguous slice of
+every result.
 
-One blocked loop feeds the kernel for every entry point.  It lists the
-pairs as segments, one row against a run of rows (for pairwise distances row
-j against rows 0..j-1, for cross distances one left row against every right
-row), and writes their differences into a (rows, p) buffer of about
-``_BLOCK_DIFFS`` values that is allocated once per call, together with the
-buffer for d2 and, only when an order other than 1 to 4 or inf is requested,
-one for d**q.  Each buffer starts on a 64-byte boundary: malloc promises only
-16 bytes, and on AVX-512 cores numpy's stores into an output that starts mid
-cache line run at about half speed, which slowed the passes that write d and
-d2 up to twofold.  A segment may be split across two blocks.  In segment
-order the pairs are the condensed vector and the row-major cross matrix, so
-each block's distances fill one contiguous slice of the result.
+The loop over blocks makes only the passes over each block's data.  It
+subtracts against the segment's row, copied once per segment into a
+(rows, p) buffer so that numpy runs one flat loop; takes ``abs``; writes each
+pair's largest difference m, which is the q = inf distance; forms
+d2 = d*d when order 2, 3 or 4 is requested; and fills the power sums, each
+with one ``np.einsum`` pass that writes into the call's sums and is never
+given ``optimize=``, so BLAS and its thread count play no part.  The sums
+are ``ij->i`` over d for q = 1 and over d2 for q = 2, ``ij,ij->i`` over
+(d2, d) for q = 3 and (d2, d2) for q = 4, and ``ij->i`` over d**q for any
+other finite order.  When orders 1 and 2 are both requested, one ``kij->ki``
+pass sums d and d2, which share one buffer; when 3 and 4 are, one
+``ij,kij->ki`` pass sums d2 times each of them.
+
+The rest runs once per call, over whole arrays: the roots, and the rescue.
+A pair is rescaled when its largest difference m could overflow the power
+sum (p * m**q above the float range) or lose it to underflow (m**q within a
+factor 2**52 of the smallest normal float), or when its power sum did round
+to inf.  Those pairs are recomputed from their two rows with the same sums,
+as m * (sum (|x - y| / m)**q) ** (1/q).  So coordinate differences from
+about 1e150 down to subnormal sizes keep full relative precision for any
+finite q; a coordinate difference that itself overflows gives inf.
+
+The work buffers are allocated once per call: one for d and d2, one for the
+tiled row and, only when an order other than 1 to 4 or inf is requested,
+one for d**q.  Each of d, d2, the tiled row and d**q starts on a 64-byte
+boundary: malloc promises only 16 bytes, and on AVX-512 cores numpy's
+stores into an output that starts mid cache line run at about half speed,
+which slowed the passes that write d and d2 up to twofold.
 
 Each order's value depends only on its pair of rows and q: never on which
 other orders were requested alongside, on how rows are grouped into blocks,
@@ -65,9 +76,10 @@ _HUGE = np.finfo(np.float64).max
 # stay below p * 2**-105 of the sum.
 _SMALL = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 # _blocked_orders forms at most this many absolute differences per block (or
-# one row of p when p is larger); two or three float64 buffers of this size
-# are reused, each starting on a 64-byte boundary so that numpy's SIMD stores
-# into them run at full speed
+# one row of p when p is larger); its float64 work buffers of this size (d and
+# d2 as the halves of one buffer, the tiled row, d**q) are reused, each
+# starting on a 64-byte boundary so that numpy's SIMD stores into them run at
+# full speed
 _BLOCK_DIFFS = 1 << 15
 _TOO_LARGE = "aggregation order is too large for a float; use inf"
 
@@ -118,97 +130,120 @@ def format_order(q):
     return repr(q)
 
 
-def _root(s, q):
+def _root(s, q, out=None):
     if q == 1.0:
         return s
     if q == 2.0:
-        return np.sqrt(s)
-    return s ** (1.0 / q)
+        return np.sqrt(s, out=out)
+    return np.power(s, 1.0 / q, out=out)
 
 
-def _power_sum(d, q, d2=None, out=None):
-    # sum over the last axis of d**q, each order in one einsum pass (never
-    # with optimize=, which could route it through BLAS); d2 = d*d may be
-    # passed in precomputed, and out, shaped like d, takes the generic power
+def _power_sum(d, q):
+    # sum over the last axis of d**q, by the einsum pass that _blocked_orders
+    # makes for the order alone (never with optimize=, which could route it
+    # through BLAS)
     if q == 1.0:
         return np.einsum("ij->i", d)
     if q in (2.0, 3.0, 4.0):
-        if d2 is None:
-            d2 = d * d
+        d2 = d * d
         if q == 2.0:
             return np.einsum("ij->i", d2)
         return np.einsum("ij,ij->i", d2, d if q == 3.0 else d2)
-    return np.einsum("ij->i", np.power(d, q, out=out))
+    return np.einsum("ij->i", np.power(d, q))
 
 
-def _reduce_orders(d, orders, d2, prod):
-    """Distances of every order from a (pairs, variables) block of |x - y|.
-
-    ``d2`` and ``prod`` are work buffers shaped like ``d``; ``prod`` is None
-    when every finite order is 1 to 4.  Returns one array of length ``pairs``
-    per order.  Callers silence overflow and underflow warnings: the affected
-    pairs are recomputed.
-    """
-    m = d.max(axis=-1)
-    m_low, m_high = m.min(), m.max()
-    p = d.shape[-1]
-    if any(q in (2.0, 3.0, 4.0) for q in orders):
-        np.multiply(d, d, out=d2)
-    out = []
-    for q in orders:
-        if math.isinf(q):
-            out.append(m)
-            continue
-        dist = _root(_power_sum(d, q, d2, prod), q)
-        big, small = (_HUGE / p) ** (1.0 / q), _SMALL ** (1.0 / q)
-        if m_high > big or m_low < small:  # else no pair needs the rescale test
-            rescale = (m > big) | ((m > 0.0) & (m < small))
-            if rescale.any():
-                mr = m[rescale]
-                dist[rescale] = mr * _root(_power_sum(d[rescale] / mr[:, None], q), q)
-        out.append(dist)
-    return out
-
-
-def _aligned_empty(rows, p):
-    # a C-contiguous (rows, p) float64 buffer whose first element starts on a
-    # 64-byte boundary (see the module docstring); a slice of its first rows
-    # starts there too
-    buf = np.empty(rows * p + 7)
+def _aligned_empty(size):
+    # a float64 buffer of size values whose first element starts on a 64-byte
+    # boundary (see the module docstring)
+    buf = np.empty(size + 7)
     start = (-(buf.ctypes.data // 8)) % 8
-    return buf[start:start + rows * p].reshape(rows, p)
+    return buf[start:start + size]
 
 
-def _blocked_orders(segments, n_pairs, p, orders):
+def _condensed_pairs(n, idx):
+    # rows (j, i), i < j, of each condensed index: row j's entries start at
+    # j(j-1)/2
+    starts = np.arange(n - 1) * np.arange(1, n) // 2
+    j = np.searchsorted(starts, idx, side="right")
+    return j, idx - starts[j - 1]
+
+
+def _blocked_orders(segments, n_pairs, p, orders, pair_rows):
     """Distances of every order for ``n_pairs`` pairs listed as segments.
 
     ``segments`` yields (x, Y): row x against every row of Y, in result
-    order.  Returns one flat array of length ``n_pairs`` per order.
+    order.  ``pair_rows(idx)`` gives the rows (x, Y) of the pairs at the
+    result positions ``idx``, for the pairs that are rescaled.  Returns one
+    flat array of length ``n_pairs`` per order.
     """
     rows = min(n_pairs, max(1, _BLOCK_DIFFS // p))
-    d, d2 = _aligned_empty(rows, p), _aligned_empty(rows, p)
-    generic = any(q not in (1.0, 2.0, 3.0, 4.0) and not math.isinf(q) for q in orders)
-    prod = _aligned_empty(rows, p) if generic else None
-    out = [np.empty(n_pairs) for _ in orders]
+    size = rows * p
+    half = -(-size // 8) * 8  # so that d2 starts on a 64-byte boundary too
+    pair = _aligned_empty(2 * half).reshape(2, half)[:, :size].reshape(2, rows, p)
+    d, d2 = pair
+    tile = _aligned_empty(size).reshape(rows, p)
+    finite = sorted({q for q in orders if not math.isinf(q)})
+    prod = None
+    if any(q not in (1.0, 2.0, 3.0, 4.0) for q in finite):
+        prod = _aligned_empty(size).reshape(rows, p)
+    m = np.empty(n_pairs)
+    # one einsum per block for each pass: (power, spec, operands, sums), where
+    # a power fills prod with d**power first; orders 1 and 2, and orders 3
+    # and 4, share a pass when both are requested
+    single = {1.0: ("ij->i", (d,)), 2.0: ("ij->i", (d2,)),
+              3.0: ("ij,ij->i", (d2, d)), 4.0: ("ij,ij->i", (d2, d2))}
+    sums, passes = {}, []
+    for a, b, spec, ops in ((1.0, 2.0, "kij->ki", (pair,)), (3.0, 4.0, "ij,kij->ki", (d2, pair))):
+        if a in finite and b in finite:
+            sums[a], sums[b] = both = np.empty((2, n_pairs))
+            passes.append((None, spec, ops, both))
+    for q in finite:
+        if q not in sums:
+            sums[q] = np.empty(n_pairs)
+            spec, ops = single.get(q, ("ij->i", (prod,)))
+            passes.append((None if q in single else q, spec, ops, sums[q]))
+    squares = any(q in (2.0, 3.0, 4.0) for q in finite)
     done = filled = 0
     with np.errstate(over="ignore", under="ignore"):
         for x, Y in segments:
+            tile[:min(rows, Y.shape[0])] = x  # so that subtract runs one flat loop
             start = 0
             while start < Y.shape[0]:
                 take = min(Y.shape[0] - start, rows - filled)
-                block = d[filled:filled + take]
-                np.subtract(Y[start:start + take], x, out=block)
-                np.abs(block, out=block)
+                np.subtract(Y[start:start + take], tile[:take], out=d[filled:filled + take])
                 start += take
                 filled += take
                 if filled == rows or done + filled == n_pairs:
-                    dists = _reduce_orders(d[:filled], orders, d2[:filled],
-                                           None if prod is None else prod[:filled])
-                    for o, dist in zip(out, dists):
-                        o[done:done + filled] = dist
+                    block = d[:filled]
+                    np.abs(block, out=block)
+                    np.maximum.reduce(block, axis=1, out=m[done:done + filled])
+                    if squares:
+                        np.multiply(block, block, out=d2[:filled])
+                    for power, spec, ops, out in passes:
+                        if power is not None:
+                            np.power(block, power, out=prod[:filled])
+                        np.einsum(spec, *[o[..., :filled, :] for o in ops],
+                                  out=out[..., done:done + filled])
                     done += filled
                     filled = 0
-    return out
+        # Once per call: roots, then the rescue.  A pair whose largest
+        # difference m could overflow its power sum or lose it to underflow,
+        # or whose sum did overflow, is recomputed from its two rows as
+        # m * (sum (|x - y| / m)**q) ** (1/q); a difference that itself
+        # overflowed leaves the distance inf.
+        results = {math.inf: m}
+        for q, s in sums.items():
+            _root(s, q, out=s)
+            big, small = (_HUGE / p) ** (1.0 / q), _SMALL ** (1.0 / q)
+            rescue = (m > big) | ((m > 0.0) & (m < small)) | np.isinf(s)
+            idx = np.flatnonzero(rescue & (m < np.inf))
+            if idx.size:
+                x, Y = pair_rows(idx)
+                mr = m[idx]
+                s[idx] = mr * _root(_power_sum(np.abs(Y - x) / mr[:, None], q), q)
+            results[q] = s
+    return [results[q] if orders.index(q) == k else results[q].copy()
+            for k, q in enumerate(orders)]
 
 
 def pairwise_orders(X, orders):
@@ -223,7 +258,12 @@ def pairwise_orders(X, orders):
     X = check_data_matrix(X, min_rows=2)
     n, p = X.shape
     segments = ((X[j], X[:j]) for j in range(1, n))
-    entries = _blocked_orders(segments, condensed_size(n), p, orders)
+
+    def pair_rows(idx):
+        j, i = _condensed_pairs(n, idx)
+        return X[j], X[i]
+
+    entries = _blocked_orders(segments, condensed_size(n), p, orders, pair_rows)
     return tuple(CondensedDistanceMatrix(n, e) for e in entries)
 
 
@@ -242,7 +282,8 @@ def cross_orders(X_left, X_right, orders):
             "variable count mismatch: %d vs %d" % (A.shape[1], B.shape[1])
         )
     n_right, p = B.shape
-    flat = _blocked_orders(((a, B) for a in A), A.shape[0] * n_right, p, orders)
+    flat = _blocked_orders(((a, B) for a in A), A.shape[0] * n_right, p, orders,
+                           lambda idx: (A[idx // n_right], B[idx % n_right]))
     return tuple(f.reshape(-1, n_right) for f in flat)
 
 

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import fsum_minkowski, naive_cross, naive_minkowski, naive_pairwise_square
 from scaledist import distance
-from scaledist.core import CondensedDistanceMatrix
+from scaledist.core import CondensedDistanceMatrix, condensed_index
 from scaledist.distance import (
     _BLOCK_DIFFS,
     check_order,
@@ -290,17 +290,44 @@ def _misaligned(A, offset):
     return B
 
 
+class _KernelCalls:
+    # stands in for numpy inside the distance module and records the arrays
+    # the blocked loop writes or reads: the tiled row it subtracts, each
+    # block's d (abs), d2 (multiply) and d**q (power), and what einsum sums
+    def __init__(self):
+        self.tiles, self.blocks, self.squares, self.powers, self.summed = [], [], [], [], []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def subtract(self, Y, tile, out):
+        self.tiles.append(tile)
+        return np.subtract(Y, tile, out=out)
+
+    def abs(self, d, out):
+        self.blocks.append(d)
+        return np.abs(d, out=out)
+
+    def multiply(self, d, e, out):
+        self.squares.append(out)
+        return np.multiply(d, e, out=out)
+
+    def power(self, d, q, out):
+        if out.ndim == 2:  # not a root, taken in place over a call's sums
+            self.powers.append(out)
+        return np.power(d, q, out=out)
+
+    def einsum(self, spec, *operands, out):
+        # a (2, rows, p) operand holds d and d2: both halves count
+        self.summed += [h for o in operands for h in (o if o.ndim == 3 else [o])]
+        return np.einsum(spec, *operands, out=out)
+
+
 @pytest.mark.parametrize("p", [127, 200, 500])
 def test_work_buffers_start_on_a_cache_line(monkeypatch, p):
-    # every block's d, d2 and d**q start on a 64-byte boundary, with many rows
-    # per block and with one row per block (a block size below p)
-    reduce_orders, seen = distance._reduce_orders, []
-
-    def spy(d, orders, d2, prod):
-        seen.append((d.shape[0], [b.ctypes.data % 64 for b in (d, d2, prod)]))
-        return reduce_orders(d, orders, d2, prod)
-
-    monkeypatch.setattr(distance, "_reduce_orders", spy)
+    # every block's d, d2, tiled row and d**q start on a 64-byte boundary,
+    # with many rows per block and with one row per block (a block size
+    # below p)
     rng = np.random.default_rng(p)
     X, T = rng.standard_normal((6, p)), rng.standard_normal((3, p))
     orders = (1.0, 2.0, 2.5)  # 2.5 needs the d**q buffer
@@ -308,11 +335,17 @@ def test_work_buffers_start_on_a_cache_line(monkeypatch, p):
     # one block per call
     for block_diffs, rows in ((p - 1, [1] * (15 + 18)), (_BLOCK_DIFFS, [15, 18])):
         monkeypatch.setattr(distance, "_BLOCK_DIFFS", block_diffs)
-        seen.clear()
+        calls = _KernelCalls()
+        monkeypatch.setattr(distance, "np", calls)
         pairwise_orders(X, orders)
         cross_orders(T, X, orders)
-        assert [r for r, _ in seen] == rows
-        assert all(starts == [0, 0, 0] for _, starts in seen)
+        monkeypatch.setattr(distance, "np", np)
+        assert [d.shape[0] for d in calls.blocks] == rows
+        assert [d2.shape[0] for d2 in calls.squares] == rows
+        assert [prod.shape[0] for prod in calls.powers] == rows
+        assert len(calls.tiles) >= len(rows) and len(calls.summed) == 3 * len(rows)
+        buffers = calls.tiles + calls.blocks + calls.squares + calls.powers + calls.summed
+        assert all(b.ctypes.data % 64 == 0 for b in buffers)
 
 
 def test_replicate_records_do_not_depend_on_where_the_work_buffers_start(monkeypatch):
@@ -332,9 +365,9 @@ def test_replicate_records_do_not_depend_on_where_the_work_buffers_start(monkeyp
     for offset in _OFFSETS:
         made = []
 
-        def empty_at(rows, p, offset=offset):
-            made.append((rows, p))
-            return _empty_at((rows, p), offset)
+        def empty_at(size, offset=offset):
+            made.append(size)
+            return _empty_at((size,), offset)
 
         monkeypatch.setattr(distance, "_aligned_empty", empty_at)
         assert values() == aligned
@@ -350,12 +383,17 @@ def test_each_pair_gets_its_bits_alone_whatever_the_call(monkeypatch, p):
     rng = np.random.default_rng(p)
     X = rng.standard_normal((7, p))
     X[3] *= 1e150  # rescaled pairs next to direct ones
+    X[5:] *= 1e-300  # and pairs whose power sums underflow
     T = rng.standard_normal((4, p))
+    T[1] *= 1e-300
     orders = ORDERS + (2.5,)
     alone = {q: (np.array([pair_distance(X[j], X[i], q) for j in range(1, 7) for i in range(j)]),
                  np.array([[pair_distance(t, x, q) for x in X] for t in T]))
              for q in orders}
-    requests = [(q,) for q in orders] + [orders, orders[::-1]]
+    # single orders, fused pairs (1 with 2, 3 with 4), and pairs that are not
+    requests = [(q,) for q in orders] + [orders, orders[::-1], (1.0, 2.0), (3.0, 4.0),
+                                         (2.0, 4.0), (1.0, 3.0), (4.0, 3.0, 2.0, 1.0),
+                                         (2.5, 1.0, math.inf)]
     for block_diffs in (1, 3 * p, 5 * p + 1, 1 << 15):
         monkeypatch.setattr(distance, "_BLOCK_DIFFS", block_diffs)
         for A, B in [(X, T)] + [(_misaligned(X, b), _misaligned(T, b)) for b in _OFFSETS]:
@@ -452,3 +490,58 @@ def test_tiny_differences_keep_their_size():
     for q in ORDERS + (2.5,):
         assert pair_distance([1e-300, 0.0], [0.0, 0.0], q) == 1e-300
         assert pairwise(np.array([[3e-200], [0.0]]), q).entries[0] == 3e-200
+
+
+def test_power_sums_that_round_to_inf_just_below_the_rescue_threshold_are_rescued():
+    # m at, or up to three floats below, (max float / p) ** (1/q) passed the
+    # rescue test, though p * m**q still rounded to inf
+    for p in (1, 2, 3, 5, 7, 100, 500, 2000):
+        for q in (2.0, 3.0, 4.0, 2.5, 1.5, 7.0):
+            m = (np.finfo(float).max / p) ** (1.0 / q)
+            for _ in range(4):
+                got = pair_distance(np.full(p, m), np.zeros(p), q)
+                assert got == pytest.approx(m * p ** (1.0 / q), rel=1e-12, abs=0)
+                m = np.nextafter(m, 0.0)
+    assert cross([np.full(3, 8.798296151866654e+76)], [np.zeros(3)], 4)[0, 0] < math.inf
+
+
+def test_a_coordinate_difference_that_overflows_gives_inf():
+    orders = (1.0, 2.0, 3.0, 4.0, 2.5, math.inf)
+    for C in cross_orders([[1e308, 0.0]], [[-1e308, 0.0]], orders):
+        assert C[0, 0] == math.inf
+    with pytest.raises(ValueError, match="distances must be finite"):
+        pairwise([[1e308, 0.0], [-1e308, 0.0]], 2.5)
+
+
+def test_condensed_positions_map_to_their_rows():
+    for n in range(2, 81):
+        j, i = distance._condensed_pairs(n, np.arange(n * (n - 1) // 2))
+        assert [condensed_index(a, b, n) for a, b in zip(i, j)] == list(range(n * (n - 1) // 2))
+        assert (i < j).all()
+
+
+def test_a_rescued_pair_gets_its_bits_alone_at_any_position(monkeypatch):
+    # the one pair of a zero row and a row of size 1e-300 is rescued after
+    # the loop; with 5 rows per block it sits first and last in a block, in
+    # a segment split across blocks, and in the ragged last block
+    rng = np.random.default_rng(21)
+    p, orders = 7, ORDERS + (2.5,)
+    monkeypatch.setattr(distance, "_BLOCK_DIFFS", 5 * p)
+    n = 13  # 78 pairs: blocks of 5, the last one of 3
+    for c in (0, 4, 5, 9, 15, 19, 20, 75, 77):  # rows 6 and 12 span two blocks
+        (j,), (i,) = distance._condensed_pairs(n, np.array([c]))
+        X = rng.standard_normal((n, p))
+        X[i], X[j] = 0.0, 1e-300 * rng.standard_normal(p)
+        for q, D in zip(orders, pairwise_orders(X, orders)):
+            assert_array_equal(D.entries, [pair_distance(X[b], X[a], q)
+                                           for b in range(1, n) for a in range(b)])
+            assert D.entries[c] == pytest.approx(fsum_minkowski(X[i] * 1e300, X[j] * 1e300, q)
+                                                 * 1e-300, rel=1e-12, abs=0)
+    n_left, n_right = 6, 4  # 24 pairs: blocks of 5, the last one of 4
+    for c in (0, 4, 5, 9, 10, 20, 23):  # rows 1, 2 and 4 span two blocks
+        a, b = divmod(c, n_right)
+        A, B = rng.standard_normal((n_left, p)), rng.standard_normal((n_right, p))
+        A[a], B[b] = 0.0, 1e-300 * rng.standard_normal(p)
+        for q, C in zip(orders, cross_orders(A, B, orders)):
+            assert_array_equal(C, [[pair_distance(x, y, q) for y in B] for x in A])
+            assert C[a, b] > 0.0
