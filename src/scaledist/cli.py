@@ -141,9 +141,10 @@ def _cmd_standardise(args):
 
 
 def _cmd_distmat(args):
+    q = parse_order(args.q)
     X = core.read_matrix_csv(args.input)
     std = _fit(X, args)
-    core.write_condensed(args.output, pairwise(std.transform(X), parse_order(args.q)))
+    core.write_condensed(args.output, pairwise(std.transform(X), q))
 
 
 def _cmd_cluster(args):
@@ -156,11 +157,11 @@ def _cmd_cluster(args):
 
 
 def _cmd_classify(args):
+    q = parse_order(args.q)
     x_train = core.read_matrix_csv(args.train)
     y_train = core.read_labels(args.train_labels)
     x_test = core.read_matrix_csv(args.test)
     std = fit_standardiser(x_train, args.method, labels=y_train)
-    q = parse_order(args.q)
     predictions = knn_classify(
         cross(std.transform(x_test, cap=True), std.transform(x_train), q),
         y_train,

@@ -4,23 +4,24 @@ For order q >= 1 the distance between rows x and y is
 (sum_l |x_l - y_l|**q) ** (1/q); q = inf takes the largest coordinate
 difference.
 
-One kernel serves every entry point.  It lists the pairs as segments, one
-row against a run of rows (for pairwise distances row j against rows
-0..j-1, for cross distances one left row against every right row), and
-fills blocks of about ``_BLOCK_DIFFS`` absolute differences d, so |x - y| is
-formed once however many orders are asked for.  A segment may be split
-across two blocks.  In segment order the pairs are the condensed vector and
-the row-major cross matrix, so each block fills one contiguous slice of
-every result.
+One kernel serves every entry point.  It takes two matrices A and B and a
+count per row of A, and computes row j of A against the first ``counts[j]``
+rows of B, for each j in turn: for pairwise distances A = B = X and
+counts[j] = j, for cross distances every count is the number of rows of B.
+In that order the pairs are the condensed vector and the row-major cross
+matrix, so the kernel fills one flat array per order.  It forms blocks of
+about ``_BLOCK_DIFFS`` absolute differences d, so |x - y| is formed once
+however many orders are asked for; one row's run of pairs may be split
+across two blocks.
 
 The loop over blocks makes only the passes over each block's data.  It
-subtracts against the segment's row, copied once per segment into a
-(rows, p) buffer so that numpy runs one flat loop; takes ``abs``; writes each
-pair's largest difference m, which is the q = inf distance; forms
-d2 = d*d when order 2, 3 or 4 is requested; and fills the power sums, each
-with one ``np.einsum`` pass that writes into the call's sums and is never
-given ``optimize=``, so BLAS and its thread count play no part.  The sums
-are ``ij->i`` over d for q = 1 and over d2 for q = 2, ``ij,ij->i`` over
+subtracts against row j, copied once per row into a (rows, p) buffer so that
+numpy runs one flat loop; takes ``abs``; writes each pair's largest
+difference m, which is the q = inf distance; forms d2 = d*d when order 2, 3
+or 4 is requested; and fills the power sums, each with one ``np.einsum``
+pass that writes into the call's sums and is never given ``optimize=``, so
+BLAS and its thread count play no part.  One table gives each order's own
+pass: ``ij->i`` over d for q = 1 and over d2 for q = 2, ``ij,ij->i`` over
 (d2, d) for q = 3 and (d2, d2) for q = 4, and ``ij->i`` over d**q for any
 other finite order.  When orders 1 and 2 are both requested, one ``kij->ki``
 pass sums d and d2, which share one buffer; when 3 and 4 are, one
@@ -30,10 +31,14 @@ The rest runs once per call, over whole arrays: the roots, and the rescue.
 A pair is rescaled when its largest difference m could overflow the power
 sum (p * m**q above the float range) or lose it to underflow (m**q within a
 factor 2**52 of the smallest normal float), or when its power sum did round
-to inf.  Those pairs are recomputed from their two rows with the same sums,
-as m * (sum (|x - y| / m)**q) ** (1/q).  So coordinate differences from
-about 1e150 down to subnormal sizes keep full relative precision for any
-finite q; a coordinate difference that itself overflows gives inf.
+to inf.  The rescue finds a pair's rows from its position alone: with row
+j's pairs starting at ``starts[j] = counts[0] + ... + counts[j-1]``, the
+pair at position c is row j of A, the last j with starts[j] <= c, against
+row c - starts[j] of B.  It recomputes the pair as
+m * (sum (|x - y| / m)**q) ** (1/q), with the order's pass from the same
+table.  So coordinate differences from about 1e150 down to subnormal sizes
+keep full relative precision for any finite q; a coordinate difference that
+itself overflows gives inf.
 
 The work buffers are allocated once per call: one for d and d2, one for the
 tiled row and, only when an order other than 1 to 4 or inf is requested,
@@ -58,7 +63,7 @@ import numbers
 
 import numpy as np
 
-from .core import CondensedDistanceMatrix, _parse_number, check_data_matrix, condensed_size
+from .core import CondensedDistanceMatrix, _parse_number, check_data_matrix
 
 __all__ = [
     "check_order",
@@ -138,18 +143,19 @@ def _root(s, q, out=None):
     return np.power(s, 1.0 / q, out=out)
 
 
-def _power_sum(d, q):
-    # sum over the last axis of d**q, by the einsum pass that _blocked_orders
-    # makes for the order alone (never with optimize=, which could route it
-    # through BLAS)
+def _pass(q, d, d2, prod):
+    # the einsum (spec, operands) that sums d**q over each row for order q
+    # alone, given d, its square d2 and, for other orders, prod = d**q; never
+    # run with optimize=, which could route it through BLAS
     if q == 1.0:
-        return np.einsum("ij->i", d)
-    if q in (2.0, 3.0, 4.0):
-        d2 = d * d
-        if q == 2.0:
-            return np.einsum("ij->i", d2)
-        return np.einsum("ij,ij->i", d2, d if q == 3.0 else d2)
-    return np.einsum("ij->i", np.power(d, q))
+        return "ij->i", (d,)
+    if q == 2.0:
+        return "ij->i", (d2,)
+    if q == 3.0:
+        return "ij,ij->i", (d2, d)
+    if q == 4.0:
+        return "ij,ij->i", (d2, d2)
+    return "ij->i", (prod,)
 
 
 def _aligned_empty(size):
@@ -160,22 +166,13 @@ def _aligned_empty(size):
     return buf[start:start + size]
 
 
-def _condensed_pairs(n, idx):
-    # rows (j, i), i < j, of each condensed index: row j's entries start at
-    # j(j-1)/2
-    starts = np.arange(n - 1) * np.arange(1, n) // 2
-    j = np.searchsorted(starts, idx, side="right")
-    return j, idx - starts[j - 1]
+def _blocked_orders(A, B, counts, orders):
+    """Distances of every order between row j of A and the first
+    ``counts[j]`` rows of B, for each j in turn.
 
-
-def _blocked_orders(segments, n_pairs, p, orders, pair_rows):
-    """Distances of every order for ``n_pairs`` pairs listed as segments.
-
-    ``segments`` yields (x, Y): row x against every row of Y, in result
-    order.  ``pair_rows(idx)`` gives the rows (x, Y) of the pairs at the
-    result positions ``idx``, for the pairs that are rescaled.  Returns one
-    flat array of length ``n_pairs`` per order.
+    Returns one flat array per order, the pairs in that order.
     """
+    n_pairs, p = int(counts.sum()), A.shape[1]
     rows = min(n_pairs, max(1, _BLOCK_DIFFS // p))
     size = rows * p
     half = -(-size // 8) * 8  # so that d2 starts on a 64-byte boundary too
@@ -183,15 +180,12 @@ def _blocked_orders(segments, n_pairs, p, orders, pair_rows):
     d, d2 = pair
     tile = _aligned_empty(size).reshape(rows, p)
     finite = sorted({q for q in orders if not math.isinf(q)})
-    prod = None
-    if any(q not in (1.0, 2.0, 3.0, 4.0) for q in finite):
-        prod = _aligned_empty(size).reshape(rows, p)
+    powered = [q for q in finite if q not in (1.0, 2.0, 3.0, 4.0)]
+    prod = _aligned_empty(size).reshape(rows, p) if powered else None
     m = np.empty(n_pairs)
     # one einsum per block for each pass: (power, spec, operands, sums), where
     # a power fills prod with d**power first; orders 1 and 2, and orders 3
     # and 4, share a pass when both are requested
-    single = {1.0: ("ij->i", (d,)), 2.0: ("ij->i", (d2,)),
-              3.0: ("ij,ij->i", (d2, d)), 4.0: ("ij,ij->i", (d2, d2))}
     sums, passes = {}, []
     for a, b, spec, ops in ((1.0, 2.0, "kij->ki", (pair,)), (3.0, 4.0, "ij,kij->ki", (d2, pair))):
         if a in finite and b in finite:
@@ -200,17 +194,16 @@ def _blocked_orders(segments, n_pairs, p, orders, pair_rows):
     for q in finite:
         if q not in sums:
             sums[q] = np.empty(n_pairs)
-            spec, ops = single.get(q, ("ij->i", (prod,)))
-            passes.append((None if q in single else q, spec, ops, sums[q]))
+            passes.append((q if q in powered else None, *_pass(q, d, d2, prod), sums[q]))
     squares = any(q in (2.0, 3.0, 4.0) for q in finite)
     done = filled = 0
     with np.errstate(over="ignore", under="ignore"):
-        for x, Y in segments:
-            tile[:min(rows, Y.shape[0])] = x  # so that subtract runs one flat loop
+        for x, count in zip(A, counts.tolist()):
+            tile[:min(rows, count)] = x  # so that subtract runs one flat loop
             start = 0
-            while start < Y.shape[0]:
-                take = min(Y.shape[0] - start, rows - filled)
-                np.subtract(Y[start:start + take], tile[:take], out=d[filled:filled + take])
+            while start < count:
+                take = min(count - start, rows - filled)
+                np.subtract(B[start:start + take], tile[:take], out=d[filled:filled + take])
                 start += take
                 filled += take
                 if filled == rows or done + filled == n_pairs:
@@ -238,9 +231,12 @@ def _blocked_orders(segments, n_pairs, p, orders, pair_rows):
             rescue = (m > big) | ((m > 0.0) & (m < small)) | np.isinf(s)
             idx = np.flatnonzero(rescue & (m < np.inf))
             if idx.size:
-                x, Y = pair_rows(idx)
+                starts = np.cumsum(counts) - counts
+                j = np.searchsorted(starts, idx, "right") - 1
                 mr = m[idx]
-                s[idx] = mr * _root(_power_sum(np.abs(Y - x) / mr[:, None], q), q)
+                r = np.abs(B[idx - starts[j]] - A[j]) / mr[:, None]
+                spec, ops = _pass(q, r, r * r, np.power(r, q))
+                s[idx] = mr * _root(np.einsum(spec, *ops), q)
             results[q] = s
     return [results[q] if orders.index(q) == k else results[q].copy()
             for k, q in enumerate(orders)]
@@ -256,15 +252,8 @@ def pairwise_orders(X, orders):
     """
     orders = tuple(check_order(q) for q in orders)
     X = check_data_matrix(X, min_rows=2)
-    n, p = X.shape
-    segments = ((X[j], X[:j]) for j in range(1, n))
-
-    def pair_rows(idx):
-        j, i = _condensed_pairs(n, idx)
-        return X[j], X[i]
-
-    entries = _blocked_orders(segments, condensed_size(n), p, orders, pair_rows)
-    return tuple(CondensedDistanceMatrix(n, e) for e in entries)
+    entries = _blocked_orders(X, X, np.arange(X.shape[0]), orders)
+    return tuple(CondensedDistanceMatrix(X.shape[0], e) for e in entries)
 
 
 def cross_orders(X_left, X_right, orders):
@@ -281,10 +270,8 @@ def cross_orders(X_left, X_right, orders):
         raise ValueError(
             "variable count mismatch: %d vs %d" % (A.shape[1], B.shape[1])
         )
-    n_right, p = B.shape
-    flat = _blocked_orders(((a, B) for a in A), A.shape[0] * n_right, p, orders,
-                           lambda idx: (A[idx // n_right], B[idx % n_right]))
-    return tuple(f.reshape(-1, n_right) for f in flat)
+    flat = _blocked_orders(A, B, np.full(A.shape[0], B.shape[0]), orders)
+    return tuple(f.reshape(-1, B.shape[0]) for f in flat)
 
 
 def pairwise(X, q):

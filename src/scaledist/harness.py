@@ -26,8 +26,10 @@ training pairwise distances when a clustering method is requested, the
 test-to-training cross distances when knn3 is.  Each clustering learner
 expands the condensed distances to its own square; none is shared.
 
-The training labels are checked once per replicate, and every cell uses them
-as checked.  A standardisation's clustering cells (each clustering method at
+The training labels are checked once per replicate for the learners and
+scores of its cells, which use them as checked.  Each standardisation's fit
+is given them as well, and checks them again as :func:`fit_standardiser`
+checks any labels.  A standardisation's clustering cells (each clustering method at
 each order) share one contingency count: their partitions are stacked and
 scored against the true classes together, each ARI bit-identical to
 :func:`adjusted_rand_index` of that cell alone.
@@ -288,7 +290,8 @@ def _score_replicate(spec, seed, standardisations, orders, methods):
 
     The unit of parallel work: a worker returns these bare floats, and
     :func:`run_experiment` labels them as records.  The training labels are
-    checked once here, for every cell.
+    checked here once for every cell's learner and score; each fit checks
+    them again.
     """
     data = generate(spec, seed)
     y_train, k_classes = check_labels(data.y_train)

@@ -229,6 +229,24 @@ def test_order_too_large_for_a_float_is_one_error_line(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["distmat", "classify"])
+def test_a_bad_order_is_reported_before_the_fit(tmp_path, capsys, command):
+    # the order was parsed after the fit, whose zero-scale warning came first
+    data, out = tmp_path / "d.csv", tmp_path / "out"
+    data.write_text("1,0\n1,0\n")
+    (tmp_path / "y.labels").write_text("1\n2\n")
+    argv = {
+        "distmat": ["distmat", "--q", "abc", "--standardise", "mad", data, out],
+        "classify": ["classify", "--train", data, "--train-labels", tmp_path / "y.labels",
+                     "--test", data, "--q", "abc", "--standardise", "mad", "--k", 1,
+                     "--out", out],
+    }[command]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scaledist: error: could not parse aggregation order 'abc'"]
+    assert not out.exists()
+
+
 def test_distmat_cluster_classify_pipeline(tmp_path):
     rng = np.random.default_rng(9)
     X = np.vstack([rng.standard_normal((6, 3)), rng.standard_normal((6, 3)) + 4.0])

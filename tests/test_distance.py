@@ -386,14 +386,15 @@ def test_each_pair_gets_its_bits_alone_whatever_the_call(monkeypatch, p):
     X[5:] *= 1e-300  # and pairs whose power sums underflow
     T = rng.standard_normal((4, p))
     T[1] *= 1e-300
-    orders = ORDERS + (2.5,)
+    orders = ORDERS + (2.5, 1.5, 7.0)
     alone = {q: (np.array([pair_distance(X[j], X[i], q) for j in range(1, 7) for i in range(j)]),
                  np.array([[pair_distance(t, x, q) for x in X] for t in T]))
              for q in orders}
-    # single orders, fused pairs (1 with 2, 3 with 4), and pairs that are not
+    # single orders, fused pairs (1 with 2, 3 with 4), pairs that are not, and
+    # orders other than 1 to 4 taking turns with the d**q buffer
     requests = [(q,) for q in orders] + [orders, orders[::-1], (1.0, 2.0), (3.0, 4.0),
                                          (2.0, 4.0), (1.0, 3.0), (4.0, 3.0, 2.0, 1.0),
-                                         (2.5, 1.0, math.inf)]
+                                         (2.5, 1.0, math.inf), (1.5, 2.5), (2.5, 1.5, 7.0)]
     for block_diffs in (1, 3 * p, 5 * p + 1, 1 << 15):
         monkeypatch.setattr(distance, "_BLOCK_DIFFS", block_diffs)
         for A, B in [(X, T)] + [(_misaligned(X, b), _misaligned(T, b)) for b in _OFFSETS]:
@@ -513,23 +514,18 @@ def test_a_coordinate_difference_that_overflows_gives_inf():
         pairwise([[1e308, 0.0], [-1e308, 0.0]], 2.5)
 
 
-def test_condensed_positions_map_to_their_rows():
-    for n in range(2, 81):
-        j, i = distance._condensed_pairs(n, np.arange(n * (n - 1) // 2))
-        assert [condensed_index(a, b, n) for a, b in zip(i, j)] == list(range(n * (n - 1) // 2))
-        assert (i < j).all()
-
-
 def test_a_rescued_pair_gets_its_bits_alone_at_any_position(monkeypatch):
     # the one pair of a zero row and a row of size 1e-300 is rescued after
-    # the loop; with 5 rows per block it sits first and last in a block, in
-    # a segment split across blocks, and in the ragged last block
+    # the loop; with 5 rows per block it sits at every position: first and
+    # last in a block, in one row's run of pairs split across blocks, and in
+    # the ragged last block
     rng = np.random.default_rng(21)
     p, orders = 7, ORDERS + (2.5,)
     monkeypatch.setattr(distance, "_BLOCK_DIFFS", 5 * p)
     n = 13  # 78 pairs: blocks of 5, the last one of 3
-    for c in (0, 4, 5, 9, 15, 19, 20, 75, 77):  # rows 6 and 12 span two blocks
-        (j,), (i,) = distance._condensed_pairs(n, np.array([c]))
+    # pair (j, i) of condensed position c, in core's order
+    for c, (j, i) in enumerate(zip(*np.nonzero(np.tri(n, k=-1, dtype=bool)))):
+        assert c == condensed_index(i, j, n)
         X = rng.standard_normal((n, p))
         X[i], X[j] = 0.0, 1e-300 * rng.standard_normal(p)
         for q, D in zip(orders, pairwise_orders(X, orders)):
@@ -538,10 +534,23 @@ def test_a_rescued_pair_gets_its_bits_alone_at_any_position(monkeypatch):
             assert D.entries[c] == pytest.approx(fsum_minkowski(X[i] * 1e300, X[j] * 1e300, q)
                                                  * 1e-300, rel=1e-12, abs=0)
     n_left, n_right = 6, 4  # 24 pairs: blocks of 5, the last one of 4
-    for c in (0, 4, 5, 9, 10, 20, 23):  # rows 1, 2 and 4 span two blocks
+    for c in range(n_left * n_right):
         a, b = divmod(c, n_right)
         A, B = rng.standard_normal((n_left, p)), rng.standard_normal((n_right, p))
         A[a], B[b] = 0.0, 1e-300 * rng.standard_normal(p)
         for q, C in zip(orders, cross_orders(A, B, orders)):
             assert_array_equal(C, [[pair_distance(x, y, q) for y in B] for x in A])
-            assert C[a, b] > 0.0
+            assert C[a, b] == pytest.approx(fsum_minkowski(A[a] * 1e300, B[b] * 1e300, q)
+                                            * 1e-300, rel=1e-12, abs=0)
+
+
+def test_a_repeated_order_gets_its_own_array():
+    rng = np.random.default_rng(22)
+    X, T = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+    for q in (1.0, 2.5, math.inf):
+        D, E = pairwise_orders(X, (q, q))
+        C, F = cross_orders(T, X, (q, q))
+        assert_array_equal(D.entries, E.entries)
+        assert_array_equal(C, F)
+        assert not np.shares_memory(D.entries, E.entries)
+        assert not np.shares_memory(C, F)
