@@ -56,15 +56,29 @@ METHODS = ("none",) + LINEAR_METHODS + ("boxplot",)
 
 
 def _quantiles(A, probs):
-    # np.quantile of each column by linear interpolation.  numpy interpolates
-    # through b - a, which overflows between order statistics of opposite
-    # signs near the float limit; only the entries that come out non-finite
-    # are taken again from the halved data and doubled, which is exact.
+    # Type-7 quantiles (Hyndman & Fan 1996; numpy's method="linear") of each
+    # column from one sort, with numpy's index (n - 1)*p and interpolation, so
+    # every value is np.quantile's; zeros are made +0.0 first, so a zero
+    # quantile is +0.0 whatever the row order of tied zeros of both signs.
+    # b - a overflows between order statistics of opposite signs near the
+    # float limit; only the entries that come out non-finite are taken again
+    # from halved order statistics and doubled, which is exact.
+    def lerp(a, b):
+        d = b - a
+        return np.subtract(b, d * (1 - g), out=a + d * g, where=g >= 0.5)
+
+    S = np.sort(A, axis=0)
+    S += 0.0
+    v = (S.shape[0] - 1) * np.asarray(probs, dtype=np.float64)
+    i = np.floor(v)
+    g = (v - i).reshape(v.shape + (1,))
+    i = i.astype(np.intp)
+    a, b = S[i], S[np.minimum(i + 1, S.shape[0] - 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.quantile(A, probs, axis=0, method="linear")
-    bad = ~np.isfinite(out)
-    if bad.any():
-        out[bad] = 2 * np.quantile(A / 2, probs, axis=0, method="linear")[bad]
+        out = lerp(a, b)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = 2 * lerp(a / 2, b / 2)[bad]
     return out
 
 
@@ -129,20 +143,13 @@ _TAIL_TARGET = 1.5 - 2.0 ** -44
 _FLOAT_MAX = np.finfo(np.float64).max
 
 
-def _tail_gain(base, t):
-    """(1 - base**(-t)) / t with the t -> 0 limit log(base).
-
-    Computed as -expm1(-t*log(base))/t, which stays accurate for tiny t where
-    the direct form cancels catastrophically.  ``base`` and ``t`` may be
-    scalars or broadcastable arrays; base must be >= 1.
-    """
-    base = np.asarray(base, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
+def _tail_gain(log_base, t):
+    # (1 - base**(-t)) / t from log(base) >= 0, with the t -> 0 limit log(base),
+    # as -expm1(-t*log(base))/t, which stays accurate for tiny t where the direct
+    # form cancels catastrophically; callers ignore overflow, whose inf is the value
     zero = t == 0.0
     tsafe = np.where(zero, 1.0, t)
-    with np.errstate(over="ignore"):
-        out = -np.expm1(-tsafe * np.log(base)) / tsafe
-    return np.where(zero, np.log(base), out)
+    return np.where(zero, log_base, -np.expm1(-tsafe * log_base) / tsafe)
 
 
 def _solve_tail_exponents(M):
@@ -163,23 +170,24 @@ def _solve_tail_exponents(M):
     lo = np.where(above, 0.0, -1.0)
     hi = np.where(above, 1.0, 0.0)
     grow = g0 < _TAIL_TARGET
-    for _ in range(200):
-        grow &= ~(_tail_gain(M, lo) > _TAIL_TARGET)
-        if not grow.any():
-            break
-        lo = np.where(grow, 2.0 * lo, lo)
-    else:
-        raise ValueError("could not bracket the tail exponent for M=%r" % (float(M[grow][0]),))
     todo = g0 != _TAIL_TARGET
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        todo &= (mid != lo) & (mid != hi)
-        if not todo.any():
-            break
-        gm = _tail_gain(M, mid)
-        lo = np.where(todo & (gm > _TAIL_TARGET), mid, lo)
-        hi = np.where(todo & (gm <= _TAIL_TARGET), mid, hi)  # an exact hit stops at hi = mid
-        todo &= gm != _TAIL_TARGET
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            grow &= ~(_tail_gain(g0, lo) > _TAIL_TARGET)
+            if not grow.any():
+                break
+            lo = np.where(grow, 2.0 * lo, lo)
+        else:
+            raise ValueError("could not bracket the tail exponent for M=%r" % (float(M[grow][0]),))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            todo &= (mid != lo) & (mid != hi)
+            if not todo.any():
+                break
+            gm = _tail_gain(g0, mid)
+            lo = np.where(todo & (gm > _TAIL_TARGET), mid, lo)
+            hi = np.where(todo & (gm <= _TAIL_TARGET), mid, hi)  # an exact hit stops at hi = mid
+            todo &= gm != _TAIL_TARGET
     return hi
 
 
@@ -317,7 +325,7 @@ def _scale_about_median(X, median, lqr, uqr):
     # centred values or doubled half-ranges overflow is scaled again with
     # every input halved, which leaves the ratios unchanged.
     with np.errstate(invalid="ignore", over="ignore"):
-        xm = X - median[None, :]
+        xm = np.subtract(X, median[None, :], order="C")  # C order: the tail gather is flat
         xm += 0.0
         out = xm / np.where(xm < 0.0, 2.0 * lqr[None, :], 2.0 * uqr[None, :])
     wide = ~np.isfinite(xm).all(axis=0) | (np.maximum(lqr, uqr) > _FLOAT_MAX / 2)
@@ -339,8 +347,7 @@ def _fit_boxplot(X):
                                   np.where(uqr_raw > 0.0, uqr_raw, lqr_raw), degenerate)
     scaled = _scale_about_median(X, med, lqr, uqr)
     scaled[:, degenerate] = 0.0
-    smin = scaled.min(axis=0)
-    smax = scaled.max(axis=0)
+    smin, smax = scaled.min(axis=0), scaled.max(axis=0)
     # Row 0 holds the lower tails, row 1 the upper ones.  The whole grid is
     # solved, with extent 2.5 where no tail is fitted: numpy keeps freed
     # buffers under 1 KiB for reuse per size, so masks sized by the data's tail
@@ -348,30 +355,21 @@ def _fit_boxplot(X):
     fitted = np.stack([smin < -2.0, smax > 2.0])
     extents = np.where(fitted, np.stack([0.5 - smin, smax + 0.5]), 2.5)
     t = np.where(fitted, _solve_tail_exponents(extents), np.nan)
-    return BoxplotParams(
-        median=med,
-        lqr=lqr,
-        uqr=uqr,
-        t_lower=t[0],
-        t_upper=t[1],
-        degenerate=degenerate,
-        scaled_min=smin,
-        scaled_max=smax,
-    )
+    return BoxplotParams(median=med, lqr=lqr, uqr=uqr, t_lower=t[0], t_upper=t[1],
+                         degenerate=degenerate, scaled_min=smin, scaled_max=smax)
 
 
 def _apply_boxplot(X, params):  # X checked against params
-    scaled = _scale_about_median(
+    out = _scale_about_median(
         X, params.median, *_degenerate_widths(params.lqr, params.uqr, params.degenerate))
-    out = scaled.copy()
-    t_low = np.broadcast_to(params.t_lower[None, :], scaled.shape)
-    lower = (scaled < -0.5) & ~np.isnan(t_low)
-    if lower.any():
-        out[lower] = -0.5 - _tail_gain(0.5 - scaled[lower], t_low[lower])
-    t_up = np.broadcast_to(params.t_upper[None, :], scaled.shape)
-    upper = (scaled > 0.5) & ~np.isnan(t_up)
-    if upper.any():
-        out[upper] = 0.5 + _tail_gain(scaled[upper] + 0.5, t_up[upper])
+    # the flat indices of both sides' tail entries, found before either is
+    # written; each entry is compressed with its column's exponent
+    flat, p = out.reshape(-1), out.shape[1]
+    lower = np.flatnonzero((out < -0.5) & ~np.isnan(params.t_lower))
+    upper = np.flatnonzero((out > 0.5) & ~np.isnan(params.t_upper))
+    with np.errstate(over="ignore"):
+        flat[lower] = -0.5 - _tail_gain(np.log(0.5 - flat[lower]), params.t_lower[lower % p])
+        flat[upper] = 0.5 + _tail_gain(np.log(flat[upper] + 0.5), params.t_upper[upper % p])
     out[:, params.degenerate] = 0.0
     return out
 
@@ -492,8 +490,10 @@ def fit_standardiser(X, method, labels=None):
     class-size weighted mean (1/n) sum_l n_l stat_l of the per-class MAD or
     range; ``pooled_mad_shift`` by the median absolute deviation from the
     own-class median, over all rows; ``pooled_range_shift`` by the largest
-    per-class range.  ``boxplot`` fits the boxplot transform.  Labels,
-    whenever given, are checked against the rows of X for every method.
+    per-class range.  ``boxplot`` fits the boxplot transform.  Medians and
+    quartiles are type-7 (linear interpolation) quantiles of the sorted
+    column, and a zero one is +0.0.  Labels, whenever given, are checked
+    against the rows of X for every method.
 
     ``fit_standardiser(X, m, labels=y).transform(X)`` standardises X itself,
     and ``fit_standardiser(col[:, None], m, labels=y).scales[0]`` is the scale

@@ -1,6 +1,7 @@
 """Boxplot transformation: solver, fit/apply pair, capping and persistence."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -215,6 +216,37 @@ def test_a_negative_zero_at_a_zero_median_maps_to_positive_zero(tmp_path):
     # a negative difference whose ratio underflows keeps its sign: -0.0
     tiny = np.array([-1e300, -1e300, -5e-324, 0.0, 1.0, 2.0]).reshape(-1, 1)
     assert np.signbit(fit_standardiser(tiny, "boxplot").transform(tiny)[2, 0])
+
+
+def test_each_half_is_divided_by_its_own_doubled_half_range_bit_for_bit():
+    # LQR < UQR in column 1 and LQR > UQR in column 2; no tail is fitted
+    col = np.array([0.0, 1.0, 2.0, 3.0, 6.0, 9.0, 12.0])
+    X = np.column_stack([col, -col])
+    std = fit_standardiser(X, "boxplot")
+    params = std.boxplot
+    assert_array_equal(params.lqr, [1.5, 4.5])
+    assert_array_equal(params.uqr, [4.5, 1.5])
+    probe = np.random.default_rng(3).uniform(-14.0, 14.0, (200, 2))
+    probe[0] = params.median
+    xm = probe - params.median
+    want = np.where(xm < 0.0, xm / (2.0 * params.lqr), xm / (2.0 * params.uqr))
+    assert std.transform(probe).tobytes() == want.tobytes()
+
+
+def test_tied_zeros_of_both_signs_give_one_parameter_file_for_every_row_order():
+    # -0.0 and +0.0 tied at the median or a quartile: the zero quantile took
+    # the sign of whichever the row order put at the index, so row orders of
+    # one matrix gave two parameter files; a zero quantile is +0.0 now
+    X = np.array([[-0.0, -1.0, -0.0, -2.0],
+                  [-0.0, -0.0, 0.0, -1.0],
+                  [0.0, 0.0, 3.0, -0.0],
+                  [0.0, 2.0, 4.0, 0.0]])
+    texts = {json.dumps(fit_standardiser(X[list(order)], "boxplot").to_json_dict(), indent=1)
+             for order in itertools.permutations(range(4))}
+    assert len(texts) == 1
+    median = fit_standardiser(X, "boxplot").boxplot.median
+    assert_array_equal(median, [0.0, 0.0, 1.5, -0.5])
+    assert not np.signbit(median[:2]).any()
 
 
 def test_uncapped_lower_tail_is_bounded_for_positive_exponent():

@@ -29,6 +29,7 @@ from scaledist.standardise import (
     METHODS,
     BoxplotParams,
     Standardiser,
+    _quantiles,
     fit_standardiser,
 )
 
@@ -69,6 +70,30 @@ def test_boxplot_training_output_stays_in_the_band_and_keeps_order(X):
     for j in range(X.shape[1]):
         order = np.argsort(X[:, j], kind="stable")
         assert np.all(np.diff(out[order, j]) >= 0.0)
+
+
+# Few distinct values, so columns tie, zeros of both signs among them, and
+# values near the float limit, whose interpolation overflows
+_QUANTILE_VALUES = _GRID | st.sampled_from([-0.0, 0.0, 5e-324, -1.7e308, -1e308, 1e308, 1.7e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=arrays(np.float64, st.tuples(st.integers(1, 60), st.integers(1, 4)),
+                elements=_QUANTILE_VALUES),
+       probs=st.sampled_from([0.5, (0.25, 0.5, 0.75)]))
+@example(A=np.array([[-1.7e308], [1.7e308]]), probs=0.5)
+@example(A=np.array([[0.0], [-0.0], [-0.0], [0.0]]), probs=(0.25, 0.5, 0.75))
+def test_column_quantiles_are_numpys_linear_quantiles(A, probs):
+    got = _quantiles(A, probs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.quantile(A, probs, axis=0, method="linear")
+    # numpy on the halved data, doubled, where b - a overflowed
+    huge = ~np.isfinite(want)
+    want[huge] = 2 * np.quantile(A / 2, probs, axis=0, method="linear")[huge]
+    assert np.array_equal(got, want)
+    # a zero quantile is +0.0, where numpy's takes the sign of the zero the
+    # row order puts at the index
+    assert np.array_equal(np.signbit(got), np.signbit(want + 0.0))
 
 
 def _partitions(n):

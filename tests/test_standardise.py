@@ -14,6 +14,8 @@ from scaledist.standardise import (
     LINEAR_METHODS,
     METHODS,
     POOLED_METHODS,
+    _BOXPLOT_KINDS,
+    BoxplotParams,
     Standardiser,
     _quantiles,
     fit_standardiser,
@@ -191,10 +193,9 @@ def test_fitted_scales_are_training_only():
     assert fitted.to_json_dict() == before
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
-    # every kind of column the fit treats differently, side by side: the
-    # column-wise code must give each the parameters it gets on its own
+def _column_kinds():
+    # every kind of column the boxplot fit treats differently, side by side,
+    # and labels of three classes
     base = np.arange(10.0)
     X = np.column_stack([
         base,                                # no tail
@@ -205,7 +206,14 @@ def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
         np.full(10, 5.0),                    # degenerate
         np.r_[-4.0, -3.0, -2.0, -1.0, np.zeros(6)],  # zero MAD, lower half only
     ])
-    y = np.tile([1, 2, 3], 4)[:10]
+    return X, np.tile([1, 2, 3], 4)[:10]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
+    # the column-wise code must give each column the parameters it gets on
+    # its own
+    X, y = _column_kinds()
     boxplot = fit_standardiser(X, "boxplot").boxplot
     assert_array_equal(np.isnan(boxplot.t_lower), [1, 0, 1, 0, 0, 1, 1])
     assert_array_equal(np.isnan(boxplot.t_upper), [1, 1, 0, 1, 0, 1, 1])
@@ -223,6 +231,29 @@ def test_fitting_a_matrix_equals_fitting_each_column_alone(method):
     alone = [entry for j in range(X.shape[1]) for entry in fitted(X[:, [j]])]
     # json text compares floats bit for bit, including the sign of zero
     assert json.dumps(fitted(X)) == json.dumps(alone)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_transforming_a_matrix_equals_transforming_each_column_alone(method):
+    # tail entries are found by flat index and take the exponent of their
+    # column: every column must come out as it does alone with its own
+    # parameters, zero signs included, and a Fortran-ordered matrix as a
+    # C-ordered one
+    X, y = _column_kinds()
+    probe = np.vstack([X, 3.0 * X - 1.0, -2.0 * X, np.full((1, X.shape[1]), -0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # zero-scale columns
+        fitted = fit_standardiser(X, method, labels=y)
+    for cap in (False, True):
+        whole = fitted.transform(probe, cap=cap)
+        assert fitted.transform(np.asfortranarray(probe), cap=cap).tobytes() == whole.tobytes()
+        for j in range(X.shape[1]):
+            if method == "boxplot":
+                alone = Standardiser(method, BoxplotParams(
+                    **{f: getattr(fitted.boxplot, f)[[j]] for f in _BOXPLOT_KINDS}))
+            else:
+                alone = Standardiser(method, fitted.scales[[j]])
+            assert whole[:, [j]].tobytes() == alone.transform(probe[:, [j]], cap=cap).tobytes()
 
 
 @pytest.mark.parametrize("method", LINEAR_METHODS)
