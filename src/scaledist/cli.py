@@ -15,7 +15,7 @@ import warnings
 
 from . import core, harness, simgen
 from .distance import cross, pairwise, parse_order
-from .learn import cut_tree, knn_classify, linkage, pam
+from .learn import _check_k, cut_tree, knn_classify, linkage, pam
 from .standardise import METHODS, Standardiser, fit_standardiser
 
 
@@ -152,6 +152,7 @@ def _cmd_cluster(args):
     if args.method == "pam":
         labels = pam(D, args.k).labels
     else:
+        _check_k(args.k, D.n, "n")  # before the linkage, not at the cut
         labels = cut_tree(linkage(D, args.method), args.k)
     _write_labels(labels, args.out)
 
@@ -161,6 +162,9 @@ def _cmd_classify(args):
     x_train = core.read_matrix_csv(args.train)
     y_train = core.read_labels(args.train_labels)
     x_test = core.read_matrix_csv(args.test)
+    # the labels as the fit checks them, then k: both before the fit and the distances
+    core.check_labels(y_train, n_expected=x_train.shape[0])
+    _check_k(args.k, x_train.shape[0], "n_train")
     std = fit_standardiser(x_train, args.method, labels=y_train)
     predictions = knn_classify(
         cross(std.transform(x_test, cap=True), std.transform(x_train), q),

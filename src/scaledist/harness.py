@@ -23,16 +23,22 @@ timed: a record holds only reproducible scores.
 
 Distances are built once per standardisation, for all orders together: the
 training pairwise distances when a clustering method is requested, the
-test-to-training cross distances when knn3 is.  Each clustering learner
-expands the condensed distances to its own square; none is shared.
+test-to-training cross distances when knn3 is.  PAM and, from 64 training
+rows on, each linkage cell expand the condensed distances to their own
+square, and a standardisation's distances are freed before the next fit.
+Below 64 training rows, a replicate's linkage cells of one method, over all
+its standardisations and orders, run together in learn's stacked loop (at
+most 1 MiB of matrices per stack), so their distances are kept until the
+last standardisation is done.
 
 The training labels are checked once per replicate for the learners and
 scores of its cells, which use them as checked.  Each standardisation's fit
 is given them as well, and checks them again as :func:`fit_standardiser`
 checks any labels.  A standardisation's clustering cells (each clustering method at
-each order) share one contingency count: their partitions are stacked and
-scored against the true classes together, each ARI bit-identical to
-:func:`adjusted_rand_index` of that cell alone.
+each order) share one contingency count, and below 64 training rows all of a
+replicate's do: their partitions are stacked and scored against the true
+classes together, each ARI bit-identical to :func:`adjusted_rand_index` of
+that cell alone.
 """
 
 from __future__ import annotations
@@ -51,7 +57,9 @@ from .core import (
 )
 from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
 from .evaluate import _ari_rows, misclassification_rate
-from .learn import LINKAGE_METHODS, _knn_classify, cut_tree, linkage, pam
+from .learn import (
+    _LINKAGE_SMALL, LINKAGE_METHODS, _knn_classify, _linkages, cut_tree, linkage, pam,
+)
 from .simgen import SetupSpec, _catalog_setup, generate
 from .standardise import METHODS, POOLED_METHODS, fit_standardiser
 
@@ -274,9 +282,12 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
 
     Pure function of its arguments; returns the records in grid order
     (standardisation, then q, then method).  Distances are built per
-    standardisation for all orders at once; each clustering learner expands
-    its own square, and none is shared.  Records leave ``seconds`` NaN.  The
-    grid is checked before any data is drawn.
+    standardisation for all orders at once.  Below 64 training rows the
+    linkage cells of every standardisation and order run per method in
+    stacks of at most 1 MiB of matrices, with results equal to
+    :func:`linkage` of each cell alone; otherwise each clustering learner
+    expands its own square.  Records leave ``seconds`` NaN.  The grid is
+    checked before any data is drawn.
     ``oracle_pooling`` is accepted but unused; :class:`ExperimentConfig`
     makes the check it stands for.
     """
@@ -292,20 +303,44 @@ def _score_replicate(spec, seed, standardisations, orders, methods):
     :func:`run_experiment` labels them as records.  The training labels are
     checked here once for every cell's learner and score; each fit checks
     them again.
+
+    Below _LINKAGE_SMALL (64) training rows, the linkage cells of every
+    standardisation and order wait, with their distances, until the last
+    standardisation is done.  Each linkage method's problems then run
+    through :func:`learn._linkages`, in stacks of at most 1 MiB of matrices
+    (fewer than 4 problems one by one), and every clustering cell of the
+    replicate is scored in one contingency count.  From 64 rows on, each
+    standardisation runs and scores its own cells.
     """
     data = generate(spec, seed)
     y_train, k_classes = check_labels(data.y_train)
-    return [score for std_method in standardisations
-            for score in _score_standardisation(data, y_train, k_classes, std_method,
-                                                orders, methods)]
+    deferred = [] if data.x_train.shape[0] < _LINKAGE_SMALL else None
+    scores = [score for std_method in standardisations
+              for score in _score_standardisation(data, y_train, k_classes, std_method,
+                                                  orders, methods, deferred)]
+    if deferred:
+        for method in LINKAGE_METHODS:
+            at = [i for i, cell in enumerate(deferred) if type(cell) is tuple and cell[0] == method]
+            for i, tree in zip(at, _linkages([deferred[i][1] for i in at], method)):
+                deferred[i] = cut_tree(tree, k_classes)
+        scores = _with_aris(scores, deferred, y_train, k_classes)
+    return scores
 
 
-def _score_standardisation(data, y_train, k_classes, std_method, orders, methods):
-    """The scores of one standardisation's cells, in grid order; its
-    matrices and distances are freed on return, before the next fit.
+def _score_standardisation(data, y_train, k_classes, std_method, orders, methods, deferred):
+    """The scores of one standardisation's cells, in grid order.
 
-    Every clustering cell's partition is scored against ``y_train`` in one
-    stacked contingency count, after all of them are built."""
+    With ``deferred`` None (64 training rows or more), every clustering
+    cell's partition is scored against ``y_train`` in one stacked
+    contingency count, after all of them are built, and the
+    standardisation's matrices and distances are freed on return, before the
+    next fit.  Below 64 rows ``deferred`` is a list that takes each
+    clustering cell in grid order, a PAM cell as its partition and a linkage
+    cell as its (method, distances) for the replicate's linkage stacks, and
+    each such cell's score is left None: the condensed distances a linkage
+    cell needs outlive the call (at most about 0.5 MB for 30 cells of 63
+    rows), while the stacks' matrices are built only when they run.
+    """
     std = fit_standardiser(data.x_train, std_method, labels=data.y_train)
     x_train = std.transform(data.x_train)
     x_test = std.transform(data.x_test, cap=True)
@@ -313,7 +348,7 @@ def _score_standardisation(data, y_train, k_classes, std_method, orders, methods
         train_ds = pairwise_orders(x_train, orders)
     if "knn3" in methods:
         test_ds = cross_orders(x_test, x_train, orders)
-    scores, partitions = [], []
+    scores, partitions = [], ([] if deferred is None else deferred)
     for i in range(len(orders)):
         for method in methods:
             if method == "knn3":
@@ -322,13 +357,20 @@ def _score_standardisation(data, y_train, k_classes, std_method, orders, methods
                 continue
             if method == "pam":
                 partitions.append(pam(train_ds[i], k_classes).labels)
+            elif deferred is not None:
+                partitions.append((method, train_ds[i]))
             else:
                 partitions.append(cut_tree(linkage(train_ds[i], method), k_classes))
-            scores.append(None)  # its ARI, filled in below
-    if partitions:
-        aris = iter(_ari_rows(np.array(partitions), y_train, k_classes))
-        scores = [next(aris) if score is None else score for score in scores]
+            scores.append(None)  # its ARI, filled in below or by the caller
+    if partitions and deferred is None:
+        scores = _with_aris(scores, partitions, y_train, k_classes)
     return scores
+
+
+def _with_aris(scores, partitions, y_train, k_classes):
+    # each None in ``scores`` takes, in order, the ARI of the next partition
+    aris = iter(_ari_rows(np.array(partitions), y_train, k_classes))
+    return [next(aris) if score is None else score for score in scores]
 
 
 def _resolve_jobs(jobs):

@@ -4,6 +4,13 @@ Everything here consumes precomputed distances, so the learners are agnostic
 to how the distances were built.  All tie-breaks are deterministic and index
 based: equal candidates go to the lowest object index (or lowest node-id pair
 for linkage merges), so results are reproducible down to the bit.
+
+:func:`linkage` solves one problem at a time.  Below _LINKAGE_SMALL (64)
+objects a merge there costs mostly numpy call overhead, so the harness hands
+all of a replicate's problems of one method and size to :func:`_linkages`,
+which runs them as stacks in one Lance-Williams loop (at most _STACK_BYTES,
+1 MiB, of matrices per stack) with the same update arithmetic and tie rule:
+its Dendrograms equal linkage's bit for bit.
 """
 
 from __future__ import annotations
@@ -256,13 +263,8 @@ def linkage(D, method):
             merges.append((ids[a], ids[b]))
             heights.append(height)
             sa, sb = sizes[a], sizes[b]
-            if method == "complete":
-                row = np.maximum(W[a], W[b], out=W[slot])
-            else:  # (sa * W[a] + sb * W[b]) / (sa + sb), built in the new slot
-                row = np.multiply(W[a], sa, out=W[slot])
-                row += np.multiply(W[b], sb, out=W[b])  # row b is retired below
-                row /= sa + sb
-            W[:, slot] = row
+            # row b is retired below, so the update may overwrite it
+            W[:, slot] = _lance_williams(method, W[a], W[b], sa, sb, out=W[slot])
             W[a] = W[b] = np.inf
             W[:, a] = np.inf
             W[:, b] = np.inf
@@ -270,6 +272,99 @@ def linkage(D, method):
             ids.append(node)
             sizes.append(sa + sb)
     return Dendrogram(n_leaves=n, merges=merges, heights=heights)
+
+
+def _lance_williams(method, row_a, row_b, size_a, size_b, out):
+    """Write the Lance-Williams row of the node joining a and b into ``out``.
+
+    ``row_a`` and ``row_b`` hold the distances of nodes a and b, of sizes
+    ``size_a`` and ``size_b`` (rows of one problem, or (L, slots) rows of L
+    problems with (L, 1) sizes).  ``row_b`` may be overwritten.  Returns
+    ``out``.
+    """
+    if method == "complete":
+        return np.maximum(row_a, row_b, out=out)
+    # (sa * W[a] + sb * W[b]) / (sa + sb)
+    np.multiply(row_a, size_a, out=out)
+    out += np.multiply(row_b, size_b, out=row_b)
+    out /= size_a + size_b
+    return out
+
+
+# A stack of linkage problems of one size below _LINKAGE_SMALL runs in one
+# loop, one argmin per step for all of them: at that size a merge costs mostly
+# numpy call overhead, which the stack pays once.  A stack holds at most
+# _STACK_BYTES of matrices; below _STACK_MIN problems the loop of
+# :func:`linkage`, one problem at a time, is faster.
+_STACK_BYTES = 1 << 20
+_STACK_MIN = 4
+
+
+def _linkages(distances, method):
+    """:func:`linkage` of each CondensedDistanceMatrix in ``distances``, all
+    of one size n; Dendrograms in input order, equal to linkage's bit for bit.
+
+    Below _LINKAGE_SMALL objects, _STACK_MIN problems or more run through
+    :func:`_stacked_linkage`, in as few stacks of at most _STACK_BYTES as
+    hold them, of near-equal counts (8 or more problems fit in one, so each
+    stack gets at least _STACK_MIN).
+    """
+    count = len(distances)
+    if count < _STACK_MIN or distances[0].n >= _LINKAGE_SMALL:
+        return [linkage(D, method) for D in distances]
+    slots = 2 * distances[0].n - 1
+    stacks = -(-count // (_STACK_BYTES // (8 * slots * slots)))  # ceiling division
+    edges = [count * s // stacks for s in range(stacks + 1)]
+    return [tree for lo, hi in zip(edges, edges[1:])
+            for tree in _stacked_linkage(distances[lo:hi], method)]
+
+
+def _stacked_linkage(distances, method):
+    """:func:`linkage` of L problems of one size n < _LINKAGE_SMALL, in one loop.
+
+    Problem l has in ``W[l]`` the (2n - 1)-slot matrix that linkage uses below
+    _LINKAGE_SMALL: node s in slot s, never compacted.  Each step, one argmin
+    over the rows of the flattened stack finds every problem's first
+    row-major minimum (linkage's tie rule), the merged pairs' rows are
+    gathered, each new node's row and column are written into the step's
+    slot, and the pairs' rows and columns are retired.  The update is
+    :func:`_lance_williams`, so every merge and height equals linkage's.  An
+    average update that overflows raises linkage's ValueError.
+    """
+    n = distances[0].n
+    count, slots = len(distances), 2 * n - 1
+    W = np.full((count, slots, slots), np.inf)
+    entries = np.array([D.entries for D in distances])
+    rows, cols = np.nonzero(np.tri(n, k=-1, dtype=bool))  # condensed order
+    W[:, rows, cols] = entries
+    W[:, cols, rows] = entries
+    flat = W.reshape(count, slots * slots)
+    problems = np.arange(count)
+    every = problems[:, None]
+    sizes = np.ones((count, slots, 1))
+    firsts = np.empty((n - 1, count), dtype=np.int64)
+    heights = np.empty((n - 1, count))
+    pair = np.empty((count, 2), dtype=np.int64)
+    a, b = pair.T  # views: each step's merged slots, a < b
+    # an overflowing average update leaves inf, which the check below reports
+    with np.errstate(over="ignore"):
+        for step, slot in enumerate(range(n, slots)):
+            first = np.argmin(flat, axis=1, out=firsts[step])
+            heights[step] = flat[problems, first]
+            np.divmod(first, slots, out=(a, b))
+            sa, sb = sizes[problems, a], sizes[problems, b]
+            row = W[problems, a]
+            _lance_williams(method, row, W[problems, b], sa, sb, out=row)
+            W[:, slot] = row
+            W[:, :, slot] = row
+            W[every, pair] = np.inf
+            W[every, :, pair] = np.inf
+            np.add(sa, sb, out=sizes[:, slot])
+    if np.isinf(heights).any():  # finite inputs: only an average can overflow
+        raise ValueError("average linkage overflowed: distances too large")
+    merges = np.stack(np.divmod(firsts, slots), axis=2)  # (n - 1, count, 2)
+    return [Dendrogram(n_leaves=n, merges=merges[:, l], heights=heights[:, l])
+            for l in range(count)]
 
 
 def cut_tree(dendrogram, k):
@@ -283,10 +378,8 @@ def cut_tree(dendrogram, k):
     """
     if not isinstance(dendrogram, Dendrogram):
         raise TypeError("expected a Dendrogram")
-    k = _check_integer(k, "k")
     n = dendrogram.n_leaves
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n=%d, got %d" % (n, k))
+    k = _check_k(k, n, "n")
     top = list(range(2 * n - 1))  # top[i]: the topmost node above node i after the cut
     merges = dendrogram.merges.tolist()
     for node in range(2 * n - k - 1, n - 1, -1):  # last applied merge first
@@ -294,6 +387,16 @@ def cut_tree(dendrogram, k):
         top[a] = top[b] = top[node]
     numbers = {}  # cluster number of each top node, by first appearance
     return np.array([numbers.setdefault(t, len(numbers) + 1) for t in top[:n]], dtype=np.int64)
+
+
+def _check_k(k, n, name):
+    """``k`` as an integer, checked to satisfy 1 <= k <= n: the cluster
+    counts a tree of n leaves can be cut at (``name`` "n"), or the neighbour
+    counts of n training objects (``name`` "n_train")."""
+    k = _check_integer(k, "k")
+    if not 1 <= k <= n:
+        raise ValueError("k must satisfy 1 <= k <= %s=%d, got %d" % (name, n, k))
+    return k
 
 
 def knn_classify(cross_distances, train_labels, k):
@@ -332,8 +435,7 @@ def _knn_classify(Dx, y, n_classes, k):
     distances and the range of ``k`` are checked here."""
     if not np.all(np.isfinite(Dx)) or np.any(Dx < 0):
         raise ValueError("distances must be finite and non-negative")
-    if not 1 <= k <= Dx.shape[1]:
-        raise ValueError("k must satisfy 1 <= k <= n_train=%d, got %d" % (Dx.shape[1], k))
+    _check_k(k, Dx.shape[1], "n_train")
     n_test = Dx.shape[0]
     kth = np.partition(Dx, k - 1, axis=1)[:, k - 1]
     rows, cols = np.nonzero(Dx <= kth[:, None])  # row-major: indices ascend per row

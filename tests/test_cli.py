@@ -284,6 +284,38 @@ def test_average_linkage_overflow_is_one_error_line(tmp_path, capsys):
         "scaledist: error: average linkage overflowed: distances too large"]
 
 
+def _refuse_call(*args, **kwargs):
+    raise AssertionError("called before k was checked")
+
+
+@pytest.mark.parametrize("method", ["complete", "average"])
+@pytest.mark.parametrize("k", [0, 5])
+def test_cluster_refuses_k_before_the_linkage(tmp_path, capsys, monkeypatch, method, k):
+    # the linkage ran in full before the cut refused k
+    dm = tmp_path / "d.dm"
+    dm.write_text('{"n": 4}\n' + "".join("%d\n" % d for d in range(1, 7)))
+    monkeypatch.setattr("scaledist.cli.linkage", _refuse_call)
+    assert run("cluster", "--method", method, "--k", k, dm) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scaledist: error: k must satisfy 1 <= k <= n=4, got %d" % k]
+
+
+@pytest.mark.parametrize("k", [0, 17])
+def test_classify_refuses_k_before_the_fit_and_the_distances(tmp_path, capsys, monkeypatch, k):
+    # every cross distance was built before k was refused
+    rng = np.random.default_rng(11)
+    write_matrix_csv(tmp_path / "train.csv", rng.standard_normal((16, 3)))
+    write_matrix_csv(tmp_path / "test.csv", rng.standard_normal((4, 3)))
+    (tmp_path / "train.labels").write_text("1\n2\n" * 8)
+    monkeypatch.setattr("scaledist.cli.cross", _refuse_call)
+    monkeypatch.setattr("scaledist.cli.fit_standardiser", _refuse_call)
+    assert run("classify", "--train", tmp_path / "train.csv",
+               "--train-labels", tmp_path / "train.labels", "--test", tmp_path / "test.csv",
+               "--q", 1, "--standardise", "boxplot", "--k", k) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scaledist: error: k must satisfy 1 <= k <= n_train=16, got %d" % k]
+
+
 def test_warnings_print_as_one_line_each(tmp_path, capsys):
     data = tmp_path / "c.csv"
     write_matrix_csv(data, np.array([[1.0, 2.0, 5.0], [3.0, 4.0, 5.0], [5.0, 1.0, 5.0]]))

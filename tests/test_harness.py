@@ -270,7 +270,7 @@ def test_records_csv_writes_only_what_reads_back(tmp_path, change, message):
 
 def test_results_are_independent_of_job_count(tmp_path):
     cfg = small_config(replicates=4, standardisations=("none", "boxplot"),
-                       orders=(1.0, math.inf), methods=("pam", "knn3"))
+                       orders=(1.0, math.inf), methods=EXPERIMENT_METHODS)
     out = []
     for jobs in (1, 2, 4):
         path = tmp_path / ("r%d.csv" % jobs)
@@ -432,3 +432,23 @@ def test_replicate_records_do_not_depend_on_other_orders():
     assert len(alone) == 2 * len(EXPERIMENT_METHODS)
     assert scores((1.0, 2.0, math.inf)) == alone
     assert scores((math.inf, 1.0)) == alone
+
+
+@pytest.mark.parametrize("n_per_class", [8, 31])
+def test_replicate_records_do_not_depend_on_other_standardisations(n_per_class):
+    # below 64 training rows the linkage cells of every standardisation run
+    # in shared stacks (at 62 rows, in several); each standardisation's
+    # records must come out as if it had been requested alone
+    from scaledist.standardise import METHODS
+
+    spec = setup_catalog()["ntn_05"].with_size(p=30, n_per_class=n_per_class)
+    args = (spec, "ntn_05", 0, 321)
+
+    def scores(standardisations):
+        records = run_replicate(*args, standardisations, (1.0, math.inf), EXPERIMENT_METHODS)
+        return [r for r in records if r.standardisation == "boxplot"]
+
+    alone = scores(("boxplot",))
+    assert len(alone) == 2 * len(EXPERIMENT_METHODS)
+    assert scores(("none", "boxplot", "mad")) == alone
+    assert scores(METHODS) == alone

@@ -15,6 +15,7 @@ from oracles import (
     pam_brute_force,
     pam_from_three_starts,
 )
+from scaledist import learn
 from scaledist.core import CondensedDistanceMatrix
 from scaledist.distance import pairwise
 from scaledist.learn import (
@@ -216,6 +217,63 @@ def test_linkage_matches_fixed_matrix_reference_bit_for_bit(method, n):
         merges, heights = fixed_matrix_linkage(D.to_square(), method)
         assert_array_equal(dend.merges, merges)
         assert_array_equal(dend.heights, heights)
+
+
+def _stackable_cases(n, count, rng):
+    # uniform data, 3-level integer grids, and two 3-level coordinates under
+    # q = inf, where nearly every merge is a tie; in turn
+    kinds = [lambda: pairwise(rng.uniform(0, 1, size=(n, 4)), 2),
+             lambda: pairwise(rng.integers(0, 3, size=(n, 4)), 1),
+             lambda: pairwise(rng.integers(0, 3, size=(n, 2)), np.inf)]
+    return [kinds[i % 3]() for i in range(count)]
+
+
+@pytest.mark.parametrize("method", ["complete", "average"])
+@pytest.mark.parametrize("n, count, stacks", [(2, 6, 1), (3, 6, 1), (40, 9, 1), (63, 9, 2)])
+def test_stacked_linkage_matches_fixed_matrix_reference_bit_for_bit(method, n, count, stacks,
+                                                                     monkeypatch):
+    # nine problems at n = 63 take more than one stack's memory
+    cases = _stackable_cases(n, count, np.random.default_rng(n))
+    sizes = []
+
+    def recorded(distances, method):
+        sizes.append(len(distances))
+        return stacked(distances, method)
+
+    stacked = learn._stacked_linkage
+    monkeypatch.setattr(learn, "_stacked_linkage", recorded)
+    trees = learn._linkages(cases, method)
+    assert len(sizes) == stacks and sum(sizes) == count
+    assert min(sizes) >= learn._STACK_MIN
+    for D, tree in zip(cases, trees):
+        merges, heights = fixed_matrix_linkage(D.to_square(), method)
+        assert tree.n_leaves == n
+        assert_array_equal(tree.merges, merges)
+        assert_array_equal(tree.heights, heights)
+
+
+@pytest.mark.parametrize("n, count", [(40, 3), (64, 6)])
+def test_few_or_large_linkage_problems_run_one_by_one(n, count, monkeypatch):
+    # below 4 problems the loop of linkage is faster; from 64 objects on, the scan dominates
+    cases = _stackable_cases(n, count, np.random.default_rng(n))
+    monkeypatch.setattr(learn, "_stacked_linkage", None)  # any call fails
+    for D, tree in zip(cases, learn._linkages(cases, "average")):
+        want = linkage(D, "average")
+        assert_array_equal(tree.merges, want.merges)
+        assert_array_equal(tree.heights, want.heights)
+
+
+def test_an_average_overflow_inside_a_stack_is_linkages_error():
+    big = CondensedDistanceMatrix(4, [1e308, 1.5e308, 1e308, 1.2e308, 1e308, 1.7e308])
+    cases = _stackable_cases(4, 5, np.random.default_rng(4))
+    cases.insert(2, big)
+    trees = learn._linkages(cases, "complete")
+    assert_array_equal(trees[2].heights, [1e308, 1.2e308, 1.7e308])
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as stacked:
+        learn._linkages(cases, "average")
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as alone:
+        linkage(big, "average")
+    assert str(stacked.value) == str(alone.value) == "average linkage overflowed: distances too large"
 
 
 def test_linkage_average_overflow_is_an_error():
