@@ -7,10 +7,12 @@ for linkage merges), so results are reproducible down to the bit.
 
 :func:`linkage` solves one problem at a time.  Below _LINKAGE_SMALL (64)
 objects a merge there costs mostly numpy call overhead, so the harness hands
-all of a replicate's problems of one method and size to :func:`_linkages`,
-which runs them as stacks in one Lance-Williams loop (at most _STACK_BYTES,
-1 MiB, of matrices per stack) with the same update arithmetic and tie rule:
-its Dendrograms equal linkage's bit for bit.
+each linkage method's problems from its queue of clustering cells (below 64
+training rows, a whole replicate's) to :func:`_linkages`.  That runs them one
+by one through :func:`linkage` from 64 objects on or when fewer than
+_STACK_MIN (4) are given, and otherwise as stacks in one Lance-Williams loop
+(at most _STACK_BYTES, 1 MiB, of matrices per stack) with the same update
+arithmetic and tie rule: its Dendrograms equal linkage's bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CondensedDistanceMatrix, _check_dtype, _check_integer, check_labels
+from .core import (
+    CondensedDistanceMatrix, _check_dtype, _check_integer, _strict_lower, check_labels,
+)
 
 __all__ = [
     "Clustering",
@@ -335,7 +339,7 @@ def _stacked_linkage(distances, method):
     count, slots = len(distances), 2 * n - 1
     W = np.full((count, slots, slots), np.inf)
     entries = np.array([D.entries for D in distances])
-    rows, cols = np.nonzero(np.tri(n, k=-1, dtype=bool))  # condensed order
+    rows, cols = np.nonzero(_strict_lower(n))  # condensed order
     W[:, rows, cols] = entries
     W[:, cols, rows] = entries
     flat = W.reshape(count, slots * slots)

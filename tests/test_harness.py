@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -332,15 +333,18 @@ def test_standardisation_parameters_come_from_training_data_only():
         assert json.dumps(fitted.to_json_dict()) == frozen
 
 
-def test_replicate_equals_manual_composition():
+@pytest.mark.parametrize("n_per_class", [10, 32])
+def test_replicate_equals_manual_composition(n_per_class):
     # every cell of a full grid recomputed by hand from the public functions:
     # all ten standardisations (pooled ones fitted with the labels, as oracle
-    # pooling does), four orders and all four methods
+    # pooling does), four orders and all four methods, with the clustering
+    # queue run once per replicate (20 training rows) and once per
+    # standardisation (64 rows)
     from scaledist.distance import cross, pairwise
     from scaledist.learn import cut_tree, knn_classify, linkage, pam
     from scaledist.standardise import METHODS, POOLED_METHODS, fit_standardiser
 
-    spec = setup_catalog()["simple_normal"].with_size(p=25, n_per_class=10)
+    spec = setup_catalog()["simple_normal"].with_size(p=25, n_per_class=n_per_class)
     seed = int(replicate_seeds(99, 3)[1])
     orders = (1.0, 2.0, 2.5, math.inf)
     records = run_replicate(spec, "simple_normal", 1, seed, METHODS, orders, EXPERIMENT_METHODS)
@@ -434,11 +438,12 @@ def test_replicate_records_do_not_depend_on_other_orders():
     assert scores((math.inf, 1.0)) == alone
 
 
-@pytest.mark.parametrize("n_per_class", [8, 31])
+@pytest.mark.parametrize("n_per_class", [8, 31, 32])
 def test_replicate_records_do_not_depend_on_other_standardisations(n_per_class):
     # below 64 training rows the linkage cells of every standardisation run
-    # in shared stacks (at 62 rows, in several); each standardisation's
-    # records must come out as if it had been requested alone
+    # in shared stacks (at 62 rows, in several), from 64 rows on each
+    # standardisation's cells run on their own; either way each
+    # standardisation's records must come out as if it had been requested alone
     from scaledist.standardise import METHODS
 
     spec = setup_catalog()["ntn_05"].with_size(p=30, n_per_class=n_per_class)
@@ -452,3 +457,27 @@ def test_replicate_records_do_not_depend_on_other_standardisations(n_per_class):
     assert len(alone) == 2 * len(EXPERIMENT_METHODS)
     assert scores(("none", "boxplot", "mad")) == alone
     assert scores(METHODS) == alone
+
+
+@pytest.mark.parametrize("n_per_class, alive", [(32, [0, 0, 0]), (31, [0, 2, 4])])
+def test_clustering_distances_live_until_their_queue_runs(monkeypatch, n_per_class, alive):
+    # from 64 training rows on a standardisation's distances are freed before
+    # the next fit; below 64 they wait for the replicate's linkage stacks
+    built, counts = [], []
+    pairwise_orders, fit_standardiser = harness.pairwise_orders, harness.fit_standardiser
+
+    def recorded_pairwise_orders(*args):
+        distances = pairwise_orders(*args)
+        built.extend(weakref.ref(D) for D in distances)
+        return distances
+
+    def counted_fit(*args, **kwargs):
+        counts.append(sum(ref() is not None for ref in built))
+        return fit_standardiser(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "pairwise_orders", recorded_pairwise_orders)
+    monkeypatch.setattr(harness, "fit_standardiser", counted_fit)
+    spec = setup_catalog()["ntn_05"].with_size(p=20, n_per_class=n_per_class)
+    run_replicate(spec, "ntn_05", 0, 5, ("none", "mad", "boxplot"), (1.0, math.inf),
+                  EXPERIMENT_METHODS)
+    assert len(built) == 6 and counts == alive
