@@ -9,15 +9,19 @@ count per row of A, and computes row j of A against the first ``counts[j]``
 rows of B, for each j in turn: for pairwise distances A = B = X and
 counts[j] = j, for cross distances every count is the number of rows of B.
 In that order the pairs are the condensed vector and the row-major cross
-matrix, so the kernel fills one flat array per order.  It forms blocks of
-about ``_BLOCK_DIFFS`` absolute differences d, so |x - y| is formed once
-however many orders are asked for; one row's run of pairs may be split
-across two blocks.
+matrix, so the kernel fills one flat array per order.  One call can do
+both: with A the rows of X (counts 0..n-1) followed by the rows of a test
+matrix T (count n each) and B = X, each order's array holds X's condensed
+pairs, then T's cross distances to X.  The kernel forms blocks of about
+``_BLOCK_DIFFS`` absolute differences d, so |x - y| is formed once however
+many orders are asked for; one row's run of pairs may be split across two
+blocks.
 
 The loop over blocks makes only the passes over each block's data.  It
 subtracts against row j, copied once per row into a (rows, p) buffer so that
 numpy runs one flat loop; takes ``abs``; writes each pair's largest
-difference m, which is the q = inf distance; forms d2 = d*d when order 2, 3
+difference m, which is the q = inf distance, with one ``np.maximum.reduceat``
+over the flat block at its row starts; forms d2 = d*d when order 2, 3
 or 4 is requested; and fills the power sums, each with one ``np.einsum``
 pass that writes into the call's sums and is never given ``optimize=``, so
 BLAS and its thread count play no part.  One table gives each order's own
@@ -51,13 +55,16 @@ Each order's value depends only on its pair of rows and q: never on which
 other orders were requested alongside, on how rows are grouped into blocks,
 on the input's layout or alignment, on the BLAS thread count, nor on where
 the work buffers start.
-``pairwise_orders`` and ``cross_orders`` validate once and return one result
-per order; ``pairwise`` and ``cross`` are their single-order forms.  The
+``pairwise_orders`` and ``cross_orders`` return one result per order, and
+the harness asks for a standardisation's pairs and cross distances together;
+all three go through one private function, which validates once.
+``pairwise`` and ``cross`` are the single-order forms.  The
 distance between two vectors x and y is ``cross([x], [y], q)[0, 0]``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -166,13 +173,14 @@ def _aligned_empty(size):
     return buf[start:start + size]
 
 
-def _blocked_orders(A, B, counts, orders):
+def _blocked_orders(parts, B, counts, orders):
     """Distances of every order between row j of A and the first
-    ``counts[j]`` rows of B, for each j in turn.
+    ``counts[j]`` rows of B, for each j in turn, where A is the rows of the
+    matrices in ``parts`` taken in turn (so the loop never copies them into one).
 
     Returns one flat array per order, the pairs in that order.
     """
-    n_pairs, p = int(counts.sum()), A.shape[1]
+    n_pairs, p = int(counts.sum()), B.shape[1]
     rows = min(n_pairs, max(1, _BLOCK_DIFFS // p))
     size = rows * p
     half = -(-size // 8) * 8  # so that d2 starts on a 64-byte boundary too
@@ -196,9 +204,10 @@ def _blocked_orders(A, B, counts, orders):
             sums[q] = np.empty(n_pairs)
             passes.append((q if q in powered else None, *_pass(q, d, d2, prod), sums[q]))
     squares = any(q in (2.0, 3.0, 4.0) for q in finite)
+    row_starts = np.arange(0, size, p)  # where each row of a block starts in d
     done = filled = 0
     with np.errstate(over="ignore", under="ignore"):
-        for x, count in zip(A, counts.tolist()):
+        for x, count in zip(itertools.chain.from_iterable(parts), counts.tolist()):
             tile[:min(rows, count)] = x  # so that subtract runs one flat loop
             start = 0
             while start < count:
@@ -209,7 +218,8 @@ def _blocked_orders(A, B, counts, orders):
                 if filled == rows or done + filled == n_pairs:
                     block = d[:filled]
                     np.abs(block, out=block)
-                    np.maximum.reduce(block, axis=1, out=m[done:done + filled])
+                    np.maximum.reduceat(block.reshape(-1), row_starts[:filled],
+                                        out=m[done:done + filled])
                     if squares:
                         np.multiply(block, block, out=d2[:filled])
                     for power, spec, ops, out in passes:
@@ -234,12 +244,49 @@ def _blocked_orders(A, B, counts, orders):
                 starts = np.cumsum(counts) - counts
                 j = np.searchsorted(starts, idx, "right") - 1
                 mr = m[idx]
-                r = np.abs(B[idx - starts[j]] - A[j]) / mr[:, None]
+                r = np.abs(B[idx - starts[j]] - np.concatenate(parts)[j]) / mr[:, None]
                 spec, ops = _pass(q, r, r * r, np.power(r, q))
                 s[idx] = mr * _root(np.einsum(spec, *ops), q)
             results[q] = s
     return [results[q] if orders.index(q) == k else results[q].copy()
             for k, q in enumerate(orders)]
+
+
+def _pairs_and_cross(X, T, orders, pairs=True):
+    """Distances of every order, from one kernel call: the pairs of rows of
+    X when ``pairs``, and the cross distances of the rows of T against the
+    rows of X when T is given.
+
+    Returns (pair distances, cross distances): a tuple with one
+    :class:`CondensedDistanceMatrix` per order, or None without ``pairs``;
+    and a tuple with one (n_T, n_X) array per order, or None without T.  The
+    kernel's A is the rows of X with counts 0..n_X - 1, then the rows of T
+    with count n_X, against B = X.  A pair part that shares its order's
+    array with a cross part is copied, so that keeping it does not keep the
+    cross distances.
+    """
+    orders = tuple(check_order(q) for q in orders)
+    T = None if T is None else check_data_matrix(T)
+    X = check_data_matrix(X, min_rows=2 if pairs else 1)
+    n = X.shape[0]
+    if T is not None and T.shape[1] != X.shape[1]:
+        raise ValueError("variable count mismatch: %d vs %d" % (T.shape[1], X.shape[1]))
+    parts, counts = [], []
+    if pairs:
+        parts.append(X)
+        counts.append(np.arange(n))
+    if T is not None:
+        parts.append(T)
+        counts.append(np.full(T.shape[0], n))
+    flat = _blocked_orders(parts, X, np.concatenate(counts), orders)
+    n_pairs = n * (n - 1) // 2 if pairs else 0
+    pair_ds = cross = None
+    if pairs:
+        pair_ds = tuple(CondensedDistanceMatrix(n, f if T is None else f[:n_pairs].copy())
+                        for f in flat)
+    if T is not None:
+        cross = tuple(f[n_pairs:].reshape(-1, n) for f in flat)
+    return pair_ds, cross
 
 
 def pairwise_orders(X, orders):
@@ -250,10 +297,7 @@ def pairwise_orders(X, orders):
     row j against rows 0..j-1 fill the contiguous condensed slice
     [j(j-1)/2, j(j+1)/2), so no square matrix is formed.
     """
-    orders = tuple(check_order(q) for q in orders)
-    X = check_data_matrix(X, min_rows=2)
-    entries = _blocked_orders(X, X, np.arange(X.shape[0]), orders)
-    return tuple(CondensedDistanceMatrix(X.shape[0], e) for e in entries)
+    return _pairs_and_cross(X, None, orders)[0]
 
 
 def cross_orders(X_left, X_right, orders):
@@ -263,15 +307,7 @@ def cross_orders(X_left, X_right, orders):
     each equal bit for bit to ``cross(X_left, X_right, q)``.  The differences
     are formed in blocks of at most 2**15 values (one row when p is larger).
     """
-    orders = tuple(check_order(q) for q in orders)
-    A = check_data_matrix(X_left)
-    B = check_data_matrix(X_right)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(
-            "variable count mismatch: %d vs %d" % (A.shape[1], B.shape[1])
-        )
-    flat = _blocked_orders(A, B, np.full(A.shape[0], B.shape[0]), orders)
-    return tuple(f.reshape(-1, B.shape[0]) for f in flat)
+    return _pairs_and_cross(X_right, X_left, orders, pairs=False)[1]
 
 
 def pairwise(X, q):

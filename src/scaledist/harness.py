@@ -21,17 +21,19 @@ Reproducibility: replicate r uses word r of
 default outputs are byte-identical for any job count.  Cells are not
 timed: a record holds only reproducible scores.
 
-Distances are built once per standardisation, for all orders together: the
-training pairwise distances when a clustering method is requested, the
-test-to-training cross distances when knn3 is.  knn3 cells are scored
-there and then; every clustering cell waits with its distances in one
-queue.  The queue runs PAM cell by cell and each linkage method's problems
-through ``learn._linkages`` (whose docstring gives the stack limits), then
-scores all partitions in one contingency count, each ARI bit-identical to
-:func:`adjusted_rand_index` of that cell alone.  It runs after each
-standardisation from 64 training rows on, so a standardisation's distances
-are freed before the next fit, and once per replicate below that, so all
-of a replicate's small linkage problems can share stacks.
+Distances are built once per standardisation, for all orders together and
+in one distance kernel call: the training pairs when a clustering method is
+requested, and the test-to-training cross distances when knn3 is.  Every
+clustering cell waits with its distances in one queue.  The queue runs PAM
+cell by cell and each linkage method's problems through ``learn._linkages``
+(whose docstring gives the stack limits), then scores all partitions in one
+contingency count, each ARI bit-identical to :func:`adjusted_rand_index` of
+that cell alone.  It runs after each standardisation from 64 training rows
+on, so a standardisation's distances are freed before the next fit, and
+once per replicate below that, so all of a replicate's small linkage
+problems can share stacks.  From 64 training rows on, knn3 cells are scored
+one order at a time before the next fit; below that they join the queue,
+where one k-NN call classifies the stacked test rows of all of them.
 
 The training labels are checked once per replicate for the learners and
 scores of its cells, which use them as checked.  Each standardisation's fit
@@ -53,8 +55,8 @@ from .core import (
     _check_integer, _check_json_kinds, _parse_finite, _parse_number, _read_lines, _write_files,
     check_labels,
 )
-from .distance import check_order, cross_orders, format_order, pairwise_orders, parse_order
-from .evaluate import _ari_rows, misclassification_rate
+from .distance import _pairs_and_cross, check_order, format_order, parse_order
+from .evaluate import _ari_rows
 from .learn import _LINKAGE_SMALL, LINKAGE_METHODS, _knn_classify, _linkages, cut_tree, pam
 from .simgen import SetupSpec, _catalog_setup, generate
 from .standardise import METHODS, POOLED_METHODS, fit_standardiser
@@ -277,11 +279,12 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
     """Score one replicate.
 
     Pure function of its arguments; returns the records in grid order
-    (standardisation, then q, then method).  Distances are built per
-    standardisation for all orders at once; the clustering cells wait in
-    one queue, scored after each standardisation from 64 training rows on
-    and once per replicate below that.  Records leave ``seconds`` NaN.  The
-    grid is checked before any data is drawn.
+    (standardisation, then q, then method).  Each standardisation's
+    distances, of all orders, come from one kernel call; the clustering
+    cells wait in one queue, scored after each standardisation from 64
+    training rows on and once per replicate below that, when the knn3 cells
+    join the queue too.  Records leave ``seconds`` NaN.  The grid is
+    checked before any data is drawn.
     ``oracle_pooling`` is accepted but unused; :class:`ExperimentConfig`
     makes the check it stands for.
     """
@@ -298,64 +301,88 @@ def _score_replicate(spec, seed, standardisations, orders, methods):
     checked here once for every cell's learner and score; each fit checks
     them again.
 
-    The queue of clustering cells runs after each standardisation from
-    _LINKAGE_SMALL (64) training rows on, and after the last one below
-    that, so :func:`learn._linkages` can stack the replicate's problems.
+    Each standardisation makes one distance kernel call.  The queue of
+    waiting cells runs after each standardisation from _LINKAGE_SMALL (64)
+    training rows on, and after the last one below that, so
+    :func:`learn._linkages` can stack the replicate's linkage problems and
+    one k-NN call can classify all of its knn3 cells.
     """
     data = generate(spec, seed)
     y_train, k_classes = check_labels(data.y_train)
+    small = data.x_train.shape[0] < _LINKAGE_SMALL
     scores, waiting = [], []
     for std_method in standardisations:
         scores += _score_standardisation(data, y_train, k_classes, std_method,
-                                         orders, methods, waiting)
-        if data.x_train.shape[0] >= _LINKAGE_SMALL:
-            _clustering_scores(scores, waiting, y_train, k_classes)
-    _clustering_scores(scores, waiting, y_train, k_classes)
+                                         orders, methods, waiting, small)
+        if not small:
+            _queued_scores(scores, waiting, y_train, k_classes, data.y_test)
+    _queued_scores(scores, waiting, y_train, k_classes, data.y_test)
     return scores
 
 
-def _score_standardisation(data, y_train, k_classes, std_method, orders, methods, waiting):
+def _score_standardisation(data, y_train, k_classes, std_method, orders, methods, waiting,
+                           small):
     """The scores of one standardisation's cells, in grid order.
 
-    A knn3 cell is scored here.  A clustering cell is appended to
-    ``waiting`` as (method, training distances) and its score left None,
-    for :func:`_clustering_scores`.  The standardised matrices and the cross
-    distances are freed on return.
+    The training pairs and the test-to-training distances of every order
+    come from one kernel call.  A clustering cell, and a knn3 cell when the
+    replicate is ``small``, is appended to ``waiting`` as (method,
+    distances) and its score left None, for :func:`_queued_scores`; any
+    other knn3 cell is scored here, so its cross distances are freed on
+    return with the standardised matrices.
     """
     std = fit_standardiser(data.x_train, std_method, labels=data.y_train)
     x_train = std.transform(data.x_train)
     x_test = std.transform(data.x_test, cap=True)
-    if any(m in CLUSTER_METHODS for m in methods):
-        train_ds = pairwise_orders(x_train, orders)
-    if "knn3" in methods:
-        test_ds = cross_orders(x_test, x_train, orders)
+    train_ds, test_ds = _pairs_and_cross(x_train, x_test if "knn3" in methods else None, orders,
+                                         pairs=any(m in CLUSTER_METHODS for m in methods))
     scores = []
     for i in range(len(orders)):
         for method in methods:
-            if method == "knn3":
-                predicted = _knn_classify(test_ds[i], y_train, k_classes, 3)
-                scores.append(misclassification_rate(predicted, data.y_test))
+            if method == "knn3" and not small:
+                scores += _knn3_rates(test_ds[i], 1, y_train, k_classes, data.y_test)
             else:
-                waiting.append((method, train_ds[i]))
+                waiting.append((method, (test_ds if method == "knn3" else train_ds)[i]))
                 scores.append(None)
     return scores
 
 
-def _clustering_scores(scores, waiting, y_train, k_classes):
-    """Score the ``waiting`` clustering cells, as the module docstring
-    describes, and empty the queue; the Nones of ``scores`` take their ARIs
-    in order."""
-    if not waiting:
-        return
-    partitions = [pam(D, k_classes).labels if method == "pam" else None
-                  for method, D in waiting]
+def _knn3_rates(cross, cells, y_train, k_classes, y_test):
+    """The misclassification rate of each of ``cells`` knn3 cells whose
+    cross distances are stacked in ``cross``: one k-NN call, which classifies
+    each row alone, and each cell's mean of mismatches, as
+    ``evaluate.misclassification_rate`` forms it."""
+    predicted = _knn_classify(cross, y_train, k_classes, 3).reshape(cells, -1)
+    return (predicted != y_test).mean(axis=1).tolist()
+
+
+def _queued_scores(scores, waiting, y_train, k_classes, y_test):
+    """Score the ``waiting`` cells and empty the queue; the Nones of
+    ``scores`` take their scores in order.
+
+    PAM runs cell by cell and each linkage method's problems go through
+    ``learn._linkages`` (whose docstring gives the stack limits); all
+    partitions are then counted in one contingency count, each ARI
+    bit-identical to :func:`adjusted_rand_index` of that cell alone.  The
+    knn3 cells are scored together by :func:`_knn3_rates`.
+    """
+    at = {method: [i for i, cell in enumerate(waiting) if cell[0] == method]
+          for method in EXPERIMENT_METHODS}
+    partitions = {i: pam(waiting[i][1], k_classes).labels for i in at["pam"]}
     for method in LINKAGE_METHODS:
-        at = [i for i, cell in enumerate(waiting) if cell[0] == method]
-        for i, tree in zip(at, _linkages([waiting[i][1] for i in at], method)):
-            partitions[i] = cut_tree(tree, k_classes)
+        trees = _linkages([waiting[i][1] for i in at[method]], method)
+        partitions.update(zip(at[method], (cut_tree(tree, k_classes) for tree in trees)))
+    values = {}
+    if partitions:
+        values.update(zip(partitions, _ari_rows(np.array(list(partitions.values())),
+                                                y_train, k_classes)))
+    if at["knn3"]:
+        values.update(zip(at["knn3"], _knn3_rates(
+            np.concatenate([waiting[i][1] for i in at["knn3"]]), len(at["knn3"]),
+            y_train, k_classes, y_test)))
     waiting.clear()
-    aris = iter(_ari_rows(np.array(partitions), y_train, k_classes))
-    scores[:] = [next(aris) if score is None else score for score in scores]
+    queued = (values[i] for i in range(len(values)))
+    scores[:] = [next(queued) if score is None else score for score in scores]
 
 
 def _resolve_jobs(jobs):

@@ -79,6 +79,17 @@ class Dendrogram:
         object.__setattr__(self, "merges", merges)
         object.__setattr__(self, "heights", heights)
 
+    @classmethod
+    def _built(cls, n_leaves, merges, heights):
+        """The Dendrogram of a history this module has just built: an int
+        ``n_leaves``, int64 ``merges`` and finite float64 ``heights`` that are
+        valid by construction, so the checks of __post_init__ are skipped."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "n_leaves", n_leaves)
+        object.__setattr__(tree, "merges", merges)
+        object.__setattr__(tree, "heights", heights)
+        return tree
+
 
 def _square(D):
     if not isinstance(D, CondensedDistanceMatrix):
@@ -275,7 +286,7 @@ def linkage(D, method):
             ids[a] = ids[b] = None
             ids.append(node)
             sizes.append(sa + sb)
-    return Dendrogram(n_leaves=n, merges=merges, heights=heights)
+    return Dendrogram._built(n, np.array(merges, dtype=np.int64), np.array(heights))
 
 
 def _lance_williams(method, row_a, row_b, size_a, size_b, out):
@@ -367,8 +378,7 @@ def _stacked_linkage(distances, method):
     if np.isinf(heights).any():  # finite inputs: only an average can overflow
         raise ValueError("average linkage overflowed: distances too large")
     merges = np.stack(np.divmod(firsts, slots), axis=2)  # (n - 1, count, 2)
-    return [Dendrogram(n_leaves=n, merges=merges[:, l], heights=heights[:, l])
-            for l in range(count)]
+    return [Dendrogram._built(n, merges[:, l], heights[:, l]) for l in range(count)]
 
 
 def cut_tree(dendrogram, k):

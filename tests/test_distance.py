@@ -216,6 +216,44 @@ def test_multi_order_drivers_validate_inputs():
         pairwise_orders(X[:1], (1.0,))
 
 
+@pytest.mark.parametrize("block_diffs", [4 * 7, 1 << 15])
+def test_pairs_and_cross_in_one_call_equal_the_separate_calls(monkeypatch, block_diffs):
+    # the harness's one kernel call per standardisation: the pairs of X, then
+    # the rows of T against X, equal bit for bit to pairwise_orders and
+    # cross_orders, with rescued pairs (differences near 1e150 and at
+    # subnormal scale) in each part; with blocks of 4 pairs, one block holds
+    # the last 3 of the 15 pairs and the first cross distance
+    monkeypatch.setattr(distance, "_BLOCK_DIFFS", block_diffs)
+    rng = np.random.default_rng(23)
+    X, T = rng.standard_normal((6, 7)), rng.standard_normal((4, 7))
+    X[1] *= 1e150
+    X[4], X[5] = 0.0, 1e-300 * rng.standard_normal(7)
+    T[0] *= 1e150
+    T[2] = 1e-300 * rng.standard_normal(7)
+    orders = ORDERS + (2.5, 1.0)
+    pairs, crossed = pairwise_orders(X, orders), cross_orders(T, X, orders)
+    both = distance._pairs_and_cross(X, T, orders)
+    assert distance._pairs_and_cross(X, None, orders)[1] is None
+    assert distance._pairs_and_cross(X, T, orders, pairs=False)[0] is None
+    for got_pairs, got_cross in [both, (distance._pairs_and_cross(X, None, orders)[0],
+                                        distance._pairs_and_cross(X, T, orders, pairs=False)[1])]:
+        for D, C, expected_D, expected_C in zip(got_pairs, got_cross, pairs, crossed):
+            assert isinstance(D, CondensedDistanceMatrix) and D.n == 6
+            assert_array_equal(D.entries, expected_D.entries)
+            assert_array_equal(C, expected_C)
+            # the pair part is an array of its own: keeping it does not keep
+            # the array that holds the cross distances
+            assert not np.shares_memory(D.entries, C.base)
+    for q, D, C in zip(orders, *both):
+        assert_array_equal(D.entries, [pair_distance(X[j], X[i], q)
+                                       for j in range(1, 6) for i in range(j)])
+        assert_array_equal(C, [[pair_distance(t, x, q) for x in X] for t in T])
+    with pytest.raises(ValueError, match="^variable count mismatch: 6 vs 7$"):
+        distance._pairs_and_cross(X, T[:, :6], orders)
+    with pytest.raises(ValueError, match="row"):
+        distance._pairs_and_cross(X[:1], T, orders)
+
+
 def test_cross_with_itself_equals_pairwise_square():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((12, 7)) * 3

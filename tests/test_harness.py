@@ -333,13 +333,18 @@ def test_standardisation_parameters_come_from_training_data_only():
         assert json.dumps(fitted.to_json_dict()) == frozen
 
 
-@pytest.mark.parametrize("n_per_class", [10, 32])
-def test_replicate_equals_manual_composition(n_per_class):
-    # every cell of a full grid recomputed by hand from the public functions:
-    # all ten standardisations (pooled ones fitted with the labels, as oracle
-    # pooling does), four orders and all four methods, with the clustering
-    # queue run once per replicate (20 training rows) and once per
-    # standardisation (64 rows)
+@pytest.mark.parametrize("n_per_class, methods", [
+    pytest.param(n, methods, id="-".join((str(n),) + (() if methods == EXPERIMENT_METHODS
+                                                      else methods)))
+    for methods in (EXPERIMENT_METHODS, ("knn3",), ("pam", "knn3"), ("complete",))
+    for n in (10, 32)
+])
+def test_replicate_equals_manual_composition(n_per_class, methods):
+    # every cell of a grid recomputed by hand from the public functions: all
+    # ten standardisations (pooled ones fitted with the labels, as oracle
+    # pooling does), four orders and all four methods or a subset, with the
+    # queue run once per replicate (20 training rows, knn3 cells in one
+    # stacked k-NN call) and once per standardisation (64 rows)
     from scaledist.distance import cross, pairwise
     from scaledist.learn import cut_tree, knn_classify, linkage, pam
     from scaledist.standardise import METHODS, POOLED_METHODS, fit_standardiser
@@ -347,7 +352,7 @@ def test_replicate_equals_manual_composition(n_per_class):
     spec = setup_catalog()["simple_normal"].with_size(p=25, n_per_class=n_per_class)
     seed = int(replicate_seeds(99, 3)[1])
     orders = (1.0, 2.0, 2.5, math.inf)
-    records = run_replicate(spec, "simple_normal", 1, seed, METHODS, orders, EXPERIMENT_METHODS)
+    records = run_replicate(spec, "simple_normal", 1, seed, METHODS, orders, methods)
 
     ds = generate(spec, seed=seed)
     k = int(ds.y_train.max())
@@ -359,13 +364,14 @@ def test_replicate_equals_manual_composition(n_per_class):
         tag = std_method + (":oracle" if std_method in POOLED_METHODS else "")
         for q in orders:
             D = pairwise(train, q)
-            expected.append((tag, q, "pam", adjusted_rand_index(pam(D, k).labels, ds.y_train)))
-            for method in ("complete", "average"):
-                labels = cut_tree(linkage(D, method), k)
+            for method in methods:
+                if method == "knn3":
+                    predictions = knn_classify(cross(test, train, q), ds.y_train, 3)
+                    expected.append((std_method, q, method,
+                                     misclassification_rate(predictions, ds.y_test)))
+                    continue
+                labels = pam(D, k).labels if method == "pam" else cut_tree(linkage(D, method), k)
                 expected.append((tag, q, method, adjusted_rand_index(labels, ds.y_train)))
-            predictions = knn_classify(cross(test, train, q), ds.y_train, 3)
-            expected.append((std_method, q, "knn3",
-                             misclassification_rate(predictions, ds.y_test)))
     assert [(r.standardisation, r.q, r.method, r.value) for r in records] == expected
 
 
@@ -461,23 +467,38 @@ def test_replicate_records_do_not_depend_on_other_standardisations(n_per_class):
 
 @pytest.mark.parametrize("n_per_class, alive", [(32, [0, 0, 0]), (31, [0, 2, 4])])
 def test_clustering_distances_live_until_their_queue_runs(monkeypatch, n_per_class, alive):
-    # from 64 training rows on a standardisation's distances are freed before
-    # the next fit; below 64 they wait for the replicate's linkage stacks
-    built, counts = [], []
-    pairwise_orders, fit_standardiser = harness.pairwise_orders, harness.fit_standardiser
+    # from 64 training rows on a standardisation's distances, the training
+    # pairs and the cross distances alike, are freed before the next fit,
+    # and its knn3 cells take one k-NN call per order; below 64 they wait
+    # for the replicate's linkage stacks and its one k-NN call
+    built, crossed, counts, knn_rows = [], [], [], []
+    pairs_and_cross, fit_standardiser = harness._pairs_and_cross, harness.fit_standardiser
+    knn_classify = harness._knn_classify
 
-    def recorded_pairwise_orders(*args):
-        distances = pairwise_orders(*args)
+    def recorded_pairs_and_cross(*args, **kwargs):
+        distances, cross = pairs_and_cross(*args, **kwargs)
         built.extend(weakref.ref(D) for D in distances)
-        return distances
+        # the arrays that hold the cross distances: a pair part that kept
+        # one alive would keep them too
+        crossed.extend(weakref.ref(C.base) for C in cross)
+        return distances, cross
 
     def counted_fit(*args, **kwargs):
-        counts.append(sum(ref() is not None for ref in built))
+        counts.append((sum(ref() is not None for ref in built),
+                       sum(ref() is not None for ref in crossed)))
         return fit_standardiser(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "pairwise_orders", recorded_pairwise_orders)
+    def recorded_knn(cross, *args):
+        knn_rows.append(cross.shape[0])
+        return knn_classify(cross, *args)
+
+    monkeypatch.setattr(harness, "_pairs_and_cross", recorded_pairs_and_cross)
     monkeypatch.setattr(harness, "fit_standardiser", counted_fit)
+    monkeypatch.setattr(harness, "_knn_classify", recorded_knn)
     spec = setup_catalog()["ntn_05"].with_size(p=20, n_per_class=n_per_class)
     run_replicate(spec, "ntn_05", 0, 5, ("none", "mad", "boxplot"), (1.0, math.inf),
                   EXPERIMENT_METHODS)
-    assert len(built) == 6 and counts == alive
+    assert len(built) == 6 and len(crossed) == 6
+    assert counts == [(n, n) for n in alive]
+    n_test = 2 * n_per_class
+    assert knn_rows == ([n_test] * 6 if n_test >= 64 else [6 * n_test])

@@ -403,6 +403,26 @@ def test_knn_matches_per_row_oracle_on_tie_heavy_grids():
     assert min(clear, by_sum, by_label) > 100
 
 
+def test_knn_of_stacked_cells_equals_the_per_cell_calls():
+    # the harness classifies a small replicate's knn3 cells with one call
+    # over their stacked cross distances; each cell's rows must come out as
+    # from a call of its own, on rows with equal distances at the k-th
+    # neighbour and vote ties settled by the sum and by the label
+    rng = np.random.default_rng(24)
+    y = rng.permutation(np.repeat([1, 2, 3], 6))
+    cells = [rng.integers(0, 8, size=(12, 18)) / 2 for _ in range(8)]
+    stacked = learn._knn_classify(np.concatenate(cells), y, 3, 3)
+    assert_array_equal(stacked.reshape(8, 12), [learn._knn_classify(D, y, 3, 3) for D in cells])
+    kth_ties = by_sum = by_label = 0
+    for row, label in zip(np.concatenate(cells), stacked):
+        kth_ties += np.sort(row)[2] == np.sort(row)[3]
+        votes = np.bincount(y[np.argsort(row, kind="stable")[:3]], minlength=4)
+        tied = np.flatnonzero(votes == votes.max())
+        by_sum += tied.size > 1 and label != tied[0]
+        by_label += tied.size > 1 and label == tied[0]
+    assert min(kth_ties, by_sum, by_label) > 5
+
+
 def test_knn_validates_sizes():
     with pytest.raises(ValueError, match="^expected 3 labels, got 2$"):
         knn_classify(np.ones((2, 3)), np.array([1, 2]), 1)
@@ -463,3 +483,34 @@ def test_dendrogram_validation():
             Dendrogram(3, np.array(merges), np.array([1.0, 2.0]))
     valid = Dendrogram(3, np.array([[1, 2], [0, 3]]), np.ones(2))
     assert_array_equal(cut_tree(valid, 2), [1, 2, 2])
+
+
+@pytest.mark.parametrize("build", [
+    lambda cases, method: [linkage(D, method) for D in cases],
+    learn._stacked_linkage,
+], ids=["linkage", "stacked"])
+@pytest.mark.parametrize("method", ["complete", "average"])
+def test_built_trees_skip_the_checks_that_trees_from_user_input_keep(monkeypatch, build, method):
+    # linkage and _stacked_linkage build valid histories, so their trees are
+    # not checked again; each equals the tree the checked constructor makes
+    # of the same values, dtypes included, and the constructor still refuses
+    # a history that is not valid
+    cases = _stackable_cases(20, 5, np.random.default_rng(25))
+
+    def checked_again(self):
+        raise AssertionError("a tree built by linkage was checked again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Dendrogram, "__post_init__", checked_again)
+        trees = build(cases, method)
+    for tree in trees:
+        rebuilt = Dendrogram(tree.n_leaves, tree.merges, tree.heights)
+        assert type(tree.n_leaves) is int and tree.n_leaves == rebuilt.n_leaves == 20
+        for built, checked in ((tree.merges, rebuilt.merges), (tree.heights, rebuilt.heights)):
+            assert built.dtype == checked.dtype and built.shape == checked.shape
+            assert_array_equal(built, checked)
+        assert tree.merges.dtype == np.int64 and tree.heights.dtype == np.float64
+        with pytest.raises(ValueError, match="^merge s must join two unmerged nodes"):
+            Dendrogram(tree.n_leaves, tree.merges[::-1], tree.heights)
+        with pytest.raises(ValueError, match="^heights must be finite$"):
+            Dendrogram(tree.n_leaves, tree.merges, tree.heights + np.inf)
