@@ -325,7 +325,8 @@ def _score_standardisation(data, y_train, k_classes, std_method, orders, methods
     """The scores of one standardisation's cells, in grid order.
 
     The training pairs and the test-to-training distances of every order
-    come from one kernel call.  A clustering cell, and a knn3 cell when the
+    come from one kernel call; the test rows are standardised only when
+    knn3 is among the methods.  A clustering cell, and a knn3 cell when the
     replicate is ``small``, is appended to ``waiting`` as (method,
     distances) and its score left None, for :func:`_queued_scores`; any
     other knn3 cell is scored here, so its cross distances are freed on
@@ -333,8 +334,8 @@ def _score_standardisation(data, y_train, k_classes, std_method, orders, methods
     """
     std = fit_standardiser(data.x_train, std_method, labels=data.y_train)
     x_train = std.transform(data.x_train)
-    x_test = std.transform(data.x_test, cap=True)
-    train_ds, test_ds = _pairs_and_cross(x_train, x_test if "knn3" in methods else None, orders,
+    x_test = std.transform(data.x_test, cap=True) if "knn3" in methods else None
+    train_ds, test_ds = _pairs_and_cross(x_train, x_test, orders,
                                          pairs=any(m in CLUSTER_METHODS for m in methods))
     scores = []
     for i in range(len(orders)):

@@ -11,7 +11,12 @@ Reproducibility contract: every variable has its own substream, spawned from
 the seed with numpy's SeedSequence (``SeedSequence(seed).spawn(p)[j]`` drives
 variable j through a PCG64 generator).  Adding variables therefore never
 reshuffles earlier ones, and columns can be generated in any order or in
-parallel.  Within a variable the draw order is fixed: one uniform for the
+parallel.  The streams are not spawned one by one: :func:`generate` computes
+the PCG64 seed words of all p children in one vectorised pass of numpy's
+SeedSequence hash, checks the last child's words against numpy's own
+SeedSequence, and builds each variable's generator from its words.  The
+values are those of the spawned streams bit for bit, so the contract is
+unchanged.  Within a variable the draw order is fixed: one uniform for the
 t-vs-normal flag, one for the noise flag, then the parameters (noise: one
 standard deviation; informative: the mean difference if ranged, then the two
 class standard deviations), then 2*n_per_class base draws for training and
@@ -25,6 +30,7 @@ nothing; mean differences are therefore drawn non-negative.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -186,6 +192,77 @@ def _check_seed(seed):
     return seed
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, pool size 4), which
+# NEP 19 keeps stream-stable across numpy versions
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _stream_words(seed, p):
+    """The PCG64 seed words of ``SeedSequence(seed).spawn(p)[j]`` for every
+    j, as a (p, 4) uint64 array, in one pass over uint32 arrays.
+
+    The entropy is the seed's 32-bit words (one below 2**32, else two)
+    zero-padded to the pool size, then the spawn word j, so the pool before j
+    is one set of Python ints shared by every child.  Python ints are masked
+    to 32 bits; uint32 arrays wrap by themselves.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    assert p <= 2 ** 32  # one spawn word per child
+    spawn = np.arange(p, dtype=np.uint32)
+    pool = [mix(word, hashmix(spawn)) for word in pool]
+    # generate_state(4, np.uint64): eight uint32 words cycling over the pool,
+    # read as little-endian pairs
+    state = np.empty((p, 8), dtype="<u4")
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value *= const
+        state[:, i] = value ^ value >> 16
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _stream_words_type():
+    # made on first use: importing numpy.random takes ~16 ms, which importing
+    # this package does not otherwise pay
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamWords(ISeedSequence):
+        """A SeedSequence stand-in that hands PCG64 precomputed seed words."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            assert (n_words, np.dtype(dtype)) == (4, np.uint64)
+            return self.words
+
+    return StreamWords
+
+
 def generate(spec, seed):
     """Generate one dataset for a :class:`SetupSpec` (see module docstring).
 
@@ -198,11 +275,16 @@ def generate(spec, seed):
     seed = _check_seed(seed)
     p = spec.p
     m = spec.n_per_class
-    # the matrices first: numpy refuses an impossible size at once, while
-    # spawning p streams would take memory one at a time
+    # the matrices first: numpy refuses an impossible size at once, and a
+    # possible one keeps p well below 2**32, one spawn word per variable
     x_train = np.empty((2 * m, p))
     x_test = np.empty((2 * m, p))
-    streams = np.random.SeedSequence(seed).spawn(p)
+    words = _stream_words(seed, p)
+    if not np.array_equal(words[-1], np.random.SeedSequence(
+            seed, spawn_key=(p - 1,)).generate_state(4, np.uint64)):
+        raise RuntimeError("the stream words of seed %d differ from numpy's SeedSequence" % seed)
+    stream_words = _stream_words_type()
+    z = np.empty(4 * m)
     is_noise = np.empty(p, dtype=bool)
     is_t2 = np.empty(p, dtype=bool)
     mean_diff = np.empty(p)
@@ -210,7 +292,7 @@ def generate(spec, seed):
     sd2 = np.empty(p)
     lo, hi = spec.sd_range
     for j in range(p):
-        rng = np.random.default_rng(streams[j])
+        rng = np.random.Generator(np.random.PCG64(stream_words(words[j])))
         is_t2[j] = rng.random() < spec.t2_fraction
         is_noise[j] = rng.random() < spec.noise_fraction
         if is_noise[j]:
@@ -224,9 +306,9 @@ def generate(spec, seed):
             sd1[j] = rng.uniform(lo, hi)
             sd2[j] = rng.uniform(lo, hi)
         # one draw of 4m gives the same values as the documented two of 2m
-        z = rng.standard_t(2, 4 * m) if is_t2[j] else rng.standard_normal(4 * m)
-        x_train[:, j] = z[:2 * m]
-        x_test[:, j] = z[2 * m:]
+        draws = rng.standard_t(2, 4 * m) if is_t2[j] else rng.standard_normal(out=z)
+        x_train[:, j] = draws[:2 * m]
+        x_test[:, j] = draws[2 * m:]
     for target in (x_train, x_test):
         target[:m] *= sd1
         target[m:] *= sd2

@@ -160,17 +160,18 @@ def _solve_tail_exponents(M):
     +-2 band has extent M > 2.5.
 
     Each extent doubles its bracket, then bisects until the midpoint repeats
-    an end or hits the target, and gets the bracket's ``hi``.  Masks stop each
-    one where it would stop alone, so the results do not depend on what else
-    is solved alongside.
+    an end or hits the target, and gets the bracket's ``hi``.  Such an
+    element stays put under further rounds: a midpoint equal to ``lo`` gains
+    more than the target, one equal to ``hi`` no more, and an exact hit (or
+    log(M) at the target, solved by t = 0) is frozen with lo = hi.  So the
+    results do not depend on what else is solved alongside, and convergence
+    is tested only every few rounds.
     """
     g0 = np.log(M)  # the t -> 0 limit
-    above = g0 > _TAIL_TARGET
-    # g(1) = 1 - 1/M < 1 < target; hi = 0 is also the root where g0 == target
-    lo = np.where(above, 0.0, -1.0)
-    hi = np.where(above, 1.0, 0.0)
+    # g(1) = 1 - 1/M < 1 < target; lo = hi = 0 is the root where g0 == target
     grow = g0 < _TAIL_TARGET
-    todo = g0 != _TAIL_TARGET
+    lo = np.where(grow, -1.0, 0.0)
+    hi = np.where(g0 > _TAIL_TARGET, 1.0, 0.0)
     with np.errstate(over="ignore"):
         for _ in range(200):
             grow &= ~(_tail_gain(g0, lo) > _TAIL_TARGET)
@@ -179,15 +180,20 @@ def _solve_tail_exponents(M):
             lo = np.where(grow, 2.0 * lo, lo)
         else:
             raise ValueError("could not bracket the tail exponent for M=%r" % (float(M[grow][0]),))
-        for _ in range(200):
+    # a midpoint is 0 only where the bracket has closed on 0, and there 0/0
+    # moves neither end; elsewhere the gain is -expm1(-mid * g0) / mid, held
+    # as h = -gain, whose bits are the gain's with the sign flipped
+    neg_g0 = -g0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rounds in range(1, 201):
             mid = 0.5 * (lo + hi)
-            todo &= (mid != lo) & (mid != hi)
-            if not todo.any():
-                break
-            gm = _tail_gain(g0, mid)
-            lo = np.where(todo & (gm > _TAIL_TARGET), mid, lo)
-            hi = np.where(todo & (gm <= _TAIL_TARGET), mid, hi)  # an exact hit stops at hi = mid
-            todo &= gm != _TAIL_TARGET
+            h = np.expm1(mid * neg_g0) / mid
+            lo = np.where(h <= -_TAIL_TARGET, mid, lo)
+            hi = np.where(h >= -_TAIL_TARGET, mid, hi)
+            if rounds % 4 == 0:
+                mid = 0.5 * (lo + hi)
+                if ((mid == lo) | (mid == hi)).all():
+                    break
     return hi
 
 

@@ -114,6 +114,41 @@ def solve_tail_stepwise(M, target):
     return hi
 
 
+def solve_tail_by_masks(M, target):
+    """The array tail solver as the boxplot fit ran it before its bisection
+    rounds were cut to fewer numpy calls: every element keeps a ``todo`` mask
+    and stops where the one-at-a-time loop stops.  Returns the ``hi`` array.
+    """
+
+    def gain(log_base, t):
+        zero = t == 0.0
+        tsafe = np.where(zero, 1.0, t)
+        return np.where(zero, log_base, -np.expm1(-tsafe * log_base) / tsafe)
+
+    g0 = np.log(M)
+    above = g0 > target
+    lo = np.where(above, 0.0, -1.0)
+    hi = np.where(above, 1.0, 0.0)
+    grow = g0 < target
+    todo = g0 != target
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            grow &= ~(gain(g0, lo) > target)
+            if not grow.any():
+                break
+            lo = np.where(grow, 2.0 * lo, lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            todo &= (mid != lo) & (mid != hi)
+            if not todo.any():
+                break
+            gm = gain(g0, mid)
+            lo = np.where(todo & (gm > target), mid, lo)
+            hi = np.where(todo & (gm <= target), mid, hi)
+            todo &= gm != target
+    return hi
+
+
 def naive_linkage(D, method):
     """O(n^3) agglomeration recomputing every inter-cluster distance from the
     original dissimilarities at every step.

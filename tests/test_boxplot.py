@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import solve_tail_by_bisection, solve_tail_stepwise
+from oracles import solve_tail_by_bisection, solve_tail_by_masks, solve_tail_stepwise
 from scaledist.cli import main
 from scaledist.core import write_matrix_csv
+from scaledist.simgen import generate, setup_catalog
 from scaledist.standardise import (
     _BOXPLOT_KINDS,
+    _TAIL_TARGET,
     BoxplotParams,
     Standardiser,
     _solve_tail_exponents,
@@ -88,6 +90,41 @@ def test_array_solver_takes_the_one_at_a_time_steps_bit_for_bit():
     target = 1.5 - 2.0 ** -44
     expected = [solve_tail_stepwise(m, target) for m in M.tolist()]
     assert_array_equal(_solve_tail_exponents(M), expected)
+
+
+def _fitted_extent_grids():
+    # the (2, p) extent grid that the boxplot fit solves, for every catalogue
+    # setup at small shapes
+    grids = []
+    for spec in setup_catalog().values():
+        for p, n_per_class, seed in [(37, 3, 1), (200, 20, 2), (500, 10, 3)]:
+            X = generate(spec.with_size(p=p, n_per_class=n_per_class), seed).x_train
+            params = fit_standardiser(X, "boxplot").boxplot
+            smin, smax = params.scaled_min, params.scaled_max
+            fitted = np.stack([smin < -2.0, smax > 2.0])
+            grids.append(np.where(fitted, np.stack([0.5 - smin, smax + 0.5]), 2.5))
+    return grids
+
+
+def test_solver_rounds_take_the_masked_solver_steps_bit_for_bit():
+    # fewer numpy calls per bisection round, the same midpoints: converged
+    # and exactly hit elements stay put while the others go on
+    rng = np.random.default_rng(505)
+    e_target = math.exp(_TAIL_TARGET)
+    near_target = [e_target, *(np.nextafter(e_target, d) for d in (0.0, 10.0)),
+                   np.nextafter(np.nextafter(e_target, 10.0), 10.0)]
+    assert any(math.log(m) == _TAIL_TARGET for m in near_target)
+    grids = [
+        np.exp(rng.uniform(1e-12, math.log(1e6), size=(2, 300))),
+        np.stack([rng.uniform(2.5, 4.98, size=100), 1.0 + 10.0 ** rng.uniform(-15, 0, size=100)]),
+        np.full((2, 5), 2.5),
+        np.array([near_target, [2.5, M_CRITICAL, 3.0, 1e6]]),
+        np.array([[1e300, 1.7e308, 1e299, 9e299], [2.5, 1e300, np.nextafter(1.0, 2.0), 10.0]]),
+        *_fitted_extent_grids(),
+    ]
+    for M in grids:
+        expected = solve_tail_by_masks(M, _TAIL_TARGET)
+        assert _solve_tail_exponents(M).tobytes() == expected.tobytes()
 
 
 def test_fit_identity_variable():

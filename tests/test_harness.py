@@ -28,6 +28,7 @@ from scaledist.harness import (
     write_records_csv,
 )
 from scaledist.simgen import _SETUP_KINDS, SetupSpec, generate, setup_catalog
+from scaledist.standardise import Standardiser
 
 
 def small_config(**overrides):
@@ -502,3 +503,24 @@ def test_clustering_distances_live_until_their_queue_runs(monkeypatch, n_per_cla
     assert counts == [(n, n) for n in alive]
     n_test = 2 * n_per_class
     assert knn_rows == ([n_test] * 6 if n_test >= 64 else [6 * n_test])
+
+
+@pytest.mark.parametrize("n_per_class", [10, 32])
+def test_a_clustering_only_grid_standardises_only_the_training_rows(monkeypatch, n_per_class):
+    # nothing reads the test rows without knn3, so each standardisation makes
+    # one transform, and the clustering records are those of the full grid
+    spec = setup_catalog()["ntn_05"].with_size(p=20, n_per_class=n_per_class)
+    grid = ("none", "mad", "boxplot", "pooled_mad_shift"), (1.0, math.inf)
+    clustering = ("pam", "complete", "average")
+    full = run_replicate(spec, "ntn_05", 0, 5, *grid, EXPERIMENT_METHODS)
+    transformed = []
+    transform = Standardiser.transform
+
+    def counted_transform(self, X, cap=False):
+        transformed.append((X.shape[0], cap))
+        return transform(self, X, cap=cap)
+
+    monkeypatch.setattr(Standardiser, "transform", counted_transform)
+    records = run_replicate(spec, "ntn_05", 0, 5, *grid, clustering)
+    assert transformed == [(2 * n_per_class, False)] * 4
+    assert records == [r for r in full if r.method in clustering]

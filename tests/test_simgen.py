@@ -7,10 +7,12 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from oracles import generate_by_variable
+from scaledist import simgen
 from scaledist.core import read_labels, read_matrix_csv
 from scaledist.simgen import (
     GeneratedDataset,
     SetupSpec,
+    _stream_words,
     generate,
     setup_catalog,
     write_dataset,
@@ -110,10 +112,23 @@ def test_generate_is_deterministic():
     assert not np.array_equal(a.x_train, c.x_train)
 
 
+# a scalar mean difference, and the flag fractions at both ends
+CUSTOM_SPECS = [
+    SetupSpec("scalar_mean", t2_fraction=0.3, noise_fraction=0.4, mean_diff=1.5,
+              sd_range=(0.5, 2.0)),
+    SetupSpec("no_flags", t2_fraction=0.0, noise_fraction=0.0, mean_diff=(0.0, 1.0),
+              sd_range=(0.5, 2.0)),
+    SetupSpec("all_flags", t2_fraction=1.0, noise_fraction=1.0, mean_diff=2.0,
+              sd_range=(1.0, 1.0)),
+    SetupSpec("t2_signal", t2_fraction=1.0, noise_fraction=0.0, mean_diff=(1.0, 3.0),
+              sd_range=(0.5, 2.0)),
+]
+
+
 @pytest.mark.parametrize("p, n_per_class", [(1, 2), (37, 3), (200, 20), (2000, 50)])
-@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_generate_matches_the_variable_by_variable_draws_bit_for_bit(p, n_per_class, seed):
-    for spec in setup_catalog().values():
+    for spec in [*setup_catalog().values(), *CUSTOM_SPECS]:
         spec = spec.with_size(p=p, n_per_class=n_per_class)
         ds = generate(spec, seed)
         x_train, x_test, meta = generate_by_variable(spec, seed)
@@ -122,6 +137,33 @@ def test_generate_matches_the_variable_by_variable_draws_bit_for_bit(p, n_per_cl
                              *((ds.variable_meta[key], meta[key]) for key in meta)]:
             assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
             assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 37, 2000])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_stream_words_are_those_of_the_spawned_seed_sequences(p, seed):
+    # seeds of one and of two 32-bit entropy words
+    words = _stream_words(seed, p)
+    expected = [child.generate_state(4, np.uint64)
+                for child in np.random.SeedSequence(seed).spawn(p)]
+    assert (words.dtype, words.shape) == (np.dtype(np.uint64), (p, 4))
+    assert words.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("word", [0, 3])
+def test_generate_refuses_stream_words_that_differ_from_numpy(monkeypatch, word):
+    # the last child's words are checked against numpy's own SeedSequence
+    stream_words = simgen._stream_words
+
+    def corrupted(seed, p):
+        words = stream_words(seed, p)
+        words[-1, word] ^= np.uint64(1)
+        return words
+
+    monkeypatch.setattr(simgen, "_stream_words", corrupted)
+    spec = setup_catalog()["ntn_05"].with_size(p=5, n_per_class=3)
+    with pytest.raises(RuntimeError, match="differ from numpy's SeedSequence"):
+        generate(spec, seed=11)
 
 
 def test_generate_seed_domain():
