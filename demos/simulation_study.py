@@ -4,8 +4,8 @@
 # two aggregation orders, clustering plus classification.  Results land in
 # demos/output/ as a CSV of raw records and a JSON of grouped summaries.
 # Running the script twice produces byte-identical files; so does changing
-# the worker count (SCALEDIST_JOBS, default the CPU count), which only
-# affects wall time.
+# the job count (SCALEDIST_JOBS, default the number of CPUs the process may
+# use), which only affects wall time.
 #
 # Run with:  python3 demos/simulation_study.py
 

@@ -98,8 +98,10 @@ def _build_parser():
                    help="comma list out of %s" % ",".join(harness.EXPERIMENT_METHODS))
     p.add_argument("--oracle-pooling", action="store_true", default=None,
                    help="allow pooled standardisation for clustering (label-leaking)")
-    p.add_argument("--jobs", type=integer, help="worker processes (default: $%s or CPU count)"
-                   % harness.JOBS_ENV_VAR)
+    p.add_argument("--jobs", type=integer,
+                   help="concurrent scorers: N - 1 worker processes plus this one; output "
+                        "is byte-identical for any N (default: $%s or the number of CPUs "
+                        "this process may use)" % harness.JOBS_ENV_VAR)
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--summary", help="summary JSON path")
     return parser

@@ -16,10 +16,11 @@ and those rows are tagged ':oracle' in the output.
 Reproducibility: replicate r uses word r of
 ``SeedSequence(seed).generate_state(replicates, uint64)`` as its data seed
 (also written to the output, so single replicates can be regenerated with the
-``simulate`` subcommand).  Replicates are independent and may run in parallel
-(SCALEDIST_JOBS processes, or the machine's CPU count); the records and all
-default outputs are byte-identical for any job count.  Cells are not
-timed: a record holds only reproducible scores.
+``simulate`` subcommand).  Replicates are independent and may run in parallel:
+N jobs (SCALEDIST_JOBS, or the number of CPUs this process may use) are N
+concurrent scorers, namely N - 1 worker processes plus the calling process,
+and the records and all default outputs are byte-identical for any N.
+Cells are not timed: a record holds only reproducible scores.
 
 Distances are built once per standardisation, for all orders together and
 in one distance kernel call: the training pairs when a clustering method is
@@ -396,6 +397,8 @@ def _resolve_jobs(jobs):
                 raise ValueError(
                     "%s must be an integer, got %r" % (JOBS_ENV_VAR, env)
                 ) from None
+        elif hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
+            jobs = len(os.sched_getaffinity(0))
         else:
             jobs = os.cpu_count() or 1
     jobs = _check_integer(jobs, "job count")
@@ -407,9 +410,11 @@ def _resolve_jobs(jobs):
 def run_experiment(config, jobs=None):
     """Run the full grid; returns records ordered by replicate, then grid order.
 
-    ``jobs`` defaults to the SCALEDIST_JOBS environment variable, else the
-    CPU count.  Replicates are scored in separate processes when jobs > 1;
-    the output does not depend on the job count.
+    ``jobs`` is the number of concurrent scorers: jobs - 1 worker processes
+    plus the calling process, which scores the last ``replicates // jobs``
+    replicates itself.  It defaults to the SCALEDIST_JOBS environment
+    variable, else the number of CPUs this process may use.  The records,
+    and every file written from them, are byte-identical for any job count.
     """
     jobs = _resolve_jobs(jobs)
     spec = config.resolve_spec()
@@ -420,16 +425,40 @@ def run_experiment(config, jobs=None):
     if jobs == 1 or config.replicates == 1:
         batches = [score(seed) for seed in seeds]
     else:
-        # imported here: the process pool's modules would add to every start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        # workers return bare scores and the records are labelled here, so
-        # they share one object per grid value instead of unpickled copies
-        with ProcessPoolExecutor(max_workers=min(jobs, config.replicates)) as pool:
-            batches = list(pool.map(score, seeds))
+        batches = _score_shared(score, seeds, jobs)
     cells = _grid_cells(config.standardisations, config.orders, config.methods)
     return [record for r, scores in enumerate(batches)
             for record in _label_scores(setup_label, r, seeds[r], cells, scores)]
+
+
+def _score_shared(score, seeds, jobs):
+    """``score`` of each seed, in order, from ``jobs`` concurrent scorers.
+
+    Worker processes score the leading seeds while this process scores the
+    trailing ``len(seeds) // jobs`` itself.  The error raised is that of
+    the lowest-numbered failing seed, as a serial loop would raise it; the
+    worker tasks queued after it are cancelled, and no worker outlives the
+    call.
+    """
+    # imported here: the process pool's modules would add to every start-up
+    from concurrent.futures import ProcessPoolExecutor
+
+    leading = len(seeds) - len(seeds) // jobs
+    # workers return bare scores and the records are labelled by the caller,
+    # so they share one object per grid value instead of unpickled copies
+    pool = ProcessPoolExecutor(max_workers=min(jobs - 1, leading))
+    try:
+        futures = [pool.submit(score, seed) for seed in seeds[:leading]]
+        try:
+            own, error = [score(seed) for seed in seeds[leading:]], None
+        except Exception as exc:  # held: a worker's lower seed may fail too
+            own, error = None, exc
+        batches = [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if error is not None:
+        raise error
+    return batches + own
 
 
 def write_records_csv(path, records):

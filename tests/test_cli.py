@@ -763,6 +763,23 @@ def test_standardise_refuses_one_file_for_params_and_output(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_experiment_failing_in_every_replicate_is_one_error_line_at_two_jobs(tmp_path,
+                                                                              capsys):
+    # the class means lie 1e308 apart, so every replicate's distances overflow
+    # in the worker's share and in the calling process's share alike
+    setup = {"name": "huge", "t2_fraction": 0.0, "noise_fraction": 0.0, "mean_diff": 1e308,
+             "sd_range": [0.5, 1], "p": 6, "n_per_class": 4}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"setup": setup, "replicates": 3, "seed": 5,
+                                  "methods": ["pam", "knn3"]}))
+    out, summary = tmp_path / "r.csv", tmp_path / "s.json"
+    capsys.readouterr()
+    assert run("experiment", "--config", config, "--jobs", 2, "--out", out,
+               "--summary", summary) == 1
+    assert _error_line(capsys) == "scaledist: error: distances must be finite"
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
 def test_experiment_writes_neither_file_when_the_summary_fails(tmp_path, capsys):
     out = tmp_path / "r.csv"
     summary = tmp_path / "absent" / "s.json"

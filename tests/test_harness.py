@@ -1,6 +1,7 @@
 """Experiment orchestration: config, records, determinism and leakage."""
 
 import dataclasses
+import functools
 import json
 import math
 import pickle
@@ -271,14 +272,60 @@ def test_records_csv_writes_only_what_reads_back(tmp_path, change, message):
 
 
 def test_results_are_independent_of_job_count(tmp_path):
-    cfg = small_config(replicates=4, standardisations=("none", "boxplot"),
-                       orders=(1.0, math.inf), methods=EXPERIMENT_METHODS)
-    out = []
-    for jobs in (1, 2, 4):
-        path = tmp_path / ("r%d.csv" % jobs)
-        run_experiment_to_files(cfg, path, jobs=jobs)
-        out.append(path.read_bytes())
-    assert out[0] == out[1] == out[2]
+    # the calling process scores replicates // jobs of them: none, one or
+    # two here, beside fewer workers than jobs - 1 when few replicates lead
+    for replicates in (2, 3, 5):
+        cfg = small_config(replicates=replicates, standardisations=("none", "boxplot"),
+                           orders=(1.0, math.inf), methods=EXPERIMENT_METHODS)
+        out = []
+        for jobs in (1, 2, 3, 4):
+            path = tmp_path / ("r%d_%d.csv" % (replicates, jobs))
+            run_experiment_to_files(cfg, path, jobs=jobs)
+            out.append(path.read_bytes())
+        assert out[1:] == out[:1] * 3, replicates
+
+
+_real_score = harness._score_replicate
+
+
+def _score_failing(failing, spec, seed, **grid):
+    # module level, so that worker processes can unpickle it by name
+    if seed in failing:
+        raise ValueError("replicate %d" % failing[seed])
+    return _real_score(spec, seed, **grid)
+
+
+@pytest.mark.parametrize("failing, first", [
+    ((1, 4), 1),
+    ((2, 4), 2),
+    ((4,), 4),
+    ((3, 4), 3),
+    ((0, 1, 2, 3, 4), 0),
+], ids=["worker-and-caller", "last-worker-and-caller", "caller-only", "caller-at-two-jobs",
+        "all"])
+def test_a_failing_replicate_raises_as_at_one_job(monkeypatch, failing, first):
+    # at jobs = 2 the caller scores replicates 3 and 4, at jobs = 3 replicate 4
+    cfg = small_config(replicates=5)
+    seeds = replicate_seeds(cfg.seed, cfg.replicates)
+    monkeypatch.setattr(harness, "_score_replicate", functools.partial(
+        _score_failing, {seeds[r]: r for r in failing}))
+    for jobs in (1, 2, 3):
+        with pytest.raises(ValueError, match="^replicate %d$" % first):
+            run_experiment(cfg, jobs=jobs)
+
+
+@pytest.mark.parametrize("affinity, cpu_count, jobs", [
+    ({3}, 8, 1), ({0, 1}, 8, 2), (None, 6, 6), (None, None, 1),
+])
+def test_default_job_count_is_the_cpus_this_process_may_use(monkeypatch, affinity,
+                                                             cpu_count, jobs):
+    monkeypatch.delenv("SCALEDIST_JOBS", raising=False)
+    if affinity is None:  # a platform without an affinity mask
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
+    assert harness._resolve_jobs(None) == jobs
 
 
 def test_jobs_env_var_is_honoured(tmp_path, monkeypatch):
