@@ -18,9 +18,12 @@ Reproducibility: replicate r uses word r of
 (also written to the output, so single replicates can be regenerated with the
 ``simulate`` subcommand).  Replicates are independent and may run in parallel:
 N jobs (SCALEDIST_JOBS, or the number of CPUs this process may use) are N
-concurrent scorers, namely N - 1 worker processes plus the calling process,
-and the records and all default outputs are byte-identical for any N.
-Cells are not timed: a record holds only reproducible scores.
+concurrent scorers, namely the calling process plus at most N - 1 child
+processes.  The shares are fixed up front: the caller scores the trailing
+``replicates // N`` replicates, and each child one contiguous run of the
+leading ones, whose scores it sends back through a pipe.  The records and all
+default outputs are byte-identical for any N.  Cells are not timed: a record
+holds only reproducible scores.
 
 Distances are built once per standardisation, for all orders together and
 in one distance kernel call: the training pairs when a clustering method is
@@ -410,11 +413,16 @@ def _resolve_jobs(jobs):
 def run_experiment(config, jobs=None):
     """Run the full grid; returns records ordered by replicate, then grid order.
 
-    ``jobs`` is the number of concurrent scorers: jobs - 1 worker processes
-    plus the calling process, which scores the last ``replicates // jobs``
-    replicates itself.  It defaults to the SCALEDIST_JOBS environment
-    variable, else the number of CPUs this process may use.  The records,
-    and every file written from them, are byte-identical for any job count.
+    ``jobs`` is the number of concurrent scorers: the calling process, which
+    scores the last ``replicates // jobs`` replicates itself, plus at most
+    jobs - 1 child processes, each scoring one contiguous run of the leading
+    replicates, fixed up front, and sending its scores back through a pipe.
+    It defaults to the SCALEDIST_JOBS environment variable, else the number
+    of CPUs this process may use.  The records, and every file written from
+    them, are byte-identical for any job count.  A failing replicate raises
+    as it would at one job; a child that ends without sending its scores
+    (killed, say) raises ChildProcessError, naming its replicates and exit
+    code.  No child outlives the call.
     """
     jobs = _resolve_jobs(jobs)
     spec = config.resolve_spec()
@@ -434,31 +442,67 @@ def run_experiment(config, jobs=None):
 def _score_shared(score, seeds, jobs):
     """``score`` of each seed, in order, from ``jobs`` concurrent scorers.
 
-    Worker processes score the leading seeds while this process scores the
-    trailing ``len(seeds) // jobs`` itself.  The error raised is that of
-    the lowest-numbered failing seed, as a serial loop would raise it; the
-    worker tasks queued after it are cancelled, and no worker outlives the
-    call.
+    The shares are fixed up front.  This process scores the trailing
+    ``len(seeds) // jobs`` seeds itself; the leading ones are cut into at
+    most ``jobs - 1`` contiguous runs of near-equal length, each scored by
+    one child process that sends its scores back through a pipe.  The error
+    raised is that of the lowest-numbered failing seed, as a serial loop
+    would raise it; a child that ends without sending its scores raises
+    ChildProcessError.  No child outlives the call.
     """
-    # imported here: the process pool's modules would add to every start-up
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here: multiprocessing's modules would add to every start-up
+    import multiprocessing
 
     leading = len(seeds) - len(seeds) // jobs
-    # workers return bare scores and the records are labelled by the caller,
-    # so they share one object per grid value instead of unpickled copies
-    pool = ProcessPoolExecutor(max_workers=min(jobs - 1, leading))
+    workers = min(jobs - 1, leading)
+    bounds = [leading * w // workers for w in range(workers + 1)]
+    shares = []  # (child, receiving end, first replicate, end), in seed order
     try:
-        futures = [pool.submit(score, seed) for seed in seeds[:leading]]
+        for lo, hi in zip(bounds, bounds[1:]):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_score_share, args=(score, seeds[lo:hi], sender))
+            child.start()
+            sender.close()  # the child's end is then the only one: recv sees EOF if it dies
+            shares.append((child, receiver, lo, hi))
         try:
             own, error = [score(seed) for seed in seeds[leading:]], None
-        except Exception as exc:  # held: a worker's lower seed may fail too
+        except Exception as exc:  # held: a child's lower seed may fail too
             own, error = None, exc
-        batches = [future.result() for future in futures]
+        batches = []
+        for child, receiver, lo, hi in shares:
+            try:
+                child_error, scores = receiver.recv()
+            except (EOFError, OSError):
+                child.join()
+                which = "replicate %d" % lo if hi - lo == 1 else "replicates %d-%d" % (lo, hi - 1)
+                raise ChildProcessError(
+                    "the worker process scoring %s ended with exit code %s before sending "
+                    "its scores" % (which, child.exitcode)) from None
+            receiver.close()
+            if child_error is not None:
+                raise child_error
+            batches += scores
     finally:
-        pool.shutdown(cancel_futures=True)
+        for child, receiver, _, _ in shares:
+            if not receiver.closed:  # unread: it may be blocked sending, or still scoring
+                receiver.close()
+                child.terminate()
+        for child, _, _, _ in shares:
+            child.join()
     if error is not None:
         raise error
     return batches + own
+
+
+def _score_share(score, seeds, conn):
+    """A child process's share: send ``(None, scores)`` of ``seeds``, or
+    ``(error, None)`` for the first seed that fails."""
+    try:
+        result = None, [score(seed) for seed in seeds]
+    except Exception as exc:
+        result = exc, None
+    conn.send(result)
+    conn.close()
 
 
 def write_records_csv(path, records):

@@ -1,6 +1,7 @@
 """Command-line interface contracts for all six subcommands."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from scaledist import simgen
+from scaledist import harness, simgen
 from scaledist.cli import main
 from scaledist.core import read_condensed, read_labels, read_matrix_csv, write_matrix_csv
 from scaledist.distance import cross, pairwise
@@ -531,6 +532,26 @@ def test_experiment_failure_leaves_no_partial_file(tmp_path, capsys):
                "--out", out) == 1
     assert not out.exists()
     assert "scaledist: error" in capsys.readouterr().err
+
+
+_real_score = harness._score_replicate
+
+
+def _exit_in_a_worker(parent, spec, seed, **grid):
+    # module level, so that a worker process started by spawn can unpickle it
+    if os.getpid() != parent:
+        os._exit(3)
+    return _real_score(spec, seed, **grid)
+
+
+def test_a_worker_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch, deadline):
+    monkeypatch.setattr(harness, "_score_replicate",
+                        functools.partial(_exit_in_a_worker, os.getpid()))
+    assert run("experiment", "--setup", "ntn_05", "--p", 20, "--n-per-class", 5,
+               "--replicates", 4, "--jobs", 2, "--out", tmp_path / "r.csv") == 1
+    assert _error_line(capsys) == ("scaledist: error: the worker process scoring replicates "
+                                   "0-1 ended with exit code 3 before sending its scores")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -4,8 +4,11 @@ import dataclasses
 import functools
 import json
 import math
+import multiprocessing
+import os
 import pickle
 import re
+import time
 import weakref
 
 import numpy as np
@@ -312,6 +315,59 @@ def test_a_failing_replicate_raises_as_at_one_job(monkeypatch, failing, first):
     for jobs in (1, 2, 3):
         with pytest.raises(ValueError, match="^replicate %d$" % first):
             run_experiment(cfg, jobs=jobs)
+
+
+def _score_exiting(parent, spec, seed, **grid):
+    # a worker process that dies mid-share, as a killed one would
+    if os.getpid() != parent:
+        os._exit(3)
+    return _real_score(spec, seed, **grid)
+
+
+@pytest.mark.parametrize("jobs, share", [(2, "replicates 0-2"), (3, "replicates 0-1")])
+def test_a_worker_that_dies_raises_child_process_error(monkeypatch, deadline, jobs, share):
+    # 5 replicates: one worker scores 0-2 at jobs = 2, two score 0-1 and 2-3 at jobs = 3
+    monkeypatch.setattr(harness, "_score_replicate",
+                        functools.partial(_score_exiting, os.getpid()))
+    with pytest.raises(ChildProcessError,
+                       match="scoring %s ended with exit code 3 " % share) as info:
+        run_experiment(small_config(replicates=5), jobs=jobs)
+    assert isinstance(info.value, OSError)
+
+
+def _score_beside_a_large_share(failing, large, spec, seed, **grid):
+    if seed == failing:
+        raise ValueError("replicate 0")
+    if seed == large:
+        return [0.0] * 100_000  # more than a pipe holds: its send blocks until read
+    return _real_score(spec, seed, **grid)
+
+
+def test_a_lower_failure_beside_a_blocked_large_share_does_not_hang(monkeypatch, deadline):
+    # at jobs = 3 with 3 replicates, each worker scores one and the caller the third
+    cfg = small_config(replicates=3)
+    seeds = replicate_seeds(cfg.seed, cfg.replicates)
+    monkeypatch.setattr(harness, "_score_replicate", functools.partial(
+        _score_beside_a_large_share, seeds[0], seeds[1]))
+    with pytest.raises(ValueError, match="^replicate 0$"):
+        run_experiment(cfg, jobs=3)
+    assert multiprocessing.active_children() == []
+
+
+def _score_interrupted(parent, interrupt, spec, seed, **grid):
+    if os.getpid() == parent:
+        raise interrupt
+    time.sleep(120)  # the workers are still scoring when the caller is interrupted
+
+
+def test_an_interrupt_in_the_callers_share_leaves_no_child(monkeypatch, deadline):
+    interrupt = KeyboardInterrupt("caller")
+    monkeypatch.setattr(harness, "_score_replicate", functools.partial(
+        _score_interrupted, os.getpid(), interrupt))
+    with pytest.raises(KeyboardInterrupt) as info:
+        run_experiment(small_config(replicates=3), jobs=3)
+    assert info.value is interrupt
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("affinity, cpu_count, jobs", [

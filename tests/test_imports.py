@@ -1,7 +1,7 @@
 """Import guards: every name a module of the package imports is used, every
 private module-level name is used somewhere in the package, the public
 names modules take from one another are the ones their ``__all__`` lists,
-and importing the package leaves the process pool's modules unloaded.
+and importing the package leaves multiprocessing's modules unloaded.
 
 No linter is a dependency, so this parses each module with ``ast``.  A name
 bound by an import must be read somewhere in the module or be listed in its
@@ -154,14 +154,17 @@ def test_the_guard_sees_an_unlisted_import_and_an_unbound_export():
 
 
 def test_importing_the_package_leaves_the_process_pool_unloaded():
-    # the pool is imported where run_experiment uses it, not on every start-up
+    # the worker processes' modules are imported where run_experiment starts
+    # them, not on every start-up nor when a config is built
     env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, scaledist; print('concurrent.futures.process' in sys.modules)"],
+         "import sys, scaledist; from scaledist.harness import ExperimentConfig; "
+         "ExperimentConfig(setup='simple_normal'); "
+         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
 
 
 def test_the_public_surface_is_pinned():
