@@ -27,17 +27,15 @@ holds only reproducible scores.
 
 Distances are built once per standardisation, for all orders together and
 in one distance kernel call: the training pairs when a clustering method is
-requested, and the test-to-training cross distances when knn3 is.  Every
-clustering cell waits with its distances in one queue.  The queue runs PAM
-cell by cell and each linkage method's problems through ``learn._linkages``
-(whose docstring gives the stack limits), then scores all partitions in one
-contingency count, each ARI bit-identical to :func:`adjusted_rand_index` of
-that cell alone.  It runs after each standardisation from 64 training rows
-on, so a standardisation's distances are freed before the next fit, and
-once per replicate below that, so all of a replicate's small linkage
-problems can share stacks.  From 64 training rows on, knn3 cells are scored
-one order at a time before the next fit; below that they join the queue,
-where one k-NN call classifies the stacked test rows of all of them.
+requested, and the test-to-training cross distances when knn3 is.  Run
+rule: the cells are scored in runs, contiguous stretches of the grid.  From
+64 training rows on, a run is one standardisation, scored before the next
+fit, so its distances are freed first; below that it is the whole
+replicate, so each linkage method's problems make one stack (see
+``learn``'s stacking rule) and one k-NN call classifies the stacked test
+rows of all knn3 cells, where from 64 rows each knn3 cell takes its own
+call.  Within a run, all partitions are scored in one contingency count,
+each ARI bit-identical to :func:`adjusted_rand_index` of that cell alone.
 
 The training labels are checked once per replicate for the learners and
 scores of its cells, which use them as checked.  Each standardisation's fit
@@ -284,11 +282,9 @@ def run_replicate(spec, setup_label, replicate, seed, standardisations, orders,
 
     Pure function of its arguments; returns the records in grid order
     (standardisation, then q, then method).  Each standardisation's
-    distances, of all orders, come from one kernel call; the clustering
-    cells wait in one queue, scored after each standardisation from 64
-    training rows on and once per replicate below that, when the knn3 cells
-    join the queue too.  Records leave ``seconds`` NaN.  The grid is
-    checked before any data is drawn.
+    distances, of all orders, come from one kernel call, and the cells are
+    scored in runs by the module docstring's run rule.  Records leave
+    ``seconds`` NaN.  The grid is checked before any data is drawn.
     ``oracle_pooling`` is accepted but unused; :class:`ExperimentConfig`
     makes the check it stands for.
     """
@@ -303,91 +299,71 @@ def _score_replicate(spec, seed, standardisations, orders, methods):
     The unit of parallel work: a worker returns these bare floats, and
     :func:`run_experiment` labels them as records.  The training labels are
     checked here once for every cell's learner and score; each fit checks
-    them again.
-
-    Each standardisation makes one distance kernel call.  The queue of
-    waiting cells runs after each standardisation from _LINKAGE_SMALL (64)
-    training rows on, and after the last one below that, so
-    :func:`learn._linkages` can stack the replicate's linkage problems and
-    one k-NN call can classify all of its knn3 cells.
+    them again.  The cells are scored in runs, cut as the module docstring
+    says.
     """
     data = generate(spec, seed)
     y_train, k_classes = check_labels(data.y_train)
-    small = data.x_train.shape[0] < _LINKAGE_SMALL
-    scores, waiting = [], []
+    scores, run = [], []
     for std_method in standardisations:
-        scores += _score_standardisation(data, y_train, k_classes, std_method,
-                                         orders, methods, waiting, small)
-        if not small:
-            _queued_scores(scores, waiting, y_train, k_classes, data.y_test)
-    _queued_scores(scores, waiting, y_train, k_classes, data.y_test)
-    return scores
+        run += _standardisation_cells(data, std_method, orders, methods)
+        if len(y_train) >= _LINKAGE_SMALL:
+            scores += _run_scores(run, y_train, k_classes, data.y_test)
+            run = []
+    return scores + _run_scores(run, y_train, k_classes, data.y_test)
 
 
-def _score_standardisation(data, y_train, k_classes, std_method, orders, methods, waiting,
-                           small):
-    """The scores of one standardisation's cells, in grid order.
-
-    The training pairs and the test-to-training distances of every order
-    come from one kernel call; the test rows are standardised only when
-    knn3 is among the methods.  A clustering cell, and a knn3 cell when the
-    replicate is ``small``, is appended to ``waiting`` as (method,
-    distances) and its score left None, for :func:`_queued_scores`; any
-    other knn3 cell is scored here, so its cross distances are freed on
-    return with the standardised matrices.
-    """
+def _standardisation_cells(data, std_method, orders, methods):
+    """(method, distances) of each of one standardisation's cells, in grid
+    order: the training pairs of a clustering cell, the test-to-training
+    distances of a knn3 cell.  Both come from one kernel call for every
+    order; the test rows are standardised only when knn3 is among the
+    methods."""
     std = fit_standardiser(data.x_train, std_method, labels=data.y_train)
     x_train = std.transform(data.x_train)
     x_test = std.transform(data.x_test, cap=True) if "knn3" in methods else None
     train_ds, test_ds = _pairs_and_cross(x_train, x_test, orders,
                                          pairs=any(m in CLUSTER_METHODS for m in methods))
-    scores = []
-    for i in range(len(orders)):
-        for method in methods:
-            if method == "knn3" and not small:
-                scores += _knn3_rates(test_ds[i], 1, y_train, k_classes, data.y_test)
-            else:
-                waiting.append((method, (test_ds if method == "knn3" else train_ds)[i]))
-                scores.append(None)
-    return scores
+    return [(method, (test_ds if method == "knn3" else train_ds)[i])
+            for i in range(len(orders)) for method in methods]
 
 
-def _knn3_rates(cross, cells, y_train, k_classes, y_test):
-    """The misclassification rate of each of ``cells`` knn3 cells whose
-    cross distances are stacked in ``cross``: one k-NN call, which classifies
-    each row alone, and each cell's mean of mismatches, as
-    ``evaluate.misclassification_rate`` forms it."""
-    predicted = _knn_classify(cross, y_train, k_classes, 3).reshape(cells, -1)
-    return (predicted != y_test).mean(axis=1).tolist()
-
-
-def _queued_scores(scores, waiting, y_train, k_classes, y_test):
-    """Score the ``waiting`` cells and empty the queue; the Nones of
-    ``scores`` take their scores in order.
+def _run_scores(run, y_train, k_classes, y_test):
+    """The score of each (method, distances) cell of a run, in order.
 
     PAM runs cell by cell and each linkage method's problems go through
-    ``learn._linkages`` (whose docstring gives the stack limits); all
-    partitions are then counted in one contingency count, each ARI
-    bit-identical to :func:`adjusted_rand_index` of that cell alone.  The
-    knn3 cells are scored together by :func:`_knn3_rates`.
+    ``learn._linkages``; all partitions are then counted in one contingency
+    count, each ARI bit-identical to :func:`adjusted_rand_index` of that
+    cell alone.  The knn3 cells are scored by :func:`_knn3_rates`.
     """
-    at = {method: [i for i, cell in enumerate(waiting) if cell[0] == method]
+    at = {method: [i for i, cell in enumerate(run) if cell[0] == method]
           for method in EXPERIMENT_METHODS}
-    partitions = {i: pam(waiting[i][1], k_classes).labels for i in at["pam"]}
+    partitions = {i: pam(run[i][1], k_classes).labels for i in at["pam"]}
     for method in LINKAGE_METHODS:
-        trees = _linkages([waiting[i][1] for i in at[method]], method)
+        trees = _linkages([run[i][1] for i in at[method]], method)
         partitions.update(zip(at[method], (cut_tree(tree, k_classes) for tree in trees)))
     values = {}
     if partitions:
         values.update(zip(partitions, _ari_rows(np.array(list(partitions.values())),
                                                 y_train, k_classes)))
-    if at["knn3"]:
-        values.update(zip(at["knn3"], _knn3_rates(
-            np.concatenate([waiting[i][1] for i in at["knn3"]]), len(at["knn3"]),
-            y_train, k_classes, y_test)))
-    waiting.clear()
-    queued = (values[i] for i in range(len(values)))
-    scores[:] = [next(queued) if score is None else score for score in scores]
+    values.update(zip(at["knn3"], _knn3_rates([run[i][1] for i in at["knn3"]],
+                                              y_train, k_classes, y_test)))
+    return [values[i] for i in range(len(run))]
+
+
+def _knn3_rates(crosses, y_train, k_classes, y_test):
+    """The misclassification rate of each knn3 cell, given its cross
+    distances: below _LINKAGE_SMALL training rows one k-NN call, which
+    classifies each row alone, takes the stacked rows of all cells, and from
+    there on each cell takes its own call.  A cell's rate is its mean of
+    mismatches, as ``evaluate.misclassification_rate`` forms it."""
+    if len(y_train) < _LINKAGE_SMALL and crosses:
+        crosses = [np.concatenate(crosses)]
+    rates = []
+    for cross in crosses:
+        predicted = _knn_classify(cross, y_train, k_classes, 3).reshape(-1, len(y_test))
+        rates += (predicted != y_test).mean(axis=1).tolist()
+    return rates
 
 
 def _resolve_jobs(jobs):
@@ -447,7 +423,8 @@ def _score_shared(score, seeds, jobs):
     most ``jobs - 1`` contiguous runs of near-equal length, each scored by
     one child process that sends its scores back through a pipe.  The error
     raised is that of the lowest-numbered failing seed, as a serial loop
-    would raise it; a child that ends without sending its scores raises
+    would raise it; one raised in a child carries the child's traceback as
+    its ``__cause__``.  A child that ends without sending its scores raises
     ChildProcessError.  No child outlives the call.
     """
     # imported here: multiprocessing's modules would add to every start-up
@@ -471,7 +448,7 @@ def _score_shared(score, seeds, jobs):
         batches = []
         for child, receiver, lo, hi in shares:
             try:
-                child_error, scores = receiver.recv()
+                child_error, child_traceback, scores = receiver.recv()
             except (EOFError, OSError):
                 child.join()
                 which = "replicate %d" % lo if hi - lo == 1 else "replicates %d-%d" % (lo, hi - 1)
@@ -480,7 +457,7 @@ def _score_shared(score, seeds, jobs):
                     "its scores" % (which, child.exitcode)) from None
             receiver.close()
             if child_error is not None:
-                raise child_error
+                raise child_error from _ChildTraceback(child_traceback)
             batches += scores
     finally:
         for child, receiver, _, _ in shares:
@@ -495,14 +472,25 @@ def _score_shared(score, seeds, jobs):
 
 
 def _score_share(score, seeds, conn):
-    """A child process's share: send ``(None, scores)`` of ``seeds``, or
-    ``(error, None)`` for the first seed that fails."""
+    """A child process's share: send ``(None, None, scores)`` of ``seeds``,
+    or ``(error, its formatted traceback, None)`` for the first seed that
+    fails."""
     try:
-        result = None, [score(seed) for seed in seeds]
+        result = None, None, [score(seed) for seed in seeds]
     except Exception as exc:
-        result = exc, None
+        import traceback  # only here: importing the package does not load it
+
+        result = exc, traceback.format_exc(), None
     conn.send(result)
     conn.close()
+
+
+class _ChildTraceback(Exception):
+    """The ``__cause__`` of an error re-raised from a child process: its
+    traceback there, as text."""
+
+    def __str__(self):
+        return '\n"""\n%s"""' % self.args[0]
 
 
 def write_records_csv(path, records):
@@ -575,35 +563,27 @@ def read_records_csv(path):
 
 
 def summarise(records):
-    """Aggregate records into means per (standardisation, q, method, metric).
+    """Aggregate records into means per (setup, standardisation, q, method,
+    metric), so records of several setups read back together stay apart.
 
     Groups appear in first-encounter order.  ``se`` is the standard error of
     the mean (sample standard deviation / sqrt(count); 0.0 for a single
     record).
 
-    Returns a list of dicts with keys standardisation, q, method, metric,
-    mean, se, count.
+    Returns a list of dicts with keys setup, standardisation, q, method,
+    metric, mean, se, count.
     """
     groups = {}
     for r in records:
-        key = (r.standardisation, format_order(r.q), r.method, r.metric)
+        key = (r.setup, r.standardisation, format_order(r.q), r.method, r.metric)
         groups.setdefault(key, []).append(r.value)
     rows = []
     for key, values in groups.items():
         values = np.array(values)
         count = values.shape[0]
         se = float(np.std(values, ddof=1) / np.sqrt(count)) if count > 1 else 0.0
-        rows.append(
-            {
-                "standardisation": key[0],
-                "q": key[1],
-                "method": key[2],
-                "metric": key[3],
-                "mean": float(values.mean()),
-                "se": se,
-                "count": count,
-            }
-        )
+        rows.append(dict(zip(("setup", "standardisation", "q", "method", "metric"), key),
+                         mean=float(values.mean()), se=se, count=count))
     return rows
 
 

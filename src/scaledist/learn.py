@@ -5,14 +5,13 @@ to how the distances were built.  All tie-breaks are deterministic and index
 based: equal candidates go to the lowest object index (or lowest node-id pair
 for linkage merges), so results are reproducible down to the bit.
 
-:func:`linkage` solves one problem at a time.  Below _LINKAGE_SMALL (64)
-objects a merge there costs mostly numpy call overhead, so the harness hands
-each linkage method's problems from its queue of clustering cells (below 64
-training rows, a whole replicate's) to :func:`_linkages`.  That runs them one
-by one through :func:`linkage` from 64 objects on or when fewer than
-_STACK_MIN (4) are given, and otherwise as stacks in one Lance-Williams loop
-(at most _STACK_BYTES, 1 MiB, of matrices per stack) with the same update
-arithmetic and tie rule: its Dendrograms equal linkage's bit for bit.
+:func:`linkage` solves one problem at a time.  Stacking rule: below
+_LINKAGE_SMALL (64) objects a merge there costs mostly numpy call overhead,
+so :func:`_linkages` runs all the problems it is given, of one method and
+one size (the harness gives it those of one run), as one stack in one
+Lance-Williams loop with the same update arithmetic and tie rule; from 64
+objects on the argmin scan dominates, and it runs them one by one through
+:func:`linkage`.  Either way its Dendrograms equal linkage's bit for bit.
 """
 
 from __future__ import annotations
@@ -306,36 +305,18 @@ def _lance_williams(method, row_a, row_b, size_a, size_b, out):
     return out
 
 
-# A stack of linkage problems of one size below _LINKAGE_SMALL runs in one
-# loop, one argmin per step for all of them: at that size a merge costs mostly
-# numpy call overhead, which the stack pays once.  A stack holds at most
-# _STACK_BYTES of matrices; below _STACK_MIN problems the loop of
-# :func:`linkage`, one problem at a time, is faster.
-_STACK_BYTES = 1 << 20
-_STACK_MIN = 4
-
-
 def _linkages(distances, method):
     """:func:`linkage` of each CondensedDistanceMatrix in ``distances``, all
     of one size n; Dendrograms in input order, equal to linkage's bit for bit.
-
-    Below _LINKAGE_SMALL objects, _STACK_MIN problems or more run through
-    :func:`_stacked_linkage`, in as few stacks of at most _STACK_BYTES as
-    hold them, of near-equal counts (8 or more problems fit in one, so each
-    stack gets at least _STACK_MIN).
-    """
-    count = len(distances)
-    if count < _STACK_MIN or distances[0].n >= _LINKAGE_SMALL:
-        return [linkage(D, method) for D in distances]
-    slots = 2 * distances[0].n - 1
-    stacks = -(-count // (_STACK_BYTES // (8 * slots * slots)))  # ceiling division
-    edges = [count * s // stacks for s in range(stacks + 1)]
-    return [tree for lo, hi in zip(edges, edges[1:])
-            for tree in _stacked_linkage(distances[lo:hi], method)]
+    Stacked or one by one, by the rule of the module docstring."""
+    if distances and distances[0].n < _LINKAGE_SMALL:
+        return _stacked_linkage(distances, method)
+    return [linkage(D, method) for D in distances]
 
 
 def _stacked_linkage(distances, method):
-    """:func:`linkage` of L problems of one size n < _LINKAGE_SMALL, in one loop.
+    """:func:`linkage` of L problems of one size n < _LINKAGE_SMALL, in one
+    loop (the stacking rule is in the module docstring).
 
     Problem l has in ``W[l]`` the (2n - 1)-slot matrix that linkage uses below
     _LINKAGE_SMALL: node s in slot s, never compacted.  Each step, one argmin

@@ -554,6 +554,23 @@ def test_a_worker_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch, dea
     assert list(tmp_path.iterdir()) == []
 
 
+def _fail_in_a_worker(parent, spec, seed, **grid):
+    if os.getpid() != parent:
+        raise ValueError("no data in the worker")
+    return _real_score(spec, seed, **grid)
+
+
+def test_a_failure_in_a_worker_is_one_error_line(tmp_path, capsys, monkeypatch, deadline):
+    # the error now carries the worker's traceback as its cause; the CLI
+    # still prints its message alone
+    monkeypatch.setattr(harness, "_score_replicate",
+                        functools.partial(_fail_in_a_worker, os.getpid()))
+    assert run("experiment", "--setup", "ntn_05", "--p", 20, "--n-per-class", 5,
+               "--replicates", 4, "--jobs", 2, "--out", tmp_path / "r.csv") == 1
+    assert _error_line(capsys) == "scaledist: error: no data in the worker"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--q", "1,1.0", "aggregation order 1 is listed twice"),
     ("--standardise", "mad,none,mad", "standardisation method 'mad' is listed twice"),

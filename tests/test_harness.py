@@ -9,13 +9,15 @@ import os
 import pickle
 import re
 import time
+import traceback
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from scaledist import harness
+from scaledist import harness, learn
 from scaledist.evaluate import adjusted_rand_index, misclassification_rate
 from scaledist.harness import (
     _CONFIG_KINDS,
@@ -32,7 +34,7 @@ from scaledist.harness import (
     write_records_csv,
 )
 from scaledist.simgen import _SETUP_KINDS, SetupSpec, generate, setup_catalog
-from scaledist.standardise import Standardiser
+from scaledist.standardise import METHODS, Standardiser
 
 
 def small_config(**overrides):
@@ -225,6 +227,19 @@ def test_summarise_examples():
     assert grouped[0]["method"] == "pam" and grouped[0]["count"] == 2
 
 
+def test_summarise_keeps_setups_apart():
+    # records of two setups read back together were pooled into one group
+    def rec(setup, value):
+        return ResultRecord(setup=setup, replicate=0, seed=1, standardisation="mad", q=1.0,
+                            method="pam", metric="ari", value=value)
+
+    rows = summarise([rec("ntn_05", 0.2), rec("simple_normal", 0.8), rec("ntn_05", 0.4)])
+    assert [(row["setup"], row["count"]) for row in rows] == [("ntn_05", 2), ("simple_normal", 1)]
+    assert rows[0]["mean"] == pytest.approx(0.3) and rows[1]["mean"] == 0.8
+    assert list(rows[0]) == ["setup", "standardisation", "q", "method", "metric",
+                             "mean", "se", "count"]
+
+
 def test_records_csv_round_trip(tmp_path):
     records = run_experiment(small_config(methods=("pam", "knn3")), jobs=1)
     path = tmp_path / "r.csv"
@@ -315,6 +330,35 @@ def test_a_failing_replicate_raises_as_at_one_job(monkeypatch, failing, first):
     for jobs in (1, 2, 3):
         with pytest.raises(ValueError, match="^replicate %d$" % first):
             run_experiment(cfg, jobs=jobs)
+
+
+def _refuse_the_seed(seed):
+    raise ValueError("no data from seed %d" % seed)
+
+
+def _score_through_a_failing_helper(failing, spec, seed, **grid):
+    if seed == failing:
+        _refuse_the_seed(seed)
+    return _real_score(spec, seed, **grid)
+
+
+def test_a_failure_in_a_worker_keeps_its_traceback(monkeypatch, deadline):
+    # at jobs = 2 with 4 replicates the worker scores replicates 0 and 1; the
+    # error it raised ended at the re-raise in the caller, naming no frame of
+    # the worker's
+    cfg = small_config(replicates=4)
+    seeds = replicate_seeds(cfg.seed, cfg.replicates)
+    monkeypatch.setattr(harness, "_score_replicate", functools.partial(
+        _score_through_a_failing_helper, seeds[0]))
+    raised = []
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as info:
+            run_experiment(cfg, jobs=jobs)
+        raised.append(info.value)
+    assert [(type(exc), str(exc)) for exc in raised] == [
+        (ValueError, "no data from seed %d" % seeds[0])] * 2
+    for exc in raised:
+        assert "in _refuse_the_seed\n" in "".join(traceback.format_exception(exc))
 
 
 def _score_exiting(parent, spec, seed, **grid):
@@ -437,31 +481,36 @@ def test_standardisation_parameters_come_from_training_data_only():
         assert json.dumps(fitted.to_json_dict()) == frozen
 
 
-@pytest.mark.parametrize("n_per_class, methods", [
-    pytest.param(n, methods, id="-".join((str(n),) + (() if methods == EXPERIMENT_METHODS
-                                                      else methods)))
+_FULL_GRID = (METHODS, (1.0, 2.0, 2.5, math.inf))
+
+
+@pytest.mark.parametrize("n_per_class, methods, grid", [
+    pytest.param(n, methods, _FULL_GRID,
+                 id="-".join((str(n),) + (() if methods == EXPERIMENT_METHODS else methods)))
     for methods in (EXPERIMENT_METHODS, ("knn3",), ("pam", "knn3"), ("complete",))
     for n in (10, 32)
-])
-def test_replicate_equals_manual_composition(n_per_class, methods):
+] + [pytest.param(10, EXPERIMENT_METHODS, (("mad",), (1.0,)), id="10-one-cell-per-method")])
+def test_replicate_equals_manual_composition(n_per_class, methods, grid):
     # every cell of a grid recomputed by hand from the public functions: all
     # ten standardisations (pooled ones fitted with the labels, as oracle
-    # pooling does), four orders and all four methods or a subset, with the
-    # queue run once per replicate (20 training rows, knn3 cells in one
-    # stacked k-NN call) and once per standardisation (64 rows)
+    # pooling does), four orders and all four methods or a subset, scored as
+    # one run per replicate (20 training rows: one linkage stack per method,
+    # knn3 cells in one stacked k-NN call) and one run per standardisation
+    # (64 rows); and one standardisation at one order, where each linkage
+    # method stacks a single problem
     from scaledist.distance import cross, pairwise
     from scaledist.learn import cut_tree, knn_classify, linkage, pam
-    from scaledist.standardise import METHODS, POOLED_METHODS, fit_standardiser
+    from scaledist.standardise import POOLED_METHODS, fit_standardiser
 
     spec = setup_catalog()["simple_normal"].with_size(p=25, n_per_class=n_per_class)
     seed = int(replicate_seeds(99, 3)[1])
-    orders = (1.0, 2.0, 2.5, math.inf)
-    records = run_replicate(spec, "simple_normal", 1, seed, METHODS, orders, methods)
+    standardisations, orders = grid
+    records = run_replicate(spec, "simple_normal", 1, seed, standardisations, orders, methods)
 
     ds = generate(spec, seed=seed)
     k = int(ds.y_train.max())
     expected = []
-    for std_method in METHODS:
+    for std_method in standardisations:
         fitted = fit_standardiser(ds.x_train, std_method, labels=ds.y_train)
         train = fitted.transform(ds.x_train)
         test = fitted.transform(ds.x_test, cap=True)
@@ -551,11 +600,9 @@ def test_replicate_records_do_not_depend_on_other_orders():
 @pytest.mark.parametrize("n_per_class", [8, 31, 32])
 def test_replicate_records_do_not_depend_on_other_standardisations(n_per_class):
     # below 64 training rows the linkage cells of every standardisation run
-    # in shared stacks (at 62 rows, in several), from 64 rows on each
-    # standardisation's cells run on their own; either way each
-    # standardisation's records must come out as if it had been requested alone
-    from scaledist.standardise import METHODS
-
+    # in one stack per method, from 64 rows on each standardisation's cells
+    # run on their own; either way each standardisation's records must come
+    # out as if it had been requested alone
     spec = setup_catalog()["ntn_05"].with_size(p=30, n_per_class=n_per_class)
     args = (spec, "ntn_05", 0, 321)
 
@@ -606,6 +653,55 @@ def test_clustering_distances_live_until_their_queue_runs(monkeypatch, n_per_cla
     assert counts == [(n, n) for n in alive]
     n_test = 2 * n_per_class
     assert knn_rows == ([n_test] * 6 if n_test >= 64 else [6 * n_test])
+
+
+@pytest.mark.parametrize("orders", [(1.0,), (1.0, 2.5, math.inf)])
+def test_how_the_runs_are_cut_never_changes_a_bit(monkeypatch, orders):
+    # at 20 training rows a replicate is one run: one linkage stack per method
+    # and one k-NN call.  With the cut moved to 0 rows each standardisation is
+    # a run, each stack holds one standardisation's problems (fewer than 4
+    # here) and each knn3 cell takes its own k-NN call; no record may change
+    spec = setup_catalog()["ntn_05"].with_size(p=25, n_per_class=10)
+    args = (spec, "ntn_05", 0, 77, METHODS, orders, EXPERIMENT_METHODS)
+    stacks, knn_rows = [], []
+    stacked, knn_classify = learn._stacked_linkage, harness._knn_classify
+
+    def recorded_stack(distances, method):
+        stacks.append(len(distances))
+        return stacked(distances, method)
+
+    def recorded_knn(cross, *args):
+        knn_rows.append(cross.shape[0])
+        return knn_classify(cross, *args)
+
+    monkeypatch.setattr(learn, "_stacked_linkage", recorded_stack)
+    monkeypatch.setattr(harness, "_knn_classify", recorded_knn)
+    cells = len(METHODS) * len(orders)
+    one_run = run_replicate(*args)
+    assert stacks == [cells] * 2 and knn_rows == [cells * 20]
+    stacks.clear()
+    knn_rows.clear()
+    monkeypatch.setattr(harness, "_LINKAGE_SMALL", 0)
+    runs = run_replicate(*args)
+    assert stacks == [len(orders)] * (2 * len(METHODS))
+    assert knn_rows == [20] * cells
+    assert len(runs) == 4 * cells and runs == one_run
+
+
+def test_a_replicates_linkage_stack_bounds_its_memory():
+    # at 62 training rows one run holds 10 standardisations x 5 orders: each
+    # linkage method stacks its 50 problems at once, 50 (2n - 1)^2 float64
+    # values (6 MB), and the replicate's peak stays under two such stacks
+    spec = setup_catalog()["ntn_05"].with_size(p=20, n_per_class=31)
+    orders = (1.0, 2.0, 3.0, 4.0, math.inf)
+    stack_bytes = len(METHODS) * len(orders) * (2 * 62 - 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        run_replicate(spec, "ntn_05", 0, 9, METHODS, orders, EXPERIMENT_METHODS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack_bytes < peak < 2 * stack_bytes
 
 
 @pytest.mark.parametrize("n_per_class", [10, 32])

@@ -155,13 +155,15 @@ def test_the_guard_sees_an_unlisted_import_and_an_unbound_export():
 
 def test_importing_the_package_leaves_the_process_pool_unloaded():
     # the worker processes' modules are imported where run_experiment starts
-    # them, not on every start-up nor when a config is built
+    # them, and traceback where a worker's error is sent, not on every
+    # start-up nor when a config is built
     env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys, scaledist; from scaledist.harness import ExperimentConfig; "
          "ExperimentConfig(setup='simple_normal'); "
-         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"],
+         "print([m for m in ('multiprocessing', 'concurrent.futures', 'traceback') "
+         "if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
