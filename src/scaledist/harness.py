@@ -31,11 +31,12 @@ requested, and the test-to-training cross distances when knn3 is.  Run
 rule: the cells are scored in runs, contiguous stretches of the grid.  From
 64 training rows on, a run is one standardisation, scored before the next
 fit, so its distances are freed first; below that it is the whole
-replicate, so each linkage method's problems make one stack (see
-``learn``'s stacking rule) and one k-NN call classifies the stacked test
-rows of all knn3 cells, where from 64 rows each knn3 cell takes its own
-call.  Within a run, all partitions are scored in one contingency count,
-each ARI bit-identical to :func:`adjusted_rand_index` of that cell alone.
+replicate, so the PAM problems make one stack and each linkage method's
+problems another (see ``learn``'s stacking rule), and one k-NN call
+classifies the stacked test rows of all knn3 cells, where from 64 rows each
+knn3 cell takes its own call.  Within a run, all partitions are scored in
+one contingency count, each ARI bit-identical to
+:func:`adjusted_rand_index` of that cell alone.
 
 The training labels are checked once per replicate for the learners and
 scores of its cells, which use them as checked.  Each standardisation's fit
@@ -59,7 +60,7 @@ from .core import (
 )
 from .distance import _pairs_and_cross, check_order, format_order, parse_order
 from .evaluate import _ari_rows
-from .learn import _LINKAGE_SMALL, LINKAGE_METHODS, _knn_classify, _linkages, cut_tree, pam
+from .learn import _LINKAGE_SMALL, LINKAGE_METHODS, _knn_classify, _linkages, _pams, cut_tree
 from .simgen import SetupSpec, _catalog_setup, generate
 from .standardise import METHODS, POOLED_METHODS, fit_standardiser
 
@@ -331,14 +332,16 @@ def _standardisation_cells(data, std_method, orders, methods):
 def _run_scores(run, y_train, k_classes, y_test):
     """The score of each (method, distances) cell of a run, in order.
 
-    PAM runs cell by cell and each linkage method's problems go through
-    ``learn._linkages``; all partitions are then counted in one contingency
-    count, each ARI bit-identical to :func:`adjusted_rand_index` of that
-    cell alone.  The knn3 cells are scored by :func:`_knn3_rates`.
+    The PAM problems go through ``learn._pams`` and each linkage method's
+    through ``learn._linkages``; all partitions are then counted in one
+    contingency count, each ARI bit-identical to
+    :func:`adjusted_rand_index` of that cell alone.  The knn3 cells are
+    scored by :func:`_knn3_rates`.
     """
     at = {method: [i for i, cell in enumerate(run) if cell[0] == method]
           for method in EXPERIMENT_METHODS}
-    partitions = {i: pam(run[i][1], k_classes).labels for i in at["pam"]}
+    clusterings = _pams([run[i][1] for i in at["pam"]], k_classes)
+    partitions = {i: clustering.labels for i, clustering in zip(at["pam"], clusterings)}
     for method in LINKAGE_METHODS:
         trees = _linkages([run[i][1] for i in at[method]], method)
         partitions.update(zip(at[method], (cut_tree(tree, k_classes) for tree in trees)))
@@ -396,9 +399,11 @@ def run_experiment(config, jobs=None):
     It defaults to the SCALEDIST_JOBS environment variable, else the number
     of CPUs this process may use.  The records, and every file written from
     them, are byte-identical for any job count.  A failing replicate raises
-    as it would at one job; a child that ends without sending its scores
-    (killed, say) raises ChildProcessError, naming its replicates and exit
-    code.  No child outlives the call.
+    as it would at one job, except that a child's error that does not
+    survive a pickle round trip arrives as its nearest built-in base class,
+    its message prefixed with its own class name; a child that ends without
+    sending its scores (killed, say) raises ChildProcessError, naming its
+    replicates and exit code.  No child outlives the call.
     """
     jobs = _resolve_jobs(jobs)
     spec = config.resolve_spec()
@@ -424,8 +429,10 @@ def _score_shared(score, seeds, jobs):
     one child process that sends its scores back through a pipe.  The error
     raised is that of the lowest-numbered failing seed, as a serial loop
     would raise it; one raised in a child carries the child's traceback as
-    its ``__cause__``.  A child that ends without sending its scores raises
-    ChildProcessError.  No child outlives the call.
+    its ``__cause__``, and arrives as its nearest built-in base class if it
+    cannot cross the pipe (see :func:`_score_share`).  A child that ends
+    without sending its scores raises ChildProcessError.  No child outlives
+    the call.
     """
     # imported here: multiprocessing's modules would add to every start-up
     import multiprocessing
@@ -474,13 +481,30 @@ def _score_shared(score, seeds, jobs):
 def _score_share(score, seeds, conn):
     """A child process's share: send ``(None, None, scores)`` of ``seeds``,
     or ``(error, its formatted traceback, None)`` for the first seed that
-    fails."""
+    fails.  An error that does not survive a pickle round trip (its class
+    cannot be rebuilt from its ``args``, or it holds what cannot be pickled)
+    is sent as its nearest built-in base class that can be built from one
+    message, with a message that names its own class."""
     try:
         result = None, None, [score(seed) for seed in seeds]
     except Exception as exc:
-        import traceback  # only here: importing the package does not load it
+        # only here: importing the package does not load traceback
+        import pickle
+        import traceback
 
-        result = exc, traceback.format_exc(), None
+        text = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            message = "%s: %s" % (type(exc).__qualname__, exc)
+            for base in type(exc).__mro__:  # Exception at the latest builds from a message
+                if base.__module__ == "builtins":
+                    try:
+                        exc = base(message)
+                        break
+                    except TypeError:  # UnicodeDecodeError, say, takes five arguments
+                        pass
+        result = exc, text, None
     conn.send(result)
     conn.close()
 

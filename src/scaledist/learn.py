@@ -5,13 +5,16 @@ to how the distances were built.  All tie-breaks are deterministic and index
 based: equal candidates go to the lowest object index (or lowest node-id pair
 for linkage merges), so results are reproducible down to the bit.
 
-:func:`linkage` solves one problem at a time.  Stacking rule: below
-_LINKAGE_SMALL (64) objects a merge there costs mostly numpy call overhead,
-so :func:`_linkages` runs all the problems it is given, of one method and
-one size (the harness gives it those of one run), as one stack in one
-Lance-Williams loop with the same update arithmetic and tie rule; from 64
-objects on the argmin scan dominates, and it runs them one by one through
-:func:`linkage`.  Either way its Dendrograms equal linkage's bit for bit.
+:func:`pam` and :func:`linkage` solve one problem at a time.  Stacking
+rule: below _LINKAGE_SMALL (64) objects a swap round or a merge costs
+mostly numpy call overhead, so :func:`_pams` and :func:`_linkages` run all
+the problems they are given, of one size (and one linkage method; the
+harness gives them those of one run), as one stack: PAM walks each start
+of every problem in one build + swap loop, linkage takes one
+Lance-Williams loop, each with the same arithmetic and tie rules.  From 64
+objects on the row scans dominate, and they run the problems one by one
+through :func:`pam` and :func:`linkage`.  Either way their Clusterings and
+Dendrograms equal pam's and linkage's bit for bit.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ def pam(D, k):
     lowest object index (for swaps: the lowest medoid, then the lowest
     candidate); clusters are numbered 1..k by ascending medoid index, and an
     object equidistant to several medoids joins the lowest-numbered cluster
-    (each medoid stays in its own cluster).
+    (each medoid stays in its own cluster).  :func:`_pams` gives the same
+    result for many problems at once, stacked below 64 objects.
 
     Parameters
     ----------
@@ -135,9 +139,7 @@ def pam(D, k):
     """
     k = _check_integer(k, "k")
     W = _square(D)
-    n = W.shape[0]
-    if not 2 <= k < n:
-        raise ValueError("k must satisfy 2 <= k < n=%d, got %d" % (n, k))
+    _check_pam_k(k, W.shape[0])
 
     chosen, objective = None, np.inf
     ends = {}  # every medoid set a swap walk visited -> the set that walk ended at
@@ -200,6 +202,139 @@ def _build_swap(W, k, first, ends):
         chosen.sort()
     ends.update(dict.fromkeys(visited, chosen))
     return chosen
+
+
+def _check_pam_k(k, n):
+    # an integer k checked against a PAM problem of n objects
+    if not 2 <= k < n:
+        raise ValueError("k must satisfy 2 <= k < n=%d, got %d" % (n, k))
+
+
+def _pams(distances, k):
+    """:func:`pam` of each CondensedDistanceMatrix in ``distances``, all of
+    one size n; Clusterings in input order, equal to pam's bit for bit.
+    Stacked or one by one, by the rule of the module docstring."""
+    if distances and distances[0].n < _LINKAGE_SMALL:
+        return _stacked_pam(distances, k)
+    return [pam(D, k) for D in distances]
+
+
+def _stacked_pam(distances, k):
+    """:func:`pam` of L problems of one size n < _LINKAGE_SMALL (the
+    stacking rule is in the module docstring).
+
+    Start s of every problem is walked before start s + 1 of any: one greedy
+    build of all L problems, then swap rounds by :func:`_stacked_swaps`.
+    Each problem keeps its own ``ends``, so its walks stop where pam's do,
+    and a later start replaces its kept result only at a strictly lower
+    cost.  Every sum (row sums, gains, deltas, costs) reduces the same
+    contiguous row of length n that pam reduces, so labels, medoids and
+    objectives equal pam's bit for bit.
+    """
+    k = _check_integer(k, "k")
+    n = distances[0].n
+    _check_pam_k(k, n)
+    W = _stacked_squares(distances, n, 0.0)
+    scratch = np.empty_like(W)  # the (L, n, n) temporaries of builds and swaps
+    count = len(distances)
+    problems = np.arange(count)
+    every = problems[:, None]
+    ends = [{} for _ in problems]
+    best, objectives = np.empty((count, k), dtype=np.int64), np.full(count, np.inf)
+    for first in np.argsort(W.sum(axis=2), axis=1, kind="stable")[:, :_PAM_STARTS].T:
+        medoids = np.empty((count, k), dtype=np.int64)
+        medoids[:, 0] = first
+        near = W[problems, first]
+        for m in range(1, k):
+            gains = np.subtract(near[:, None, :], W, out=scratch)
+            gains = np.maximum(gains, 0.0, out=gains).sum(axis=2)
+            gains[every, medoids[:, :m]] = -1.0
+            medoids[:, m] = c = np.argmax(gains, axis=1)
+            near = np.minimum(near, W[problems, c])
+        medoids.sort(axis=1)
+        _stacked_swaps(W, medoids, ends, scratch)
+        costs = W[every, medoids].min(axis=1).sum(axis=1)
+        better = costs < objectives
+        best[better], objectives[better] = medoids[better], costs[better]
+    labels = W[every, best].argmin(axis=1).astype(np.int64) + 1
+    labels[every, best] = np.arange(1, k + 1)  # a medoid never leaves its own cluster
+    return [Clustering(labels=labels[l], medoids=best[l], objective=float(objectives[l]))
+            for l in problems]
+
+
+def _stacked_swaps(W, medoids, ends, scratch):
+    """The swap walks of :func:`_build_swap` from each row of ``medoids``
+    (ascending) on its problem's layer of ``W``, in place.
+
+    Each round, a walk that reaches a set in its problem's ``ends`` stops
+    there with that set's end; the walks still running are then computed
+    together, their deltas formed one medoid at a time over (active, n, n)
+    temporaries in ``scratch``, and each takes its first best swap or stops
+    at none that improves.  Every set a walk visits is added to its
+    problem's ``ends``.
+    """
+    count, k = medoids.shape
+    n = W.shape[1]
+    columns = np.arange(n)
+    visited = [[] for _ in range(count)]
+    active, Wa = list(range(count)), W
+    while active:
+        running = []
+        for l in active:
+            key = medoids[l].tobytes()
+            end = ends[l].get(key)
+            if end is None:
+                visited[l].append(key)
+                running.append(l)
+            else:
+                medoids[l] = end
+                ends[l].update(dict.fromkeys(visited[l], end))
+        if not running:
+            break
+        if len(running) < Wa.shape[0]:  # walks only stop: a new length is a new set
+            Wa = W[running]
+        size = len(running)
+        walks = np.arange(size)
+        chosen = medoids[running]
+        rows = Wa[walks[:, None], chosen]  # (active, k, n)
+        nearest = rows.argmin(axis=1)
+        at_nearest = walks[:, None], nearest, columns
+        d1 = rows[at_nearest]
+        rows[at_nearest] = np.inf
+        d2 = rows.min(axis=1)  # distance to the second-nearest medoid
+        current = d1.sum(axis=1)[:, None]
+        deltas = np.empty((size, k, n))
+        for i in range(k):
+            d_excl = np.where(nearest == i, d2, d1)
+            excluded = np.minimum(d_excl[:, None, :], Wa, out=scratch[:size])
+            np.subtract(excluded.sum(axis=2), current, out=deltas[:, i])
+        deltas[walks[:, None], :, chosen] = np.inf
+        deltas = deltas.reshape(size, k * n)
+        flat = np.argmin(deltas, axis=1)  # first minimum: lowest medoid, then candidate
+        improves = deltas[walks, flat] < 0.0
+        i, h = np.divmod(flat[improves], n)
+        chosen[improves, i] = h
+        chosen.sort(axis=1)
+        medoids[running] = chosen
+        active = []
+        for l, swapped in zip(running, improves.tolist()):
+            if swapped:
+                active.append(l)
+            else:
+                ends[l].update(dict.fromkeys(visited[l], medoids[l].copy()))
+
+
+def _stacked_squares(distances, size, fill):
+    """An (L, size, size) stack of ``fill`` whose layer l holds problem l's
+    distances, all of one size n <= size, in its leading n x n corner (its
+    diagonal too holds ``fill``)."""
+    n = distances[0].n
+    W = np.full((len(distances), size, size), fill)
+    entries = np.array([D.entries for D in distances])
+    rows, cols = np.nonzero(_strict_lower(n))  # condensed order
+    W[:, rows, cols] = entries
+    W[:, cols, rows] = entries
+    return W
 
 
 # Below this many live nodes a linkage matrix gets room for every merge left
@@ -329,11 +464,7 @@ def _stacked_linkage(distances, method):
     """
     n = distances[0].n
     count, slots = len(distances), 2 * n - 1
-    W = np.full((count, slots, slots), np.inf)
-    entries = np.array([D.entries for D in distances])
-    rows, cols = np.nonzero(_strict_lower(n))  # condensed order
-    W[:, rows, cols] = entries
-    W[:, cols, rows] = entries
+    W = _stacked_squares(distances, slots, np.inf)
     flat = W.reshape(count, slots * slots)
     problems = np.arange(count)
     every = problems[:, None]

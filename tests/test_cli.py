@@ -571,6 +571,30 @@ def test_a_failure_in_a_worker_is_one_error_line(tmp_path, capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+class _TwoArgError(ValueError):
+    # unpickling rebuilds it from its one-message args, which fails
+    def __init__(self, what, where):
+        super().__init__("%s in %s" % (what, where))
+
+
+def _fail_unpicklably_in_a_worker(parent, spec, seed, **grid):
+    if os.getpid() != parent:
+        raise _TwoArgError("no data", "the worker")
+    return _real_score(spec, seed, **grid)
+
+
+def test_a_worker_error_that_cannot_cross_the_pipe_is_one_error_line(tmp_path, capsys,
+                                                                      monkeypatch, deadline):
+    # it arrives as its built-in base class, a ValueError naming its class;
+    # it was a TypeError from unpickling it, about a missing argument
+    monkeypatch.setattr(harness, "_score_replicate",
+                        functools.partial(_fail_unpicklably_in_a_worker, os.getpid()))
+    assert run("experiment", "--setup", "ntn_05", "--p", 20, "--n-per-class", 5,
+               "--replicates", 4, "--jobs", 2, "--out", tmp_path / "r.csv") == 1
+    assert _error_line(capsys) == "scaledist: error: _TwoArgError: no data in the worker"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--q", "1,1.0", "aggregation order 1 is listed twice"),
     ("--standardise", "mad,none,mad", "standardisation method 'mad' is listed twice"),

@@ -361,6 +361,73 @@ def test_a_failure_in_a_worker_keeps_its_traceback(monkeypatch, deadline):
         assert "in _refuse_the_seed\n" in "".join(traceback.format_exception(exc))
 
 
+class _TwoArgError(ValueError):
+    # pickles, but unpickling rebuilds it from its one-message args
+    def __init__(self, what, seed):
+        super().__init__("%s from seed %d" % (what, seed))
+
+
+class _LambdaError(LookupError):
+    # holds a lambda, so it does not pickle at all
+    def __init__(self, message):
+        super().__init__(message)
+        self.describe = lambda: message
+
+
+class _DecodeError(UnicodeDecodeError):
+    # rebuilt from its five args it fails, and its built-in base
+    # UnicodeDecodeError cannot be built from one message either
+    def __init__(self, message):
+        super().__init__("utf-8", b"\xff", 0, 1, message)
+
+
+def _raise_decode_error(seed):
+    raise _DecodeError("no data from seed %d" % seed)
+
+
+def _raise_two_arg_error(seed):
+    raise _TwoArgError("no data", seed)
+
+
+def _raise_lambda_error(seed):
+    raise _LambdaError("no data from seed %d" % seed)
+
+
+def _score_through_a_raising_helper(helper, failing, spec, seed, **grid):
+    if seed == failing:
+        helper(seed)
+    return _real_score(spec, seed, **grid)
+
+
+@pytest.mark.parametrize("helper, error, base", [
+    (_raise_two_arg_error, _TwoArgError, ValueError),
+    (_raise_lambda_error, _LambdaError, LookupError),
+    (_raise_decode_error, _DecodeError, UnicodeError),
+], ids=["not-rebuilt-from-args", "not-picklable", "base-takes-five-args"])
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_a_worker_error_that_cannot_cross_the_pipe_arrives_as_its_builtin_base(
+        monkeypatch, deadline, helper, error, base, jobs):
+    # replicate 0 is scored by a worker at jobs 2 and 3.  The first error
+    # reached the caller as an unrelated TypeError from unpickling it; the
+    # second failed the worker's send, and the caller saw only an exit code;
+    # the third skips its base class, which takes five arguments
+    cfg = small_config(replicates=4)
+    seeds = replicate_seeds(cfg.seed, cfg.replicates)
+    monkeypatch.setattr(harness, "_score_replicate", functools.partial(
+        _score_through_a_raising_helper, helper, seeds[0]))
+    with pytest.raises(error) as alone:
+        run_experiment(cfg, jobs=1)
+    message = str(alone.value)
+    assert message.endswith("no data from seed %d" % seeds[0])
+    with pytest.raises(base) as info:
+        run_experiment(cfg, jobs=jobs)
+    assert type(info.value) is base
+    assert str(info.value) == "%s: %s" % (error.__qualname__, message)
+    cause = str(info.value.__cause__)
+    assert "in %s\n" % helper.__name__ in cause
+    assert cause.rstrip().splitlines()[-2].endswith("%s: %s" % (error.__qualname__, message))
+
+
 def _score_exiting(parent, spec, seed, **grid):
     # a worker process that dies mid-share, as a killed one would
     if os.getpid() != parent:
@@ -657,32 +724,40 @@ def test_clustering_distances_live_until_their_queue_runs(monkeypatch, n_per_cla
 
 @pytest.mark.parametrize("orders", [(1.0,), (1.0, 2.5, math.inf)])
 def test_how_the_runs_are_cut_never_changes_a_bit(monkeypatch, orders):
-    # at 20 training rows a replicate is one run: one linkage stack per method
-    # and one k-NN call.  With the cut moved to 0 rows each standardisation is
-    # a run, each stack holds one standardisation's problems (fewer than 4
-    # here) and each knn3 cell takes its own k-NN call; no record may change
+    # at 20 training rows a replicate is one run: one PAM stack, one linkage
+    # stack per method and one k-NN call.  With the cut moved to 0 rows each
+    # standardisation is a run, each stack holds one standardisation's
+    # problems (fewer than 4 here) and each knn3 cell takes its own k-NN
+    # call; no record may change
     spec = setup_catalog()["ntn_05"].with_size(p=25, n_per_class=10)
     args = (spec, "ntn_05", 0, 77, METHODS, orders, EXPERIMENT_METHODS)
-    stacks, knn_rows = [], []
-    stacked, knn_classify = learn._stacked_linkage, harness._knn_classify
+    stacks, pam_stacks, knn_rows = [], [], []
+    stacked, stacked_pam = learn._stacked_linkage, learn._stacked_pam
+    knn_classify = harness._knn_classify
 
     def recorded_stack(distances, method):
         stacks.append(len(distances))
         return stacked(distances, method)
+
+    def recorded_pam_stack(distances, k):
+        pam_stacks.append(len(distances))
+        return stacked_pam(distances, k)
 
     def recorded_knn(cross, *args):
         knn_rows.append(cross.shape[0])
         return knn_classify(cross, *args)
 
     monkeypatch.setattr(learn, "_stacked_linkage", recorded_stack)
+    monkeypatch.setattr(learn, "_stacked_pam", recorded_pam_stack)
     monkeypatch.setattr(harness, "_knn_classify", recorded_knn)
     cells = len(METHODS) * len(orders)
     one_run = run_replicate(*args)
-    assert stacks == [cells] * 2 and knn_rows == [cells * 20]
-    stacks.clear()
-    knn_rows.clear()
+    assert pam_stacks == [cells] and stacks == [cells] * 2 and knn_rows == [cells * 20]
+    for counts in (stacks, pam_stacks, knn_rows):
+        counts.clear()
     monkeypatch.setattr(harness, "_LINKAGE_SMALL", 0)
     runs = run_replicate(*args)
+    assert pam_stacks == [len(orders)] * len(METHODS)
     assert stacks == [len(orders)] * (2 * len(METHODS))
     assert knn_rows == [20] * cells
     assert len(runs) == 4 * cells and runs == one_run

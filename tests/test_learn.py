@@ -139,6 +139,91 @@ def test_pam_objective_consistent_with_labels():
     assert_allclose(result.objective, total, rtol=1e-12)
 
 
+def _halves(n, rng):
+    # distances on a grid of halves, as in the tie-heavy test above
+    levels = int(rng.integers(2, 7))
+    return CondensedDistanceMatrix(n, rng.integers(0, levels, n * (n - 1) // 2) / 2)
+
+
+def _assert_pams_equal(clusterings, cases, k):
+    assert len(clusterings) == len(cases)
+    for D, got in zip(cases, clusterings):
+        want = pam(D, k)
+        for got_array, want_array in ((got.labels, want.labels), (got.medoids, want.medoids)):
+            assert got_array.dtype == want_array.dtype == np.int64
+            assert_array_equal(got_array, want_array)
+        assert type(got.objective) is float and got.objective == want.objective
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 40, 63) for k in (2, 3, 4) if k < n])
+@pytest.mark.parametrize("count", [1, 2, 30])
+def test_stacked_pam_matches_pam_bit_for_bit(monkeypatch, n, k, count):
+    # below 64 objects all the problems of a call run as one stack; grids of
+    # halves decide every tie rule, and Gaussian data, whose sums depend on
+    # their order, checks that each sum reduces the row that pam reduces
+    rng = np.random.default_rng(100 * n + 10 * k + count)
+    cases = [_halves(n, rng) if l % 2 == 0 else pairwise(rng.standard_normal((n, 4)), 2)
+             for l in range(count)]
+    sizes = []
+
+    def recorded(distances, k):
+        sizes.append(len(distances))
+        return stacked(distances, k)
+
+    stacked = learn._stacked_pam
+    monkeypatch.setattr(learn, "_stacked_pam", recorded)
+    clusterings = learn._pams(cases, k)
+    assert sizes == [count]
+    _assert_pams_equal(clusterings, cases, k)
+
+
+def test_stacked_pam_stops_each_walk_where_pam_does(monkeypatch):
+    # stacks of tie-heavy problems whose later starts often end at a medoid
+    # set an earlier start's walk visited; each problem keeps its own cache
+    rng = np.random.default_rng(31)
+    ends = []
+    build_swap = learn._build_swap
+
+    def recorded(W, k, first, visited):
+        medoids = build_swap(W, k, first, visited)
+        ends[-1].append(tuple(medoids))
+        return medoids
+
+    shared = 0
+    for _ in range(40):
+        n, k = int(rng.integers(5, 31)), int(rng.integers(2, 5))
+        cases = [_halves(n, rng) for _ in range(int(rng.integers(1, 13)))]
+        _assert_pams_equal(learn._pams(cases, k), cases, k)
+        with monkeypatch.context() as patched:
+            patched.setattr(learn, "_build_swap", recorded)
+            for D in cases:
+                ends.append([])
+                pam(D, k)
+        shared += sum(len(set(starts)) < len(starts) for starts in ends)
+        ends.clear()
+    assert shared > 100
+
+
+def test_pam_problems_of_64_objects_run_one_by_one(monkeypatch):
+    # from 64 objects on each problem goes through pam, as the linkages do
+    rng = np.random.default_rng(64)
+    cases = [_halves(64, rng), pairwise(rng.standard_normal((64, 4)), 2)]
+    monkeypatch.setattr(learn, "_stacked_pam", None)  # any call fails
+    _assert_pams_equal(learn._pams(cases, 3), cases, 3)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_stacked_pam_refuses_a_bad_k_as_pam_does(n):
+    cases = [_halves(n, np.random.default_rng(n)) for _ in range(3)]
+    assert learn._pams([], 2) == []
+    for k in (1, n, n + 1, True, 2.5, np.float64(2.0), "2"):
+        with pytest.raises(ValueError) as alone:
+            pam(cases[0], k)
+        with pytest.raises(ValueError) as stacked:
+            learn._pams(cases, k)
+        assert str(stacked.value) == str(alone.value)
+
+
 @pytest.mark.parametrize("call", [
     lambda D, k: pam(D, k).labels,
     lambda D, k: cut_tree(linkage(D, "complete"), k),
